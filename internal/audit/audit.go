@@ -38,23 +38,23 @@ import (
 
 // Named invariants, referenced by tests and by failure reports.
 const (
-	InvLogBuffer       = "log-buffer"            // occupancy ≤ capacity, comparator/merge consistency
-	InvFlushBit        = "flush-bit-eviction"    // evicted line ⇒ matching in-tx entries carry flush-bit 1
-	InvWPQ             = "wpq-capacity"          // WPQ occupancy ≤ ADR-domain slot count
-	InvCommitDurable   = "commit-durability"     // committed word durable at Tx_end (Log-as-Data IPU)
-	InvCrashOrder      = "crash-flush-order"     // commit ID tuple precedes its redo stream
-	InvEnergy          = "energy-ledger"         // crash budget never negative; critical set within Table IV sizing
-	InvConservation    = "adr-conservation"      // InjectCrash preserves the durable data region
+	InvLogBuffer       = "log-buffer"             // occupancy ≤ capacity, comparator/merge consistency
+	InvFlushBit        = "flush-bit-eviction"     // evicted line ⇒ matching in-tx entries carry flush-bit 1
+	InvWPQ             = "wpq-capacity"           // WPQ occupancy ≤ ADR-domain slot count
+	InvCommitDurable   = "commit-durability"      // committed word durable at Tx_end (Log-as-Data IPU)
+	InvCrashOrder      = "crash-flush-order"      // commit ID tuple precedes its redo stream
+	InvEnergy          = "energy-ledger"          // crash budget never negative; critical set within Table IV sizing
+	InvConservation    = "adr-conservation"       // InjectCrash preserves the durable data region
 	InvReconstructible = "post-commit-durability" // every committed word reconstructible from durable domains
-	InvIdempotence     = "recovery-idempotence"  // a second recovery pass changes nothing
+	InvIdempotence     = "recovery-idempotence"   // a second recovery pass changes nothing
 )
 
 // Violation is the fail-fast panic value raised by a failed invariant.
 type Violation struct {
-	Invariant string    // one of the Inv* names
+	Invariant string // one of the Inv* names
 	Message   string
-	Cycle     sim.Cycle // simulated cycle at which the invariant fired
-	Trail     []string  // recent machine events rendered, oldest first
+	Cycle     sim.Cycle         // simulated cycle at which the invariant fired
+	Trail     []string          // recent machine events rendered, oldest first
 	Events    []telemetry.Event // the same trail, structured
 }
 

@@ -222,8 +222,8 @@ func TestEnergyLedgerNonNegative(t *testing.T) {
 
 func TestConservationAllowsBatteryBackedCacheFlush(t *testing.T) {
 	a := New(true)
-	a.CheckConservation(0x100, 5, 5, nil)                  // unchanged
-	a.CheckConservation(0x100, 5, 9, []mem.Word{9})        // eADR flush
+	a.CheckConservation(0x100, 5, 5, nil)           // unchanged
+	a.CheckConservation(0x100, 5, 9, []mem.Word{9}) // eADR flush
 	v := violation(t, func() { a.CheckConservation(0x100, 5, 9, []mem.Word{7}) })
 	if v.Invariant != InvConservation {
 		t.Errorf("invariant = %q", v.Invariant)

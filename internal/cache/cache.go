@@ -56,10 +56,13 @@ const invalidTag = ^mem.Addr(0)
 // (mirroring arr) so the per-access way scan reads one contiguous run of
 // words instead of striding across the full line records. The tag array
 // is also the sole validity record — a line record is only read when its
-// tag matches — so construction and whole-cache invalidation touch 8
-// bytes per line, not the 88-byte record (the torture fleet builds
-// thousands of short-lived machines and crashes them constantly; zeroing
-// the multi-megabyte L3 record array per campaign dominated its profile).
+// tag matches — so whole-cache invalidation touches 8 bytes per line, not
+// the 88-byte record.
+//
+// Invalidation is sparse: insert notes every way it moves from invalid
+// to valid, and reset clears only those ways. A torture-fleet campaign
+// fills a few hundred of the L3's 128 k ways, so its crash and its
+// release to the pool cost what it touched, not the cache's geometry.
 type Cache struct {
 	cfg     Config
 	sets    int
@@ -67,19 +70,29 @@ type Cache struct {
 	ways    int
 	arr     []line     // sets*ways, row-major by set; stale unless tag valid
 	tags    []mem.Addr // arr[i].addr, or invalidTag for an empty way
+	filled  []int32    // ways filled since the last reset; len == cap means sweep
 	pooled  *cacheArrays
 	tick    int64
 
 	Hits, Misses int64
 }
 
-// cacheArrays bundles one level's line records and tag array so they
-// recycle together. Because validity lives solely in the tag array,
-// recycled records may carry stale contents — they are unreachable until
-// an insert overwrites them — so reuse needs no clearing beyond the tags.
+// sparseResetDiv sets the sparse-reset fallback: the filled-way list
+// holds at most len(tags)/sparseResetDiv entries, and once it is full
+// reset sweeps the whole tag array instead (a memmove-speed fill beats
+// scattered stores by then).
+const sparseResetDiv = 8
+
+// cacheArrays bundles one level's line records, tag array and filled-way
+// list so they recycle together. Because validity lives solely in the
+// tag array, recycled records may carry stale contents — they are
+// unreachable until an insert overwrites them. A pooled cacheArrays is
+// clean when returned, not when taken: Release resets the tags (and
+// empties the list) before the put, so NewCache takes it as is.
 type cacheArrays struct {
-	arr  []line
-	tags []mem.Addr
+	arr    []line
+	tags   []mem.Addr
+	filled []int32
 }
 
 // arrPools recycles cacheArrays by line count. Short-lived machines (the
@@ -91,12 +104,13 @@ func getArrays(n int) *cacheArrays {
 	p, ok := arrPools.Load(n)
 	if !ok {
 		p, _ = arrPools.LoadOrStore(n, &sync.Pool{New: func() any {
-			return &cacheArrays{arr: make([]line, n), tags: make([]mem.Addr, n)}
+			a := &cacheArrays{arr: make([]line, n), tags: make([]mem.Addr, n),
+				filled: make([]int32, 0, n/sparseResetDiv)}
+			fillInvalid(a.tags)
+			return a
 		}})
 	}
-	a := p.(*sync.Pool).Get().(*cacheArrays)
-	fillInvalid(a.tags)
-	return a
+	return p.(*sync.Pool).Get().(*cacheArrays)
 }
 
 // fillInvalid resets a tag array to all-empty. The doubling copy runs at
@@ -123,19 +137,34 @@ func NewCache(cfg Config) *Cache {
 	}
 	a := getArrays(sets * cfg.Ways)
 	return &Cache{cfg: cfg, sets: sets, setMask: mask, ways: cfg.Ways,
-		arr: a.arr, tags: a.tags, pooled: a}
+		arr: a.arr, tags: a.tags, filled: a.filled, pooled: a}
 }
 
-// Release returns the cache's arrays to the pool. The cache must not be
-// used afterwards.
+// Release resets the cache and returns its arrays to the pool, so pooled
+// arrays are always clean. The cache must not be used afterwards.
 func (c *Cache) Release() {
 	if c.pooled == nil {
 		return
 	}
+	c.reset()
+	c.pooled.filled = c.filled
 	if p, ok := arrPools.Load(len(c.pooled.arr)); ok {
 		p.(*sync.Pool).Put(c.pooled)
 	}
-	c.pooled, c.arr, c.tags = nil, nil, nil
+	c.pooled, c.arr, c.tags, c.filled = nil, nil, nil, nil
+}
+
+// reset invalidates every way: only the ways noted as filled, or the
+// whole tag array once the note list overflowed.
+func (c *Cache) reset() {
+	if len(c.filled) == cap(c.filled) {
+		fillInvalid(c.tags)
+	} else {
+		for _, i := range c.filled {
+			c.tags[i] = invalidTag
+		}
+	}
+	c.filled = c.filled[:0]
 }
 
 func (c *Cache) setBase(addr mem.Addr) int {
@@ -187,6 +216,8 @@ func (c *Cache) insert(la mem.Addr, data *[mem.LineSize]byte, dirty bool) (*line
 	had := tags[vi] != invalidTag
 	if had {
 		ev = Evicted{Addr: victim.addr, Data: victim.data, Dirty: victim.dirty}
+	} else if len(c.filled) < cap(c.filled) {
+		c.filled = append(c.filled, int32(base+vi))
 	}
 	c.tick++
 	victim.addr, victim.lru, victim.data, victim.dirty = la, c.tick, *data, dirty
@@ -419,14 +450,14 @@ func (h *Hierarchy) ForceWriteBackAll(now sim.Cycle) int {
 }
 
 // InvalidateAll drops every line — the volatile caches at a crash.
-// Only the tag arrays are reset; the stale line records are unreachable
+// Only the filled tags are reset; the stale line records are unreachable
 // once their tags are invalid.
 func (h *Hierarchy) InvalidateAll() {
 	for i := range h.l1 {
-		fillInvalid(h.l1[i].tags)
-		fillInvalid(h.l2[i].tags)
+		h.l1[i].reset()
+		h.l2[i].reset()
 	}
-	fillInvalid(h.l3.tags)
+	h.l3.reset()
 }
 
 // Release returns every level's arrays to the pool for the next machine.

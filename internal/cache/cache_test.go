@@ -327,3 +327,94 @@ func TestNewCacheClampsTinyGeometry(t *testing.T) {
 		t.Errorf("value lost in tiny hierarchy: %d", v)
 	}
 }
+
+// allInvalid reports whether every way of a tag array is empty.
+func allInvalid(tags []mem.Addr) bool {
+	for _, tag := range tags {
+		if tag != invalidTag {
+			return false
+		}
+	}
+	return true
+}
+
+// Sparse reset must be indistinguishable from the full sweep. A cache
+// that resets sparsely and a reference that always sweeps every tag run
+// the same random inserts and removes, with crashes (reset) in between
+// and trips through the pool (Release, then NewCache): their tag arrays
+// must agree after every step, every reset must leave all tags invalid,
+// and lookups must match. Phases alternate between light use (the filled
+// list stays short) and heavy use well past the fallback fraction.
+func TestSparseResetMatchesFullSweep(t *testing.T) {
+	cfg := Config{Name: "prop", Size: 64 << 10, Ways: 4, Latency: 1} // 1024 ways, fallback at 128 fills
+	rng := rand.New(rand.NewSource(5))
+	c, ref := NewCache(cfg), NewCache(cfg)
+	defer ref.Release()
+	sweep := func() {
+		fillInvalid(ref.tags)
+		ref.filled = ref.filled[:0]
+	}
+	var data [mem.LineSize]byte
+	resets, fallbacks := 0, 0
+	for phase := 0; phase < 60; phase++ {
+		fills := 1 + rng.Intn(40)
+		if phase%3 == 2 {
+			fills = 200 + rng.Intn(2000) // well past the fallback fraction
+		}
+		span := 1 + rng.Intn(4096) // distinct lines in play this phase
+		for op := 0; op < fills; op++ {
+			la := mem.Addr(rng.Intn(span) * mem.LineSize)
+			if rng.Intn(4) == 0 {
+				_, ok1 := c.remove(la)
+				_, ok2 := ref.remove(la)
+				if ok1 != ok2 {
+					t.Fatalf("phase %d: remove(%v) = %v, reference %v", phase, la, ok1, ok2)
+				}
+				continue
+			}
+			data[0] = byte(op)
+			c.insert(la, &data, op&1 == 0)
+			ref.insert(la, &data, op&1 == 0)
+		}
+		for i := 0; i < 64; i++ {
+			la := mem.Addr(rng.Intn(span) * mem.LineSize)
+			l1, l2 := c.lookup(la), ref.lookup(la)
+			if (l1 == nil) != (l2 == nil) || (l1 != nil && (l1.data != l2.data || l1.dirty != l2.dirty)) {
+				t.Fatalf("phase %d: lookup(%v) diverges from the reference", phase, la)
+			}
+		}
+		if len(c.filled) == cap(c.filled) {
+			fallbacks++
+		}
+		switch rng.Intn(3) {
+		case 0: // crash: InvalidateAll's per-level reset
+			c.reset()
+			sweep()
+			resets++
+			if !allInvalid(c.tags) {
+				t.Fatalf("phase %d: a tag survived reset", phase)
+			}
+		case 1: // back to the pool and out again
+			pooled := c.pooled
+			c.Release()
+			if !allInvalid(pooled.tags) || len(pooled.filled) != 0 {
+				t.Fatalf("phase %d: arrays went back to the pool dirty", phase)
+			}
+			c = NewCache(cfg)
+			sweep()
+			resets++
+			if !allInvalid(c.tags) {
+				t.Fatalf("phase %d: NewCache took dirty arrays from the pool", phase)
+			}
+		}
+		for i := range c.tags {
+			if c.tags[i] != ref.tags[i] {
+				t.Fatalf("phase %d: way %d tag %v, reference %v", phase, i, c.tags[i], ref.tags[i])
+			}
+		}
+	}
+	c.Release()
+	if resets < 20 || fallbacks == 0 || fallbacks == 60 {
+		t.Fatalf("weak coverage: %d resets, %d of 60 phases past the fallback", resets, fallbacks)
+	}
+}

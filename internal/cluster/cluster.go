@@ -321,20 +321,20 @@ func (r *Result) Available() float64 {
 type evKind uint8
 
 const (
-	evArrive    evKind = iota // a tenant's next request materializes at the router
-	evRetry                   // a client re-sends after backoff
-	evNodeRecv                // a request reaches its shard server
-	evNodeDone                // the server finished executing a request
-	evResp                    // a response (or reset) reaches the client
-	evTimeout                 // a client attempt timer fires
-	evCrash                   // a scheduled node power failure
-	evRecovered               // a node finished reboot + replay
-	evHealthDown              // the router's failure detector marks a node down
-	evReplRecv                // a replication message reaches a replica
-	evReplDone                // a replica finished applying a replication message
-	evReplAck                 // a replica's apply ack reaches the committing member
-	evPromote                 // the router promotes the next live replica of a down node
-	evResynced                // a rebooted node finished catch-up and re-enters the ring
+	evArrive     evKind = iota // a tenant's next request materializes at the router
+	evRetry                    // a client re-sends after backoff
+	evNodeRecv                 // a request reaches its shard server
+	evNodeDone                 // the server finished executing a request
+	evResp                     // a response (or reset) reaches the client
+	evTimeout                  // a client attempt timer fires
+	evCrash                    // a scheduled node power failure
+	evRecovered                // a node finished reboot + replay
+	evHealthDown               // the router's failure detector marks a node down
+	evReplRecv                 // a replication message reaches a replica
+	evReplDone                 // a replica finished applying a replication message
+	evReplAck                  // a replica's apply ack reaches the committing member
+	evPromote                  // the router promotes the next live replica of a down node
+	evResynced                 // a rebooted node finished catch-up and re-enters the ring
 )
 
 // response kinds carried in evResp's arg.

@@ -26,6 +26,7 @@ import (
 //     checked against committed state, not acked state;
 //   - an *uncommitted* Put must never surface: recovery rolls it back
 //     to committed[key], which the per-key recovered check enforces.
+//
 // Under replication (Replicas > 1) the shadow additionally tracks, per
 // key, the highest *acked* version the client ever observed. Versions
 // are assigned at primary commit from a global monotone counter, so
@@ -36,10 +37,10 @@ import (
 // replicated before the ack); in bounded-async mode it is counted as an
 // acked-but-lost write — reported, never hidden.
 type shadow struct {
-	committed map[uint64]uint64 // key → last committed value
-	everComm  map[uint64]map[uint64]bool // key → set of values ever committed
-	ackedVer  map[uint64]uint64 // key → max version acked to a client
-	ackedLost int64             // async: acked writes absent from every live replica at a crash
+	committed   map[uint64]uint64          // key → last committed value
+	everComm    map[uint64]map[uint64]bool // key → set of values ever committed
+	ackedVer    map[uint64]uint64          // key → max version acked to a client
+	ackedLost   int64                      // async: acked writes absent from every live replica at a crash
 	divergences []string
 }
 

@@ -3,6 +3,7 @@ package harness
 import (
 	"testing"
 
+	"silo/internal/fault"
 	"silo/internal/machine"
 	"silo/internal/telemetry"
 )
@@ -13,8 +14,11 @@ import (
 // every design × workload pair. The recycler is deliberately polluted
 // first — its pooled tables carry a different design's and workload's
 // leftover capacity — so the test proves reset-in-place, not just reuse
-// of compatible state. This is the contract that lets fleet workers
-// recycle simulation state across arbitrary campaign sequences.
+// of compatible state. The polluting run is a full crash campaign that
+// crashes mid-run under a fault plan and recovers, so a crashed cache
+// hierarchy (sparsely invalidated) and a crashed, recovered media table
+// are what go back to the pools. This is the contract that lets fleet
+// workers recycle simulation state across arbitrary campaign sequences.
 func TestRecycledMachineMatchesFresh(t *testing.T) {
 	run := func(t *testing.T, design, wl string, rec *machine.Recycler) ([]telemetry.Event, interface{}) {
 		t.Helper()
@@ -37,8 +41,9 @@ func TestRecycledMachineMatchesFresh(t *testing.T) {
 				t.Parallel()
 				freshEv, fresh := run(t, design, wl, nil)
 
-				// Pollute the recycler with a run of a different design and
-				// workload, then build the machine under test from its pools.
+				// Pollute the recycler with a crashed campaign of a different
+				// design and workload, then build the machine under test from
+				// its pools.
 				rec := machine.NewRecycler()
 				otherDesign, otherWl := "Silo", "Hash"
 				if design == otherDesign {
@@ -47,7 +52,15 @@ func TestRecycledMachineMatchesFresh(t *testing.T) {
 				if wl == otherWl {
 					otherWl = "Array"
 				}
-				run(t, otherDesign, otherWl, rec)
+				out := RunCampaign(Campaign{
+					Spec: Spec{Design: otherDesign, Workload: otherWl, Cores: 2, Txns: 24, Seed: 7,
+						Recycle: rec},
+					Plan: fault.Plan{Trigger: fault.TriggerOp, AtOp: 120},
+				})
+				if out.Failed() || !out.MidRun {
+					t.Fatalf("polluting campaign %s/%s: failed=%v err=%v midrun=%v",
+						otherDesign, otherWl, out.Failed(), out.Err, out.MidRun)
+				}
 				reusedEv, reused := run(t, design, wl, rec)
 
 				if fresh != reused {

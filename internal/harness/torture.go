@@ -7,7 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -255,7 +255,7 @@ func IsInfra(err error) bool {
 // address order.
 func VerifyRecovery(m *machine.Machine) []string {
 	words := m.WrittenWords()
-	sort.Slice(words, func(i, j int) bool { return words[i] < words[j] })
+	slices.Sort(words)
 	var bad []string
 	for _, a := range words {
 		want, ok := m.GoldenCommitted(a)

@@ -51,12 +51,12 @@ func FuzzUnsealImage(f *testing.F) {
 	rec := Image{Kind: ImageUndoRedo, TID: 1, TxID: 2, Addr: 0x1000, Data: 3, Data2: 4}
 	undo := Image{Kind: ImageUndo, TID: 3, TxID: 9, Addr: 0x2000, Data: 7}
 
-	f.Add(sealed(rec, 0), uint8(0))                  // well-formed record
-	f.Add(sealed(CommitImage(1, 2), 17), uint8(17))  // commit tuple, mid-log seq
-	f.Add(sealed(undo, 255), uint8(255))             // seq at the wraparound boundary
-	f.Add(sealed(rec, 0), uint8(1))                  // wrong expected seq
-	f.Add([]byte{}, uint8(0))                        // zero-length input
-	f.Add([]byte{0}, uint8(0))                       // erased media (valid bit clear)
+	f.Add(sealed(rec, 0), uint8(0))                   // well-formed record
+	f.Add(sealed(CommitImage(1, 2), 17), uint8(17))   // commit tuple, mid-log seq
+	f.Add(sealed(undo, 255), uint8(255))              // seq at the wraparound boundary
+	f.Add(sealed(rec, 0), uint8(1))                   // wrong expected seq
+	f.Add([]byte{}, uint8(0))                         // zero-length input
+	f.Add([]byte{0}, uint8(0))                        // erased media (valid bit clear)
 	f.Add(sealed(rec, 5)[:UndoRedoBytes+1], uint8(5)) // torn mid-trailer
 
 	// Payload bit flipped under a stale CRC: the checksum must catch it.
@@ -111,9 +111,9 @@ func FuzzScanChecked(f *testing.F) {
 		}
 		return b
 	}
-	f.Add([]byte{})       // empty log
-	f.Add(stream(3))      // clean short log
-	f.Add(stream(300))    // sequence number wraps past 255 mid-log
+	f.Add([]byte{})                            // empty log
+	f.Add(stream(3))                           // clean short log
+	f.Add(stream(300))                         // sequence number wraps past 255 mid-log
 	f.Add(append(stream(2), 0xFF, 0x13, 0x88)) // valid prefix, then garbage
 
 	torn := append(stream(1), sealed(rec, 1)[:12]...) // record cut mid-payload

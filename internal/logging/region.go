@@ -197,14 +197,21 @@ func (w *RegionWriter) ScanChecked(tid int) ScanResult {
 	var res ScanResult
 	addr := w.base[tid]
 	end := w.base[tid] + mem.Addr(w.size[tid])
+	// The head register only sizes the result (a sealed record is at
+	// least a commit tuple long), so the scan appends without regrowing;
+	// where the log ends is still decided by the records alone.
+	if used := w.Used(tid); used > 0 {
+		res.Images = make([]Image, 0, used/(CommitBytes+SealBytes))
+	}
 	seq := uint8(0)
+	var raw [MaxSealedBytes]byte
 	for addr < end {
 		n := MaxSealedBytes
 		if rem := int(end - addr); n > rem {
 			n = rem
 		}
-		raw := w.dev.Peek(addr, n)
-		im, sz, status := UnsealImage(raw, seq)
+		w.dev.PeekInto(addr, raw[:n])
+		im, sz, status := UnsealImage(raw[:n], seq)
 		if status == SealEnd {
 			break
 		}

@@ -1,14 +1,17 @@
 package machine
 
 import (
+	"strings"
 	"testing"
 
 	"silo/internal/audit"
 	"silo/internal/cache"
 	"silo/internal/core"
+	"silo/internal/logging"
 	"silo/internal/mem"
 	"silo/internal/pm"
 	"silo/internal/sim"
+	"silo/internal/stats"
 )
 
 // tinyCacheConfig overflows after 8 distinct lines, so LLC evictions hit
@@ -133,5 +136,75 @@ func TestAuditorCatchesLostCommittedWord(t *testing.T) {
 	}
 	if v.Invariant != audit.InvReconstructible {
 		t.Fatalf("caught by %q, want %q", v.Invariant, audit.InvReconstructible)
+	}
+}
+
+// corruptingDesign is a test-only design with no logging at all whose
+// crash flush overwrites two durable data words: a deliberate
+// conservation bug with more than one victim.
+type corruptingDesign struct {
+	dev     *pm.Device
+	victims []mem.Addr
+}
+
+func (d *corruptingDesign) Name() string                                                 { return "corrupting" }
+func (d *corruptingDesign) TxBegin(int, sim.Cycle) sim.Cycle                             { return 0 }
+func (d *corruptingDesign) Store(int, mem.Addr, mem.Word, mem.Word, sim.Cycle) sim.Cycle { return 0 }
+func (d *corruptingDesign) TxEnd(int, sim.Cycle) sim.Cycle                               { return 0 }
+func (d *corruptingDesign) CollectStats(*stats.Run)                                      {}
+
+func (d *corruptingDesign) CachelineEvicted(_ sim.Cycle, la mem.Addr, data [mem.LineSize]byte) {
+	d.dev.Populate(la, data[:])
+}
+
+func (d *corruptingDesign) Crash(sim.Cycle) {
+	for _, a := range d.victims {
+		d.dev.PokeWord(a, d.dev.PeekWord(a)^0xdead)
+	}
+}
+
+// When a crash alters several durable words, the conservation violation
+// must name the same word on every run — failed campaigns' error text is
+// persisted in checkpoint streams, which must not differ between reruns
+// or on resume. The check runs in WrittenWords (first-write) order, so
+// the earlier-written victim is the one reported.
+func TestConservationViolationDeterministic(t *testing.T) {
+	words := make([]mem.Addr, 16)
+	for i := range words {
+		words[i] = mem.Addr(0x8000 + i*mem.LineSize)
+	}
+	victims := []mem.Addr{words[3], words[11]}
+	var first string
+	for run := 0; run < 20; run++ {
+		m := New(Config{
+			Cores: 1,
+			PM:    pm.DefaultConfig(),
+			Cache: cache.DefaultHierarchyConfig(),
+			Design: func(env *logging.Env) logging.Design {
+				return &corruptingDesign{dev: env.PM, victims: victims}
+			},
+		})
+		m.Exec(0, sim.Op{Kind: sim.OpTxBegin}, 0)
+		for i, a := range words {
+			m.Exec(0, sim.Op{Kind: sim.OpStore, Addr: a, Data: mem.Word(i + 1)}, sim.Cycle(1+i))
+		}
+		m.Exec(0, sim.Op{Kind: sim.OpTxEnd}, 100)
+		v := auditViolation(t, func() { m.InjectCrash(101) })
+		if v == nil {
+			t.Fatal("two corrupted durable words not caught at crash")
+		}
+		if v.Invariant != audit.InvConservation {
+			t.Fatalf("caught by %q, want %q", v.Invariant, audit.InvConservation)
+		}
+		if run == 0 {
+			first = v.Message
+			if want := victims[0].String(); !strings.Contains(first, want) {
+				t.Fatalf("violation %q does not name the first-written victim %s", first, want)
+			}
+			continue
+		}
+		if v.Message != first {
+			t.Fatalf("run %d reports %q, run 0 reported %q", run, v.Message, first)
+		}
 	}
 }

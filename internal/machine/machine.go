@@ -439,30 +439,34 @@ func (m *Machine) InjectCrash(now sim.Cycle) {
 	// Snapshot the durable data region before the crash sequence runs:
 	// power failures must conserve it exactly. Platforms that battery-back
 	// the caches may additionally overwrite a word with a value some core
-	// had stored (the dirty-line flush); nothing else is legal.
-	var before map[mem.Addr]mem.Word
-	var allowed map[mem.Addr][]mem.Word
+	// had stored (the dirty-line flush); nothing else is legal. The
+	// snapshot runs parallel to words, so the audit checks (and names the
+	// first violating word) in the same deterministic order every run.
+	var words []mem.Addr
+	var before []mem.Word
+	var allowed [][]mem.Word
 	m.tel.Crash(now, m.commits, m.opCount)
 	if auditing {
 		m.aud.BeginCrashFlush()
-		before = make(map[mem.Addr]mem.Word)
-		for _, a := range m.WrittenWords() {
-			before[a] = m.dev.PeekWord(a)
+		words = m.WrittenWords()
+		before = make([]mem.Word, len(words))
+		for i, a := range words {
+			before[i] = m.dev.PeekWord(a)
 		}
 		if persistCaches {
-			allowed = make(map[mem.Addr][]mem.Word, len(before))
-			for a := range before {
+			allowed = make([][]mem.Word, len(words))
+			for i, a := range words {
 				if e := m.shadow.get(a); e != nil {
 					if e.flags&shadowHasBaseline != 0 {
-						allowed[a] = append(allowed[a], e.baseline)
+						allowed[i] = append(allowed[i], e.baseline)
 					}
 					if e.flags&shadowHasCommitted != 0 {
-						allowed[a] = append(allowed[a], e.committed)
+						allowed[i] = append(allowed[i], e.committed)
 					}
 				}
 				for c := range m.pending {
 					if v, ok := m.pending[c].get(a); ok {
-						allowed[a] = append(allowed[a], v)
+						allowed[i] = append(allowed[i], v)
 					}
 				}
 			}
@@ -491,8 +495,12 @@ func (m *Machine) InjectCrash(now sim.Cycle) {
 				m.aud.CheckCriticalBudget(c, budget)
 			}
 		}
-		for a, b := range before {
-			m.aud.CheckConservation(a, b, m.dev.PeekWord(a), allowed[a])
+		for i, a := range words {
+			var ok []mem.Word
+			if allowed != nil {
+				ok = allowed[i]
+			}
+			m.aud.CheckConservation(a, before[i], m.dev.PeekWord(a), ok)
 		}
 	}
 
@@ -512,7 +520,7 @@ func (m *Machine) InjectCrash(now sim.Cycle) {
 	// (strict battery budgets, log media bit flips).
 	if auditing && (m.plan == nil || (!m.plan.StrictBudget && m.plan.BitFlips == 0)) {
 		resolved := recovery.Resolved(m.region)
-		for _, a := range m.WrittenWords() {
+		for _, a := range words {
 			want, ok := m.GoldenCommitted(a)
 			if !ok {
 				continue

@@ -11,12 +11,16 @@ import (
 // write tables — across machine lifetimes, so a fleet worker running
 // thousands of short campaigns stops paying the table-regrowth and GC
 // cost of building each machine from scratch. (Cache line/tag arrays are
-// already pooled globally by package cache.)
+// pooled globally by package cache, under the same rule below.)
 //
-// A recycled part is reset to a state observationally identical to a
-// freshly constructed one; only storage capacity survives. The
-// fresh-vs-reused equivalence test in the harness holds that line for
-// full runs: identical run records and telemetry streams.
+// A pooled part is clean when returned, not when taken: the put path
+// resets it to a state observationally identical to a freshly
+// constructed one (only storage capacity survives), and the take path
+// uses it as is, applying only the new machine's configuration. The
+// reset then costs what the finished run touched. The fresh-vs-reused
+// equivalence test in the harness holds that line for full runs —
+// including runs whose parts come back from a crashed campaign:
+// identical run records and telemetry streams.
 //
 // A Recycler is safe for concurrent use — a mutex guards the pools,
 // which keeps the fleet correct even when a wall-clock watchdog abandons
@@ -61,6 +65,7 @@ func (r *Recycler) putDevice(d *pm.Device) {
 	if d.MemFootprint() > recycleMaxPartBytes {
 		return
 	}
+	d.Reset()
 	r.mu.Lock()
 	if len(r.devices) < recycleMaxPool {
 		r.devices = append(r.devices, d)
@@ -79,7 +84,6 @@ func (r *Recycler) shadow() *shadowTable {
 	if t == nil {
 		return newShadowTable()
 	}
-	t.reset()
 	return t
 }
 
@@ -87,6 +91,7 @@ func (r *Recycler) putShadow(t *shadowTable) {
 	if t.memFootprint() > recycleMaxPartBytes {
 		return
 	}
+	t.reset()
 	r.mu.Lock()
 	if len(r.shadows) < recycleMaxPool {
 		r.shadows = append(r.shadows, t)
@@ -105,11 +110,11 @@ func (r *Recycler) txWrites() *txWrites {
 	if t == nil {
 		return newTxWrites()
 	}
-	t.reset()
 	return t
 }
 
 func (r *Recycler) putTxWrites(t *txWrites) {
+	t.reset()
 	r.mu.Lock()
 	if len(r.writes) < recycleMaxPool {
 		r.writes = append(r.writes, t)

@@ -199,18 +199,34 @@ func New(cfg Config) *Device {
 	return d
 }
 
-// Recycle re-purposes a released device for a new, unrelated run as if
-// freshly constructed by New(cfg): all durable contents, wear counters,
-// statistics, queue timing, energy budget, and telemetry are discarded.
-// Only storage capacity survives — the media table keeps its grown slot
-// array and entry storage, and the on-PM buffer keeps its byte pool when
-// the geometry matches — so repopulating a working set costs no
-// grow/rehash/realloc churn. A recycled device is observationally
-// identical to a fresh one; the fleet's fresh-vs-reused equivalence test
-// holds this line. (Contrast PowerCycle, which deliberately *preserves*
-// media contents, wear, and statistics across a reboot of the same
-// simulated system.)
+// Reset empties a released device for an unrelated new run: all durable
+// contents, wear counters, statistics, queue timing, energy budget, and
+// telemetry are discarded. Only storage capacity survives — the media
+// table keeps its grown slot array and entry storage, and the on-PM
+// buffer keeps its byte pool — so repopulating a working set costs no
+// grow/rehash/realloc churn. Recyclers reset a device when it is
+// returned, so a pooled device is clean while it waits. (Contrast
+// PowerCycle, which deliberately *preserves* media contents, wear, and
+// statistics across a reboot of the same simulated system.)
+func (d *Device) Reset() {
+	d.media.reset()
+	d.buf.reset()
+	d.tick = 0
+	d.stats = Stats{}
+	d.energy = crashEnergy{}
+	d.tel = nil
+	d.now = 0
+}
+
+// Recycle re-purposes a Reset device as if freshly constructed by
+// New(cfg). The on-PM buffer pool is kept when its geometry matches. A
+// recycled device is observationally identical to a fresh one; the
+// fleet's fresh-vs-reused equivalence test holds this line. It panics if
+// the device was written since its Reset.
 func (d *Device) Recycle(cfg Config) {
+	if len(d.media.entries) != 0 || d.buf.n != 0 || d.stats != (Stats{}) {
+		panic("pm: Recycle of a device that was not Reset")
+	}
 	if cfg.BufLineSize < mem.LineSize {
 		cfg.BufLineSize = mem.LineSize
 	}
@@ -220,14 +236,10 @@ func (d *Device) Recycle(cfg Config) {
 	if cfg.Channels < 1 {
 		cfg.Channels = 1
 	}
-	sameBuf := d.cfg.BufLines == cfg.BufLines && d.cfg.BufLineSize == cfg.BufLineSize
-	d.cfg = cfg
-	d.media.reset()
-	if sameBuf {
-		d.buf.reset()
-	} else {
+	if d.cfg.BufLines != cfg.BufLines || d.cfg.BufLineSize != cfg.BufLineSize {
 		d.buf = newBufTable(cfg.BufLines, cfg.BufLineSize)
 	}
+	d.cfg = cfg
 	// Queues are recreated rather than reset: ServiceQueue.Reset keeps the
 	// cumulative accepted counter (a power cycle's contract), and a ring is
 	// a few hundred bytes — not worth a special full-reset path.
@@ -235,11 +247,6 @@ func (d *Device) Recycle(cfg Config) {
 	for i := 0; i < cfg.Channels; i++ {
 		d.wpq = append(d.wpq, sim.NewServiceQueue(cfg.WPQEntries))
 	}
-	d.tick = 0
-	d.stats = Stats{}
-	d.energy = crashEnergy{}
-	d.tel = nil
-	d.now = 0
 }
 
 // MemFootprint approximates the device's retained table bytes; recyclers

@@ -361,7 +361,7 @@ func TestCrashAllowanceUnarmed(t *testing.T) {
 func TestCrashAllowanceUnlimitedBudget(t *testing.T) {
 	d := New(testConfig())
 	d.SetCrashEnergy(0, false, false) // 0 = correctly-provisioned battery
-	if got := d.CrashAllowance(1 << 20, false); got != 1<<20 {
+	if got := d.CrashAllowance(1<<20, false); got != 1<<20 {
 		t.Errorf("unlimited allowance = %d", got)
 	}
 }

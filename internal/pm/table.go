@@ -2,6 +2,7 @@ package pm
 
 import (
 	"math/bits"
+	"slices"
 
 	"silo/internal/mem"
 )
@@ -63,10 +64,19 @@ type mediaSlot struct {
 // removed, so probing needs no deletion handling. Entry pointers are
 // invalidated by the next getOrInsert (the dense slice may grow); callers
 // must not hold one across inserts.
+//
+// The table remembers the last line it resolved. Workload setup pokes a
+// dataset word by word (a Hash bucket is 9 words of one line), so most
+// lookups repeat the previous line and skip the probe. Entry indices are
+// stable across grow — it rehashes the slots, never the dense entries —
+// so only reset clears the memo.
 type mediaTable struct {
 	slots   []mediaSlot
 	shift   uint // 64 - log2(len(slots))
 	entries []mediaEntry
+
+	lastLine mem.Addr
+	lastRef  int32 // entry index + 1 of lastLine; 0 = none
 }
 
 func newMediaTable() *mediaTable {
@@ -79,6 +89,9 @@ func (t *mediaTable) home(line mem.Addr) int {
 
 // get returns the entry for line, or nil.
 func (t *mediaTable) get(line mem.Addr) *mediaEntry {
+	if t.lastRef != 0 && t.lastLine == line {
+		return &t.entries[t.lastRef-1]
+	}
 	mask := len(t.slots) - 1
 	for i := t.home(line); ; i = (i + 1) & mask {
 		s := t.slots[i]
@@ -86,6 +99,7 @@ func (t *mediaTable) get(line mem.Addr) *mediaEntry {
 			return nil
 		}
 		if s.line == line {
+			t.lastLine, t.lastRef = line, s.ref
 			return &t.entries[s.ref-1]
 		}
 	}
@@ -93,10 +107,14 @@ func (t *mediaTable) get(line mem.Addr) *mediaEntry {
 
 // getOrInsert returns the entry for line, creating a zeroed one if absent.
 func (t *mediaTable) getOrInsert(line mem.Addr) *mediaEntry {
+	if t.lastRef != 0 && t.lastLine == line {
+		return &t.entries[t.lastRef-1]
+	}
 	mask := len(t.slots) - 1
 	i := t.home(line)
 	for t.slots[i].ref != 0 {
 		if t.slots[i].line == line {
+			t.lastLine, t.lastRef = line, t.slots[i].ref
 			return &t.entries[t.slots[i].ref-1]
 		}
 		i = (i + 1) & mask
@@ -109,9 +127,17 @@ func (t *mediaTable) getOrInsert(line mem.Addr) *mediaEntry {
 			i = (i + 1) & mask
 		}
 	}
-	t.entries = append(t.entries, mediaEntry{line: line})
-	t.slots[i] = mediaSlot{line: line, ref: int32(len(t.entries))}
-	return &t.entries[len(t.entries)-1]
+	// Build the entry in place: storage reused after reset holds stale
+	// contents, so every field is written.
+	n := len(t.entries)
+	t.entries = slices.Grow(t.entries, 1)[:n+1]
+	e := &t.entries[n]
+	e.line, e.wear = line, 0
+	clear(e.data[:])
+	ref := int32(n + 1)
+	t.slots[i] = mediaSlot{line: line, ref: ref}
+	t.lastLine, t.lastRef = line, ref
+	return e
 }
 
 func (t *mediaTable) grow() {
@@ -135,10 +161,12 @@ func (t *mediaTable) grow() {
 // the dense entries in insertion order) sees the same sequence — only
 // the grow/rehash/realloc churn of repopulating from the 1024-slot seed
 // size is gone, which is the dominant per-campaign allocation cost of
-// the torture fleet.
+// the torture fleet. Recyclers reset a device's table when it is
+// returned, so a pooled table is clean while it waits.
 func (t *mediaTable) reset() {
 	clear(t.slots)
 	t.entries = t.entries[:0]
+	t.lastRef = 0
 }
 
 // memFootprint approximates the table's retained bytes, so a recycler

@@ -48,9 +48,9 @@ func ValidateChromeTrace(r io.Reader) (TraceStats, error) {
 		return st, fmt.Errorf("trace: expected a JSON array, got %v", tok)
 	}
 
-	lastTS := make(map[int]float64)        // per tid (B/E/X/i)
+	lastTS := make(map[int]float64)           // per tid (B/E/X/i)
 	lastCounterTS := make(map[string]float64) // per counter-series name
-	openSlices := make(map[int]int)        // per tid B/E nesting depth
+	openSlices := make(map[int]int)           // per tid B/E nesting depth
 	tracks := make(map[int]bool)
 	counters := make(map[string]bool)
 
