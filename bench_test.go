@@ -43,6 +43,25 @@ func BenchmarkDesigns(b *testing.B) {
 	}
 }
 
+// BenchmarkDesignsTPCC is the Fig. 12 cell at reduced size: each design
+// on TPCC at 8 cores with the auditor off, where large write sets make
+// the design hooks, the PM path and the golden shadow dominate host
+// time. ReportAllocs keeps the per-run allocation count in the
+// benchstat gate.
+func BenchmarkDesignsTPCC(b *testing.B) {
+	for _, d := range harness.DesignNames() {
+		b.Run(d, func(b *testing.B) {
+			b.ReportAllocs()
+			var r Result
+			for i := 0; i < b.N; i++ {
+				r = runSpec(b, harness.Spec{Design: d, Workload: "TPCC", Cores: 8,
+					Txns: 8 * 100, Seed: int64(i), DisableAudit: true})
+			}
+			b.ReportMetric(r.Throughput(), "tx/Mcycle")
+		})
+	}
+}
+
 // BenchmarkFig4WriteSize reports bytes written per transaction per
 // workload (Fig. 4).
 func BenchmarkFig4WriteSize(b *testing.B) {

@@ -1,7 +1,7 @@
 package baseline
 
 import (
-	"sort"
+	"slices"
 
 	"silo/internal/logging"
 	"silo/internal/mem"
@@ -42,6 +42,7 @@ type LAD struct {
 	txid  []uint16
 	txSet []map[mem.Addr]struct{} // lines written by the in-flight tx
 	mcBuf map[mem.Addr]ladLine
+	order []mem.Addr // sort scratch: the dirty-line walk, then the release list
 
 	buffered, released int64
 	overflows          int64
@@ -113,7 +114,8 @@ func (l *LAD) CachelineEvicted(now sim.Cycle, la mem.Addr, data [mem.LineSize]by
 // PM, write an undo log, then let the line through to the data region.
 func (l *LAD) slowMode(now sim.Cycle, la mem.Addr, data [mem.LineSize]byte, owner int) {
 	l.overflows++
-	old, _ := l.env.PM.Read(now, la, mem.LineSize)
+	var old [mem.LineSize]byte
+	l.env.PM.ReadInto(now, la, old[:])
 	l.slowModeReads++
 	images := make([]logging.Image, 0, mem.WordsPerLine)
 	for w := 0; w < mem.WordsPerLine; w++ {
@@ -134,7 +136,8 @@ func (l *LAD) TxEnd(core int, now sim.Cycle) sim.Cycle {
 	t := now
 	// Deterministic order: simulated hardware walks a FIFO of dirty
 	// lines, not a Go map.
-	for _, la := range sortedAddrs(l.txSet[core]) {
+	l.order = sortedAddrs(l.order, l.txSet[core])
+	for _, la := range l.order {
 		if data, dirty := l.env.Cache.CleanLine(core, la); dirty {
 			stall += LADFlushPerLine
 			t += LADFlushPerLine
@@ -144,13 +147,14 @@ func (l *LAD) TxEnd(core int, now sim.Cycle) sim.Cycle {
 	}
 	// Commit: the buffered lines are already durable in the MC's ADR
 	// domain; releasing them to PM happens in the background.
-	var release []mem.Addr
+	release := l.order[:0]
 	for la, bl := range l.mcBuf {
 		if bl.owner == core {
 			release = append(release, la)
 		}
 	}
-	sort.Slice(release, func(i, j int) bool { return release[i] < release[j] })
+	slices.Sort(release)
+	l.order = release
 	for _, la := range release {
 		bl := l.mcBuf[la]
 		l.env.PM.Write(t, la, bl.data[:])
@@ -188,13 +192,13 @@ func (l *LAD) CollectStats(r *stats.Run) {
 
 // sortedAddrs returns a set's addresses in ascending order, so map-backed
 // write sets iterate deterministically (the hardware they model is a FIFO
-// or CAM, not a hash map).
-func sortedAddrs(set map[mem.Addr]struct{}) []mem.Addr {
-	out := make([]mem.Addr, 0, len(set))
+// or CAM, not a hash map). The result reuses buf's storage.
+func sortedAddrs(buf []mem.Addr, set map[mem.Addr]struct{}) []mem.Addr {
+	out := buf[:0]
 	for a := range set {
 		out = append(out, a)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

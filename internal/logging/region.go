@@ -24,6 +24,7 @@ type RegionWriter struct {
 	base    []mem.Addr
 	size    []uint64
 	seq     []uint8 // next record sequence number per thread (mod 256)
+	sealBuf []byte  // reused by seal; Device.Write copies what it is given
 
 	// ImagesWritten counts serialized records appended during the run
 	// (overflow traffic); crash-flush records are counted separately.
@@ -68,15 +69,17 @@ func NewRegionWriter(dev *pm.Device, threads int) *RegionWriter {
 // Threads returns the number of per-thread log areas.
 func (w *RegionWriter) Threads() int { return w.threads }
 
-// seal serializes images sealed with consecutive sequence numbers.
+// seal serializes images sealed with consecutive sequence numbers into
+// the writer's reusable buffer; the result is valid until the next seal.
 func (w *RegionWriter) seal(tid int, images []Image) []byte {
-	buf := make([]byte, 0, len(images)*MaxSealedBytes)
+	buf := w.sealBuf[:0]
 	var scratch [MaxSealedBytes]byte
 	for _, im := range images {
 		n := im.Seal(scratch[:], w.seq[tid])
 		w.seq[tid]++
 		buf = append(buf, scratch[:n]...)
 	}
+	w.sealBuf = buf
 	return buf
 }
 

@@ -346,13 +346,15 @@ func (m *Machine) Exec(core int, op sim.Op, now sim.Cycle) sim.Result {
 			m.aud.CheckLogBuffer(core, m.bufDesign.LogBuffer(core), m.bufDesign.MergeEnabled(), op.Addr)
 		}
 		if m.inTx[core] {
-			if e := m.shadow.getOrInsert(op.Addr); e.flags&shadowHasBaseline == 0 {
+			e, ref := m.shadow.getOrInsert(op.Addr)
+			if e.flags&shadowHasBaseline == 0 {
 				e.baseline = old
 				e.flags |= shadowHasBaseline
 			}
-			m.pending[core].put(op.Addr, op.Data)
+			m.pending[core].put(op.Addr, op.Data, ref)
 		} else {
-			m.shadow.getOrInsert(op.Addr).flags |= shadowUnsafe
+			e, _ := m.shadow.getOrInsert(op.Addr)
+			e.flags |= shadowUnsafe
 		}
 		return sim.Result{Latency: lat + extra}
 	case sim.OpTxBegin:
@@ -385,7 +387,7 @@ func (m *Machine) Exec(core int, op sim.Op, now sim.Cycle) sim.Result {
 				// update or cacheline eviction). Words also written
 				// outside transactions are unverifiable and skipped.
 				for _, kv := range m.pending[core].entries {
-					if e := m.shadow.get(kv.addr); e == nil || e.flags&shadowUnsafe == 0 {
+					if m.shadow.at(kv.ref).flags&shadowUnsafe == 0 {
 						m.aud.CheckCommitDurability(core, kv.addr, kv.val, m.dev.PeekWord(kv.addr))
 					}
 				}
@@ -396,7 +398,7 @@ func (m *Machine) Exec(core int, op sim.Op, now sim.Cycle) sim.Result {
 			}
 		}
 		for _, kv := range m.pending[core].entries {
-			e := m.shadow.getOrInsert(kv.addr)
+			e := m.shadow.at(kv.ref)
 			e.committed = kv.val
 			e.flags |= shadowHasCommitted
 		}
@@ -559,9 +561,9 @@ func (m *Machine) GoldenCommitted(addr mem.Addr) (mem.Word, bool) {
 // WrittenWords returns every word address that participated in any
 // transaction (committed or not), for recovery verification sweeps.
 func (m *Machine) WrittenWords() []mem.Addr {
-	out := make([]mem.Addr, 0, len(m.shadow.entries))
-	for i := range m.shadow.entries {
-		if e := &m.shadow.entries[i]; e.flags&(shadowHasBaseline|shadowUnsafe) == shadowHasBaseline {
+	out := make([]mem.Addr, 0, m.shadow.n)
+	for ref := int32(1); ref <= int32(m.shadow.n); ref++ {
+		if e := m.shadow.at(ref); e.flags&(shadowHasBaseline|shadowUnsafe) == shadowHasBaseline {
 			out = append(out, e.addr)
 		}
 	}

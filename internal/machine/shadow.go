@@ -6,8 +6,9 @@ import "silo/internal/mem"
 // shadow model is on the per-store hot path (baseline capture, pending
 // tracking, commit promotion), so the Go maps it used to live in showed
 // up as a steady slice of the whole-simulation profile. Both structures
-// are open-addressed tables with multiplicative hashing, entries stored
-// densely so iteration is cheap and deterministic (insertion order).
+// are open-addressed tables with multiplicative hashing; the shadow
+// table keeps its entries in fixed pages so iteration is cheap and
+// deterministic (insertion order) and growth never moves an entry.
 
 // shadowFibMul is 2^64 / phi, the multiplicative-hash constant.
 const shadowFibMul = 0x9E3779B97F4A7C15
@@ -29,12 +30,23 @@ type shadowEntry struct {
 	flags     uint8
 }
 
-// shadowTable indexes shadowEntry storage by word address. Entries are
-// never removed. Entry pointers are invalidated by the next getOrInsert.
+// Shadow entries live in fixed pages of shadowPageSize entries (32 KB),
+// so growth allocates one page at a time and never copies an entry.
+const (
+	shadowPageBits = 10
+	shadowPageSize = 1 << shadowPageBits
+)
+
+// shadowTable indexes paged shadowEntry storage by word address. Entries
+// are never removed. A ref (entry index + 1, assigned in insertion
+// order) and the entry pointer it resolves to stay valid until reset:
+// grow rehashes only the slot array. Pending writes carry their ref, so
+// commit promotion indexes the entry instead of probing again.
 type shadowTable struct {
-	slots   []int32 // entry index + 1; 0 = empty
-	shift   uint
-	entries []shadowEntry
+	slots []int32 // ref; 0 = empty
+	shift uint
+	pages []*[shadowPageSize]shadowEntry
+	n     int // entries in use: refs 1..n
 }
 
 func newShadowTable() *shadowTable {
@@ -45,6 +57,12 @@ func (t *shadowTable) home(addr mem.Addr) int {
 	return int((uint64(addr) * shadowFibMul) >> t.shift)
 }
 
+// at returns the entry for ref (1..n).
+func (t *shadowTable) at(ref int32) *shadowEntry {
+	i := ref - 1
+	return &t.pages[i>>shadowPageBits][i&(shadowPageSize-1)]
+}
+
 // get returns the entry for addr, or nil.
 func (t *shadowTable) get(addr mem.Addr) *shadowEntry {
 	mask := len(t.slots) - 1
@@ -53,23 +71,24 @@ func (t *shadowTable) get(addr mem.Addr) *shadowEntry {
 		if s == 0 {
 			return nil
 		}
-		if e := &t.entries[s-1]; e.addr == addr {
+		if e := t.at(s); e.addr == addr {
 			return e
 		}
 	}
 }
 
-// getOrInsert returns the entry for addr, creating a zeroed one if absent.
-func (t *shadowTable) getOrInsert(addr mem.Addr) *shadowEntry {
+// getOrInsert returns the entry for addr and its ref, creating a zeroed
+// entry if absent.
+func (t *shadowTable) getOrInsert(addr mem.Addr) (*shadowEntry, int32) {
 	mask := len(t.slots) - 1
 	i := t.home(addr)
-	for t.slots[i] != 0 {
-		if e := &t.entries[t.slots[i]-1]; e.addr == addr {
-			return e
+	for s := t.slots[i]; s != 0; s = t.slots[i] {
+		if e := t.at(s); e.addr == addr {
+			return e, s
 		}
 		i = (i + 1) & mask
 	}
-	if 4*len(t.entries) >= 3*len(t.slots) {
+	if 4*t.n >= 3*len(t.slots) {
 		t.grow()
 		mask = len(t.slots) - 1
 		i = t.home(addr)
@@ -77,42 +96,51 @@ func (t *shadowTable) getOrInsert(addr mem.Addr) *shadowEntry {
 			i = (i + 1) & mask
 		}
 	}
-	t.entries = append(t.entries, shadowEntry{addr: addr})
-	t.slots[i] = int32(len(t.entries))
-	return &t.entries[len(t.entries)-1]
+	if t.n>>shadowPageBits == len(t.pages) {
+		t.pages = append(t.pages, new([shadowPageSize]shadowEntry))
+	}
+	t.n++
+	ref := int32(t.n)
+	// A page reused after reset holds stale entries: overwrite whole.
+	e := t.at(ref)
+	*e = shadowEntry{addr: addr}
+	t.slots[i] = ref
+	return e, ref
 }
 
 func (t *shadowTable) grow() {
 	t.shift--
 	t.slots = make([]int32, 2*len(t.slots))
 	mask := len(t.slots) - 1
-	for idx := range t.entries {
-		i := t.home(t.entries[idx].addr)
+	for ref := int32(1); ref <= int32(t.n); ref++ {
+		i := t.home(t.at(ref).addr)
 		for t.slots[i] != 0 {
 			i = (i + 1) & mask
 		}
-		t.slots[i] = int32(idx + 1)
+		t.slots[i] = ref
 	}
 }
 
 // reset empties the table for an unrelated new run, keeping the grown
-// slot array and entry storage. Observationally identical to a fresh
+// slot array and entry pages. Observationally identical to a fresh
 // table: lookups miss, inserts start from zeroed entries, and iteration
-// (dense entries, insertion order) is capacity-blind.
+// (refs 1..n, insertion order) is capacity-blind.
 func (t *shadowTable) reset() {
 	clear(t.slots)
-	t.entries = t.entries[:0]
+	t.n = 0
 }
 
 // memFootprint approximates retained bytes for the recycler's size cap.
 func (t *shadowTable) memFootprint() int {
-	return cap(t.slots)*4 + cap(t.entries)*32
+	return cap(t.slots)*4 + len(t.pages)*shadowPageSize*32
 }
 
-// txKV is one pending (uncommitted) write: word address and newest value.
+// txKV is one pending (uncommitted) write: word address, newest value,
+// and the word's golden-shadow ref.
 type txKV struct {
 	addr mem.Addr
 	val  mem.Word
+	ref  int32
 }
 
 // txWrites tracks one core's writes inside the current transaction —
@@ -134,8 +162,8 @@ func (t *txWrites) home(addr mem.Addr) int {
 }
 
 // put records addr := val, overwriting any earlier write of addr in this
-// transaction.
-func (t *txWrites) put(addr mem.Addr, val mem.Word) {
+// transaction. ref is addr's shadow-table ref.
+func (t *txWrites) put(addr mem.Addr, val mem.Word, ref int32) {
 	i := t.home(addr)
 	for t.slots[i] != 0 {
 		if e := &t.entries[t.slots[i]-1]; e.addr == addr {
@@ -151,7 +179,7 @@ func (t *txWrites) put(addr mem.Addr, val mem.Word) {
 			i = (i + 1) & t.mask
 		}
 	}
-	t.entries = append(t.entries, txKV{addr: addr, val: val})
+	t.entries = append(t.entries, txKV{addr: addr, val: val, ref: ref})
 	t.slots[i] = int32(len(t.entries))
 	t.touched = append(t.touched, int32(i))
 }

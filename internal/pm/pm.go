@@ -202,7 +202,7 @@ func New(cfg Config) *Device {
 // Reset empties a released device for an unrelated new run: all durable
 // contents, wear counters, statistics, queue timing, energy budget, and
 // telemetry are discarded. Only storage capacity survives — the media
-// table keeps its grown slot array and entry storage, and the on-PM
+// table keeps its grown slot array and entry pages, and the on-PM
 // buffer keeps its byte pool — so repopulating a working set costs no
 // grow/rehash/realloc churn. Recyclers reset a device when it is
 // returned, so a pooled device is clean while it waits. (Contrast
@@ -224,7 +224,7 @@ func (d *Device) Reset() {
 // fleet's fresh-vs-reused equivalence test holds this line. It panics if
 // the device was written since its Reset.
 func (d *Device) Recycle(cfg Config) {
-	if len(d.media.entries) != 0 || d.buf.n != 0 || d.stats != (Stats{}) {
+	if d.media.n != 0 || d.buf.n != 0 || d.stats != (Stats{}) {
 		panic("pm: Recycle of a device that was not Reset")
 	}
 	if cfg.BufLineSize < mem.LineSize {
@@ -344,7 +344,12 @@ func (d *Device) Write(arrival sim.Cycle, addr mem.Addr, data []byte) (accept, f
 	if accept > d.now {
 		d.now = accept
 	}
-	d.tel.WPQWrite(ch, accept, q.Occupancy(accept), accept-arrival, len(data))
+	if d.tel != nil {
+		// Guarded here, not only inside the probe: the depth argument is
+		// a queue search, and arguments are evaluated before the probe's
+		// own nil check.
+		d.tel.WPQWrite(ch, accept, q.Occupancy(accept), accept-arrival, len(data))
+	}
 	d.apply(addr, data)
 	return accept, finish
 }
@@ -631,7 +636,13 @@ func (d *Device) Erase(addr mem.Addr, n int) {
 			}
 		}
 	}
-	d.Populate(addr, make([]byte, n))
+	var zero [mem.LineSize]byte
+	for n > 0 {
+		k := min(n, len(zero))
+		d.Populate(addr, zero[:k])
+		addr += mem.Addr(k)
+		n -= k
+	}
 }
 
 // DrainAll flushes every on-PM buffer line to the media in address
@@ -682,8 +693,8 @@ type Wear struct {
 func (d *Device) WearStats() Wear {
 	var w Wear
 	var total int64
-	for i := range d.media.entries {
-		e := &d.media.entries[i]
+	for ref := int32(1); ref <= int32(d.media.n); ref++ {
+		e := d.media.at(ref)
 		if e.wear == 0 {
 			continue
 		}
@@ -707,5 +718,5 @@ func (d *Device) String() string {
 		accepted += q.Accepted()
 	}
 	return fmt.Sprintf("pm.Device{lines=%d bufLines=%d channels=%d wpqAccepted=%d mediaWrites=%d}",
-		len(d.media.entries), d.buf.n, len(d.wpq), accepted, d.stats.MediaWrites)
+		d.media.n, d.buf.n, len(d.wpq), accepted, d.stats.MediaWrites)
 }

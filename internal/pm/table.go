@@ -2,17 +2,15 @@ package pm
 
 import (
 	"math/bits"
-	"slices"
 
 	"silo/internal/mem"
 )
 
 // This file holds the device's flattened hot structures: open-addressed
-// address tables over dense entry storage, replacing the Go maps that
-// dominated the device's profile. Both tables use multiplicative
-// (Fibonacci) hashing and linear probing; entries carry their data
-// inline, so the lookup that used to be a map access plus a pointer
-// chase is one probe into a contiguous slice.
+// address tables replacing the Go maps that dominated the device's
+// profile. Both tables use multiplicative (Fibonacci) hashing and linear
+// probing; entries carry their data inline, so the lookup that used to be
+// a map access plus a pointer chase is one probe plus one indexed load.
 
 // fibMul is 2^64 / phi, the classic multiplicative-hash constant.
 const fibMul = 0x9E3779B97F4A7C15
@@ -53,6 +51,15 @@ type mediaEntry struct {
 	data [mem.LineSize]byte
 }
 
+// Media entries live in fixed pages of mediaPageSize entries (40 KB).
+// Growing the table allocates one more page and never moves an entry,
+// so a run that touches n lines allocates about n entries' worth of
+// storage instead of the ~5x a doubling-then-1.25x slice regrows.
+const (
+	mediaPageBits = 9
+	mediaPageSize = 1 << mediaPageBits
+)
+
 // mediaSlot is one index slot: the line tag is duplicated here so a probe
 // resolves without a dependent load into the entry storage.
 type mediaSlot struct {
@@ -60,23 +67,23 @@ type mediaSlot struct {
 	ref  int32 // entry index + 1; 0 = empty
 }
 
-// mediaTable indexes mediaEntry storage by line address. Lines are never
-// removed, so probing needs no deletion handling. Entry pointers are
-// invalidated by the next getOrInsert (the dense slice may grow); callers
-// must not hold one across inserts.
+// mediaTable indexes paged mediaEntry storage by line address. Lines are
+// never removed, so probing needs no deletion handling. A ref (entry
+// index + 1, assigned in insertion order) and the entry pointer it
+// resolves to stay valid until reset: grow rehashes only the slot array.
 //
 // The table remembers the last line it resolved. Workload setup pokes a
 // dataset word by word (a Hash bucket is 9 words of one line), so most
-// lookups repeat the previous line and skip the probe. Entry indices are
-// stable across grow — it rehashes the slots, never the dense entries —
-// so only reset clears the memo.
+// lookups repeat the previous line and skip the probe; only reset clears
+// the memo.
 type mediaTable struct {
-	slots   []mediaSlot
-	shift   uint // 64 - log2(len(slots))
-	entries []mediaEntry
+	slots []mediaSlot
+	shift uint // 64 - log2(len(slots))
+	pages []*[mediaPageSize]mediaEntry
+	n     int // entries in use: refs 1..n
 
 	lastLine mem.Addr
-	lastRef  int32 // entry index + 1 of lastLine; 0 = none
+	lastRef  int32 // ref of lastLine; 0 = none
 }
 
 func newMediaTable() *mediaTable {
@@ -87,10 +94,16 @@ func (t *mediaTable) home(line mem.Addr) int {
 	return int((uint64(line) * fibMul) >> t.shift)
 }
 
+// at returns the entry for ref (1..n).
+func (t *mediaTable) at(ref int32) *mediaEntry {
+	i := ref - 1
+	return &t.pages[i>>mediaPageBits][i&(mediaPageSize-1)]
+}
+
 // get returns the entry for line, or nil.
 func (t *mediaTable) get(line mem.Addr) *mediaEntry {
 	if t.lastRef != 0 && t.lastLine == line {
-		return &t.entries[t.lastRef-1]
+		return t.at(t.lastRef)
 	}
 	mask := len(t.slots) - 1
 	for i := t.home(line); ; i = (i + 1) & mask {
@@ -100,7 +113,7 @@ func (t *mediaTable) get(line mem.Addr) *mediaEntry {
 		}
 		if s.line == line {
 			t.lastLine, t.lastRef = line, s.ref
-			return &t.entries[s.ref-1]
+			return t.at(s.ref)
 		}
 	}
 }
@@ -108,18 +121,18 @@ func (t *mediaTable) get(line mem.Addr) *mediaEntry {
 // getOrInsert returns the entry for line, creating a zeroed one if absent.
 func (t *mediaTable) getOrInsert(line mem.Addr) *mediaEntry {
 	if t.lastRef != 0 && t.lastLine == line {
-		return &t.entries[t.lastRef-1]
+		return t.at(t.lastRef)
 	}
 	mask := len(t.slots) - 1
 	i := t.home(line)
 	for t.slots[i].ref != 0 {
 		if t.slots[i].line == line {
 			t.lastLine, t.lastRef = line, t.slots[i].ref
-			return &t.entries[t.slots[i].ref-1]
+			return t.at(t.slots[i].ref)
 		}
 		i = (i + 1) & mask
 	}
-	if 4*len(t.entries) >= 3*len(t.slots) {
+	if 4*t.n >= 3*len(t.slots) {
 		t.grow()
 		mask = len(t.slots) - 1
 		i = t.home(line)
@@ -127,14 +140,16 @@ func (t *mediaTable) getOrInsert(line mem.Addr) *mediaEntry {
 			i = (i + 1) & mask
 		}
 	}
-	// Build the entry in place: storage reused after reset holds stale
+	if t.n>>mediaPageBits == len(t.pages) {
+		t.pages = append(t.pages, new([mediaPageSize]mediaEntry))
+	}
+	t.n++
+	ref := int32(t.n)
+	// Build the entry in place: a page reused after reset holds stale
 	// contents, so every field is written.
-	n := len(t.entries)
-	t.entries = slices.Grow(t.entries, 1)[:n+1]
-	e := &t.entries[n]
+	e := t.at(ref)
 	e.line, e.wear = line, 0
 	clear(e.data[:])
-	ref := int32(n + 1)
 	t.slots[i] = mediaSlot{line: line, ref: ref}
 	t.lastLine, t.lastRef = line, ref
 	return e
@@ -144,35 +159,35 @@ func (t *mediaTable) grow() {
 	t.shift--
 	t.slots = make([]mediaSlot, 2*len(t.slots))
 	mask := len(t.slots) - 1
-	for idx := range t.entries {
-		line := t.entries[idx].line
+	for ref := int32(1); ref <= int32(t.n); ref++ {
+		line := t.at(ref).line
 		i := t.home(line)
 		for t.slots[i].ref != 0 {
 			i = (i + 1) & mask
 		}
-		t.slots[i] = mediaSlot{line: line, ref: int32(idx + 1)}
+		t.slots[i] = mediaSlot{line: line, ref: ref}
 	}
 }
 
 // reset empties the table for an unrelated new run, keeping the slot
-// array and entry storage at their grown capacity. A reset table is
+// array and entry pages at their grown size. A reset table is
 // observationally identical to a fresh one — every lookup misses, every
-// insert starts from zeroed entry contents, and iteration (always over
-// the dense entries in insertion order) sees the same sequence — only
-// the grow/rehash/realloc churn of repopulating from the 1024-slot seed
-// size is gone, which is the dominant per-campaign allocation cost of
-// the torture fleet. Recyclers reset a device's table when it is
-// returned, so a pooled table is clean while it waits.
+// insert starts from zeroed entry contents, and iteration (always refs
+// 1..n, insertion order) sees the same sequence — only the
+// grow/rehash/realloc churn of repopulating from the 1024-slot seed size
+// is gone, which is the dominant per-campaign allocation cost of the
+// torture fleet. Recyclers reset a device's table when it is returned,
+// so a pooled table is clean while it waits.
 func (t *mediaTable) reset() {
 	clear(t.slots)
-	t.entries = t.entries[:0]
+	t.n = 0
 	t.lastRef = 0
 }
 
 // memFootprint approximates the table's retained bytes, so a recycler
 // can drop a table that one outsized campaign ballooned.
 func (t *mediaTable) memFootprint() int {
-	return cap(t.slots)*16 + cap(t.entries)*(16+mem.LineSize)
+	return cap(t.slots)*16 + len(t.pages)*mediaPageSize*(16+mem.LineSize)
 }
 
 // bufLine is one on-PM buffer line in the fixed pool: contents plus a

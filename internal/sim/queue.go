@@ -70,15 +70,30 @@ func (q *ServiceQueue) Reset() {
 	q.busyUntil = 0
 }
 
-// Occupancy returns how many entries are still draining at time t.
+// Occupancy returns how many entries are still draining at time t: the
+// ring slots whose finish time exceeds t. Finish times never decrease
+// (finish_i >= finish_{i-1}; unused slots hold 0), so the ring read
+// oldest-first from head is sorted and a binary search for the first
+// slot past t finds the count.
 func (q *ServiceQueue) Occupancy(t Cycle) int {
-	n := 0
-	for _, f := range q.ring {
-		if f > t {
-			n++
+	if q.last <= t {
+		return 0 // the newest entry has drained, so all have
+	}
+	c := q.capacity
+	lo, hi := 0, c // first logical index (0 = oldest) with finish > t
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		j := q.head + mid
+		if j >= c {
+			j -= c
+		}
+		if q.ring[j] > t {
+			hi = mid
+		} else {
+			lo = mid + 1
 		}
 	}
-	return n
+	return c - lo
 }
 
 // DrainedBy returns the time by which everything accepted so far has

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -120,5 +121,68 @@ func TestServiceQueueProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// linearOccupancy is Occupancy's definition: the ring slots whose finish
+// time exceeds t.
+func linearOccupancy(q *ServiceQueue, t Cycle) int {
+	n := 0
+	for _, f := range q.ring {
+		if f > t {
+			n++
+		}
+	}
+	return n
+}
+
+// Occupancy binary-searches the ring on the strength of finish times
+// never decreasing; it must agree with the linear count at every kind of
+// query point — before, at, between and after finish times, across ring
+// wrap-around, full-queue waits, zero-length services, and a Reset.
+func TestServiceQueueOccupancyMatchesLinear(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	check := func(q *ServiceQueue, tq Cycle) {
+		t.Helper()
+		if got, want := q.Occupancy(tq), linearOccupancy(q, tq); got != want {
+			t.Fatalf("capacity %d head %d ring %v: Occupancy(%d) = %d, linear count %d",
+				q.capacity, q.head, q.ring, tq, got, want)
+		}
+	}
+	probe := func(q *ServiceQueue, arrival Cycle) {
+		t.Helper()
+		check(q, 0)
+		check(q, arrival)
+		check(q, q.last+1)
+		for _, f := range q.ring {
+			check(q, f-1)
+			check(q, f)
+			check(q, f+1)
+		}
+	}
+	for capacity := 1; capacity <= 70; capacity++ {
+		q := NewServiceQueue(capacity)
+		now := Cycle(0)
+		for round := 0; round < 2; round++ {
+			for i := 0; i < 3*capacity+5; i++ {
+				// Bursts of simultaneous arrivals fill the queue and force
+				// full-queue waits; idle gaps let it drain.
+				switch rng.Intn(4) {
+				case 0:
+					now += Cycle(rng.Intn(200))
+				case 1:
+					now += Cycle(rng.Intn(5))
+				}
+				service := Cycle(rng.Intn(40))
+				if rng.Intn(5) == 0 {
+					service = 0
+				}
+				q.Accept(now, service)
+				probe(q, now)
+			}
+			q.Reset()
+			now = 0
+			probe(q, 0)
+		}
 	}
 }
