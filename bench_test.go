@@ -182,27 +182,20 @@ func BenchmarkFig15BufferLatency(b *testing.B) {
 
 // BenchmarkEngineOverhead measures the simulator's own speed: host
 // nanoseconds per simulated memory operation (the number that bounds how
-// big an experiment is practical). The cooperative sub-benchmark drives
-// the pull-based scheduler directly; legacy routes the same workload
-// through the goroutine-per-core channel shim, so the pair quantifies the
-// transport rewrite. Both produce bit-identical simulated results.
+// big an experiment is practical), driving the cooperative scheduler over
+// the B-tree insert stream.
 func BenchmarkEngineOverhead(b *testing.B) {
-	for _, tc := range []struct {
-		name   string
-		legacy bool
-	}{{"cooperative", false}, {"legacy", true}} {
-		b.Run(tc.name, func(b *testing.B) {
-			var ops int64
-			var r Result
-			for i := 0; i < b.N; i++ {
-				r = runSpec(b, harness.Spec{Design: "Silo", Workload: "Btree", Cores: 4,
-					Txns: 2000, Seed: int64(i), LegacyEngine: tc.legacy})
-				ops = r.Loads + r.Stores + 2*r.Transactions
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ops)/float64(b.N), "host-ns/simOp")
-			b.ReportMetric(float64(ops), "simOps/run")
-		})
-	}
+	b.Run("cooperative", func(b *testing.B) {
+		var ops int64
+		var r Result
+		for i := 0; i < b.N; i++ {
+			r = runSpec(b, harness.Spec{Design: "Silo", Workload: "Btree", Cores: 4,
+				Txns: 2000, Seed: int64(i)})
+			ops = r.Loads + r.Stores + 2*r.Transactions
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ops)/float64(b.N), "host-ns/simOp")
+		b.ReportMetric(float64(ops), "simOps/run")
+	})
 }
 
 // --- Ablations (DESIGN.md §4): each design choice on vs off ---

@@ -91,12 +91,6 @@ type Spec struct {
 	// machine layer (see internal/telemetry): attach a ChromeTrace sink
 	// for a Perfetto timeline or an IntervalSampler for windowed metrics.
 	Telemetry *telemetry.Recorder
-
-	// LegacyEngine drives the run through the goroutine-per-core channel
-	// shim instead of native op streams. Both schedulers are op-for-op
-	// equivalent (see TestSchedulerEquivalence); the flag exists for that
-	// test and for measuring the old transport's overhead.
-	LegacyEngine bool
 }
 
 // DesignFactory resolves a design name to its factory.
@@ -221,19 +215,11 @@ func RunMachine(spec Spec) (*machine.Machine, stats.Run, error) {
 	if per < 1 {
 		per = 1
 	}
-	if spec.LegacyEngine {
-		programs := make([]sim.Program, cores)
-		for c := 0; c < cores; c++ {
-			programs[c] = wl.Program(c, per)
-		}
-		eng.Run(programs)
-	} else {
-		streams := make([]sim.OpStream, cores)
-		for c := 0; c < cores; c++ {
-			streams[c] = wl.Stream(c, per, sim.CoreRand(spec.Seed, c))
-		}
-		eng.RunStreams(streams)
+	streams := make([]sim.OpStream, cores)
+	for c := 0; c < cores; c++ {
+		streams[c] = wl.Stream(c, per, sim.CoreRand(spec.Seed, c))
 	}
+	eng.RunStreams(streams)
 	return m, m.CollectStats(spec.Design, spec.Workload), nil
 }
 

@@ -8,6 +8,14 @@ import (
 	"silo/internal/telemetry"
 )
 
+// eventLog records the probe-event stream verbatim so two runs can be
+// compared event by event, not just by their end-of-run record.
+type eventLog struct {
+	events []telemetry.Event
+}
+
+func (l *eventLog) Event(e telemetry.Event) { l.events = append(l.events, e) }
+
 // A machine built from recycled parts must be observationally identical
 // to one built from scratch: same run record (stats.Run is comparable,
 // so == is the full-struct check) and same telemetry event stream, for

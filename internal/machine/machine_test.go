@@ -21,6 +21,15 @@ func newMachine(cores int, factory logging.Factory) *Machine {
 	})
 }
 
+// runPrograms drives one Program per core to completion on eng.
+func runPrograms(eng *sim.Engine, progs ...sim.Program) {
+	streams := make([]sim.OpStream, len(progs))
+	for i, p := range progs {
+		streams[i] = sim.NewProgramStream(i, sim.CoreRand(eng.Seed(), i), p)
+	}
+	eng.RunStreams(streams)
+}
+
 func TestExecLoadStore(t *testing.T) {
 	m := newMachine(1, core.Factory(core.Options{}))
 	m.Device().PokeWord(0x1000, 7)
@@ -88,12 +97,12 @@ func TestCrashAtOpStopsEngine(t *testing.T) {
 	})
 	eng := m.Engine(1)
 	executed := 0
-	eng.Run([]sim.Program{func(ctx *sim.Ctx) {
+	runPrograms(eng, func(ctx *sim.Ctx) {
 		for i := 0; i < 1000; i++ {
 			ctx.Store(mem.Addr(0x100+i*8), mem.Word(i))
 			executed++
 		}
-	}})
+	})
 	if !eng.Crashed() {
 		t.Fatal("engine did not crash")
 	}
@@ -109,13 +118,13 @@ func TestCrashAtOpStopsEngine(t *testing.T) {
 func TestCollectStatsGathersEverything(t *testing.T) {
 	m := newMachine(1, baseline.NewBase)
 	eng := m.Engine(1)
-	eng.Run([]sim.Program{func(ctx *sim.Ctx) {
+	runPrograms(eng, func(ctx *sim.Ctx) {
 		for i := 0; i < 20; i++ {
 			ctx.TxBegin()
 			ctx.Store(mem.Addr(0x100+i*64), mem.Word(i))
 			ctx.TxEnd()
 		}
-	}})
+	})
 	r := m.CollectStats("Base", "unit")
 	if r.Design != "Base" || r.Workload != "unit" || r.Cores != 1 {
 		t.Errorf("labels: %+v", r)
@@ -156,13 +165,13 @@ func TestCrashedNowAndHistograms(t *testing.T) {
 		t.Error("fresh machine reports crashed/nonzero time")
 	}
 	eng := m.Engine(1)
-	eng.Run([]sim.Program{func(ctx *sim.Ctx) {
+	runPrograms(eng, func(ctx *sim.Ctx) {
 		for i := 0; i < 30; i++ {
 			ctx.TxBegin()
 			ctx.Store(mem.Addr(0x100+i*8), mem.Word(i))
 			ctx.TxEnd()
 		}
-	}})
+	})
 	if m.Crashed() {
 		t.Error("clean run reports crashed")
 	}
@@ -194,13 +203,13 @@ func TestWritebackRoutesThroughDesign(t *testing.T) {
 		Design: core.Factory(core.Options{}),
 	})
 	eng := m.Engine(1)
-	eng.Run([]sim.Program{func(ctx *sim.Ctx) {
+	runPrograms(eng, func(ctx *sim.Ctx) {
 		ctx.TxBegin()
 		for i := 0; i < 200; i++ {
 			ctx.Store(mem.Addr(0x1000+i*mem.LineSize), mem.Word(i)+1)
 		}
 		ctx.TxEnd()
-	}})
+	})
 	if m.Hierarchy().Writebacks == 0 {
 		t.Fatal("no LLC writebacks despite cache overflow")
 	}

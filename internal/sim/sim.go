@@ -10,12 +10,10 @@
 // nondecreasing global time. The steady-state path performs zero channel
 // operations and zero heap allocations per op.
 //
-// Workloads written as plain Go functions (a Program issuing operations
-// through a Ctx) run on one of two transports: NewProgramStream suspends
-// the function on a runtime coroutine (iter.Pull) — the fast path — while
-// Engine.Run keeps the legacy goroutine-per-program channel handoff alive
-// as a compatibility shim for callers not yet ported (and as the reference
-// scheduler for determinism-equivalence tests).
+// A workload written as a plain Go function (a Program issuing operations
+// through a Ctx) becomes an OpStream through NewProgramStream, which
+// suspends the function on a runtime coroutine (iter.Pull); workloads
+// whose op sequence needs no program frame implement OpStream directly.
 package sim
 
 import (
@@ -84,7 +82,7 @@ type Executor interface {
 }
 
 // ErrCrashed is the panic value used to unwind core programs when the
-// engine injects a crash; the transports recover it internally.
+// engine injects a crash; NewProgramStream recovers it internally.
 var ErrCrashed = errors.New("sim: machine crashed")
 
 // Program is the body of one core's workload. It must issue all memory
@@ -115,8 +113,8 @@ type Ctx struct {
 }
 
 // CoreRand returns core i's deterministic random source for an engine
-// seed — the single definition both transports and native streams share,
-// so every scheduler produces identical random sequences.
+// seed — the single definition program and native streams share, so
+// both forms of a workload draw identical random sequences.
 func CoreRand(seed int64, core int) *rand.Rand {
 	return rand.New(rand.NewSource(seed + int64(core)*1_000_003))
 }
@@ -356,7 +354,7 @@ func (e *Engine) Step() bool {
 
 // stopper is implemented by streams that need explicit teardown when the
 // engine unwinds without draining them (a panic escaping the executor,
-// e.g. an audit violation): coroutine transports resume-and-release their
+// e.g. an audit violation): program streams resume-and-release their
 // suspended frame.
 type stopper interface{ Stop() }
 
@@ -364,7 +362,7 @@ type stopper interface{ Stop() }
 // Bind/Step (harness.ControlledRun) must call it when they stop stepping
 // before every stream is exhausted — normal exhaustion needs no teardown,
 // but an abnormal unwind (an audit-violation panic, an early stop) leaves
-// coroutine transports suspended. RunStreams calls it internally.
+// program streams suspended. RunStreams calls it internally.
 func (e *Engine) Finish() { e.release() }
 
 // release tears down still-suspended streams after an abnormal unwind.
@@ -385,18 +383,4 @@ func (e *Engine) RunStreams(streams []OpStream) Cycle {
 	for e.Step() {
 	}
 	return e.Now()
-}
-
-// Run executes one Program per core through the legacy goroutine
-// compatibility shim (one goroutine and a channel handoff per program)
-// and returns the final simulated time. Scheduling decisions are made by
-// the same cooperative loop as RunStreams, so the two paths are
-// op-for-op equivalent; new code should build streams (NewProgramStream
-// or a native OpStream) and call RunStreams directly.
-func (e *Engine) Run(programs []Program) Cycle {
-	streams := make([]OpStream, len(programs))
-	for i, p := range programs {
-		streams[i] = NewGoroutineStream(i, CoreRand(e.seed, i), p)
-	}
-	return e.RunStreams(streams)
 }

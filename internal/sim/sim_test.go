@@ -36,10 +36,19 @@ func (e *recordingExec) Exec(core int, op Op, now Cycle) Result {
 	return Result{Latency: e.lat}
 }
 
+// runPrograms drives one Program per core to completion on the engine.
+func runPrograms(e *Engine, progs ...Program) Cycle {
+	streams := make([]OpStream, len(progs))
+	for i, p := range progs {
+		streams[i] = NewProgramStream(i, CoreRand(e.Seed(), i), p)
+	}
+	return e.RunStreams(streams)
+}
+
 func TestEngineSingleCore(t *testing.T) {
 	exec := &recordingExec{lat: 5}
 	e := NewEngine(exec, 1, 1)
-	end := e.Run([]Program{func(ctx *Ctx) {
+	end := runPrograms(e, func(ctx *Ctx) {
 		ctx.TxBegin()
 		ctx.Store(64, 7)
 		if got := ctx.Load(64); got != 7 {
@@ -47,7 +56,7 @@ func TestEngineSingleCore(t *testing.T) {
 		}
 		ctx.TxEnd()
 		ctx.Compute(100)
-	}})
+	})
 	if len(exec.ops) != 5 {
 		t.Fatalf("executed %d ops, want 5", len(exec.ops))
 	}
@@ -72,7 +81,7 @@ func TestEngineMinTimeInterleaving(t *testing.T) {
 			}
 		}
 	}
-	e.Run([]Program{mk(3, 100), mk(30, 7)})
+	runPrograms(e, mk(3, 100), mk(30, 7))
 	var last Cycle
 	for i, r := range exec.ops {
 		if r.now < last {
@@ -106,7 +115,7 @@ func TestEngineDeterminism(t *testing.T) {
 				}
 			}
 		}
-		e.Run(progs)
+		runPrograms(e, progs...)
 		return exec.ops
 	}
 	a, b := run(), run()
@@ -133,7 +142,7 @@ func TestEnginePerCoreRandIndependent(t *testing.T) {
 			ctx.Compute(1)
 		})
 	}
-	e.Run(progs)
+	runPrograms(e, progs...)
 	same := true
 	for i := range got[0] {
 		if got[0][i] != got[1][i] {
@@ -173,7 +182,7 @@ func TestEngineCrashUnwindsAllCores(t *testing.T) {
 			finished[ctx.Core()] = true
 		}
 	}
-	e.Run(progs) // must terminate despite programs wanting 4000 ops
+	runPrograms(e, progs...) // must terminate despite programs wanting 4000 ops
 	if !e.Crashed() {
 		t.Fatal("engine not marked crashed")
 	}
@@ -189,24 +198,36 @@ func TestEngineCrashUnwindsAllCores(t *testing.T) {
 
 func TestEngineEmptyPrograms(t *testing.T) {
 	e := NewEngine(&recordingExec{}, 2, 1)
-	if end := e.Run([]Program{func(*Ctx) {}, func(*Ctx) {}}); end != 0 {
+	if end := runPrograms(e, func(*Ctx) {}, func(*Ctx) {}); end != 0 {
 		t.Errorf("empty programs advanced time to %d", end)
 	}
 }
 
 func TestEngineNegativeLatencyDoesNotAdvance(t *testing.T) {
-	// An executor returning -1 (crash sentinel) must unwind the program
-	// without moving its clock.
-	exec := &negExec{}
-	e := NewEngine(exec, 1, 1)
-	exec.e = e
-	e.Run([]Program{func(ctx *Ctx) {
-		ctx.Compute(10)
-		ctx.Compute(10) // this op gets the -1 reply
-		t.Error("program continued past crash reply")
-	}})
-	if e.CoreTime(0) != 10 {
-		t.Errorf("core time = %d, want 10", e.CoreTime(0))
+	// An executor returning -1 (crash sentinel) must end the core's run
+	// without moving its clock, and no later op of the program may reach
+	// the executor — whether the crashing op is one the program suspends
+	// on (a load) or one it had queued and run past (a compute).
+	for _, kind := range []OpKind{OpCompute, OpLoad} {
+		exec := &negExec{}
+		e := NewEngine(exec, 1, 1)
+		exec.e = e
+		runPrograms(e, func(ctx *Ctx) {
+			ctx.Compute(10)
+			if kind == OpLoad {
+				ctx.Load(64) // this op gets the -1 reply
+			} else {
+				ctx.Compute(10) // this op gets the -1 reply
+			}
+			ctx.Store(64, 1)
+			ctx.Compute(10)
+		})
+		if e.CoreTime(0) != 10 {
+			t.Errorf("crash at %v: core time = %d, want 10", kind, e.CoreTime(0))
+		}
+		if exec.n != 2 {
+			t.Errorf("crash at %v: executor saw %d ops, want 2 (nothing after the crash)", kind, exec.n)
+		}
 	}
 }
 
@@ -243,17 +264,17 @@ func TestEngineMismatchedProgramsPanics(t *testing.T) {
 			t.Error("mismatched program count did not panic")
 		}
 	}()
-	e.Run([]Program{func(*Ctx) {}})
+	runPrograms(e, func(*Ctx) {})
 }
 
 func TestComputeZeroIsNoOp(t *testing.T) {
 	exec := &recordingExec{}
 	e := NewEngine(exec, 1, 1)
-	e.Run([]Program{func(ctx *Ctx) {
+	runPrograms(e, func(ctx *Ctx) {
 		ctx.Compute(0)
 		ctx.Compute(-5)
 		ctx.Compute(3)
-	}})
+	})
 	if len(exec.ops) != 1 {
 		t.Errorf("zero/negative compute reached the executor: %d ops", len(exec.ops))
 	}
@@ -264,7 +285,7 @@ func TestComputeZeroIsNoOp(t *testing.T) {
 
 func TestEngineZeroCoresClamped(t *testing.T) {
 	e := NewEngine(&recordingExec{}, 0, 1)
-	if end := e.Run([]Program{func(*Ctx) {}}); end != 0 {
+	if end := runPrograms(e, func(*Ctx) {}); end != 0 {
 		t.Error("clamped single-core engine misbehaved")
 	}
 }
@@ -282,7 +303,7 @@ func TestEngineScheduleCrash(t *testing.T) {
 			}
 		}
 	}
-	e.Run(progs)
+	runPrograms(e, progs...)
 	if !e.Crashed() {
 		t.Fatal("engine not crashed")
 	}
@@ -306,11 +327,11 @@ func TestEngineScheduleCrashInjectMayCrashItself(t *testing.T) {
 	e := NewEngine(&recordingExec{}, 1, 1)
 	n := 0
 	e.ScheduleCrash(10, func(now Cycle) { n++; e.Crash() })
-	e.Run([]Program{func(ctx *Ctx) {
+	runPrograms(e, func(ctx *Ctx) {
 		for k := 0; k < 100; k++ {
 			ctx.Compute(5)
 		}
-	}})
+	})
 	if n != 1 || !e.Crashed() {
 		t.Errorf("inject ran %d times, crashed=%v", n, e.Crashed())
 	}

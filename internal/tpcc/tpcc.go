@@ -262,10 +262,12 @@ func (t *TPCC) stockLevel(acc pmds.Accessor, w *warehouse, rng *rand.Rand) {
 	}
 }
 
-// Program implements workload.Workload.
-func (t *TPCC) Program(core, txns int) sim.Program {
+// Stream implements workload.Workload: the five transaction profiles are
+// deeply data-dependent (directory walks, order-line scans), so the
+// transaction loop runs as a program on the engine's coroutine transport.
+func (t *TPCC) Stream(core, txns int, rng *rand.Rand) sim.OpStream {
 	w := t.whs[core]
-	return func(ctx *sim.Ctx) {
+	return sim.NewProgramStream(core, rng, func(ctx *sim.Ctx) {
 		for i := 0; i < txns; i++ {
 			ctx.TxBegin()
 			for j := 0; j < t.OpsPerTx(); j++ {
@@ -288,12 +290,5 @@ func (t *TPCC) Program(core, txns int) sim.Program {
 			}
 			ctx.TxEnd()
 		}
-	}
-}
-
-// Stream implements workload.Workload on the coroutine transport: the
-// five transaction profiles are deeply data-dependent (directory walks,
-// order-line scans), so the transaction loop keeps its program form.
-func (t *TPCC) Stream(core, txns int, rng *rand.Rand) sim.OpStream {
-	return sim.NewProgramStream(core, rng, t.Program(core, txns))
+	})
 }

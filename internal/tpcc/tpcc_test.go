@@ -26,11 +26,11 @@ func run(t *testing.T, mix bool, cores, txnsPerCore int) (*TPCC, stats.Run) {
 	w := New(mix)
 	heap := pmheap.New(pm.DefaultConfig().Layout, cores)
 	w.Setup(workload.Direct(m.Device()), heap, cores, rand.New(rand.NewSource(13)))
-	progs := make([]sim.Program, cores)
+	streams := make([]sim.OpStream, cores)
 	for c := 0; c < cores; c++ {
-		progs[c] = w.Program(c, txnsPerCore)
+		streams[c] = w.Stream(c, txnsPerCore, sim.CoreRand(13, c))
 	}
-	m.Engine(13).Run(progs)
+	m.Engine(13).RunStreams(streams)
 	return w, m.CollectStats("Silo", w.Name())
 }
 

@@ -186,27 +186,3 @@ func (t *Trace) Stream(core int) sim.OpStream {
 	}
 	return sim.NewOpsStream(nil)
 }
-
-// Program returns a sim.Program replaying core's operation stream.
-func (t *Trace) Program(core int) sim.Program {
-	var ops []sim.Op
-	if core < len(t.PerCore) {
-		ops = t.PerCore[core]
-	}
-	return func(ctx *sim.Ctx) {
-		for _, op := range ops {
-			switch op.Kind {
-			case sim.OpTxBegin:
-				ctx.TxBegin()
-			case sim.OpTxEnd:
-				ctx.TxEnd()
-			case sim.OpLoad:
-				ctx.Load(op.Addr)
-			case sim.OpStore:
-				ctx.Store(op.Addr, op.Data)
-			case sim.OpCompute:
-				ctx.Compute(op.Cycles)
-			}
-		}
-	}
-}

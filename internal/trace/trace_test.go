@@ -94,13 +94,16 @@ func TestProgramReplays(t *testing.T) {
 	}
 	exec := &countingExec{}
 	eng := sim.NewEngine(exec, 1, 1)
-	eng.Run([]sim.Program{tr.Program(0)})
+	eng.RunStreams([]sim.OpStream{tr.Stream(0)})
 	if exec.n != 5 {
 		t.Errorf("replayed %d ops, want 5", exec.n)
 	}
-	// A missing core replays as an empty program.
-	eng2 := sim.NewEngine(&countingExec{}, 1, 1)
-	eng2.Run([]sim.Program{tr.Program(5)})
+	// A missing core replays as an empty stream.
+	exec2 := &countingExec{}
+	sim.NewEngine(exec2, 1, 1).RunStreams([]sim.OpStream{tr.Stream(5)})
+	if exec2.n != 0 {
+		t.Errorf("missing core replayed %d ops, want 0", exec2.n)
+	}
 }
 
 type countingExec struct{ n int }

@@ -56,11 +56,11 @@ func (w *YCSBWL) Setup(direct pmds.Accessor, heap *pmheap.Heap, cores int, rng *
 	}
 }
 
-// Program implements Workload.
-func (w *YCSBWL) Program(core, txns int) sim.Program {
+// Stream implements Workload.
+func (w *YCSBWL) Stream(core, txns int, rng *rand.Rand) sim.OpStream {
 	h := w.tables[core]
 	ks := w.keysByCo[core]
-	return func(ctx *sim.Ctx) {
+	return sim.NewProgramStream(core, rng, func(ctx *sim.Ctx) {
 		for i := 0; i < txns; i++ {
 			ctx.TxBegin()
 			for j := 0; j < w.OpsPerTx(); j++ {
@@ -73,12 +73,7 @@ func (w *YCSBWL) Program(core, txns int) sim.Program {
 			}
 			ctx.TxEnd()
 		}
-	}
-}
-
-// Stream implements Workload on the coroutine transport.
-func (w *YCSBWL) Stream(core, txns int, rng *rand.Rand) sim.OpStream {
-	return coro(core, rng, w.Program(core, txns))
+	})
 }
 
 // TATPWL models the telecom benchmark's dominant transactions (Fig. 4):
@@ -113,10 +108,10 @@ func (w *TATPWL) Setup(direct pmds.Accessor, heap *pmheap.Heap, cores int, rng *
 	}
 }
 
-// Program implements Workload.
-func (w *TATPWL) Program(core, txns int) sim.Program {
+// Stream implements Workload.
+func (w *TATPWL) Stream(core, txns int, rng *rand.Rand) sim.OpStream {
 	base := w.tables[core]
-	return func(ctx *sim.Ctx) {
+	return sim.NewProgramStream(core, rng, func(ctx *sim.Ctx) {
 		for i := 0; i < txns; i++ {
 			ctx.TxBegin()
 			for j := 0; j < w.OpsPerTx(); j++ {
@@ -135,12 +130,7 @@ func (w *TATPWL) Program(core, txns int) sim.Program {
 			}
 			ctx.TxEnd()
 		}
-	}
-}
-
-// Stream implements Workload on the coroutine transport.
-func (w *TATPWL) Stream(core, txns int, rng *rand.Rand) sim.OpStream {
-	return coro(core, rng, w.Program(core, txns))
+	})
 }
 
 // BankWL models the banking benchmark (Fig. 4): random transfers between
@@ -173,12 +163,12 @@ func (w *BankWL) Setup(direct pmds.Accessor, heap *pmheap.Heap, cores int, rng *
 	}
 }
 
-// Program implements Workload.
-func (w *BankWL) Program(core, txns int) sim.Program {
+// Stream implements Workload.
+func (w *BankWL) Stream(core, txns int, rng *rand.Rand) sim.OpStream {
 	base := w.tables[core]
 	audit := w.auditPos[core]
 	auditLen := mem.Addr(4096 * mem.LineSize)
-	return func(ctx *sim.Ctx) {
+	return sim.NewProgramStream(core, rng, func(ctx *sim.Ctx) {
 		for i := 0; i < txns; i++ {
 			ctx.TxBegin()
 			for j := 0; j < w.OpsPerTx(); j++ {
@@ -195,10 +185,5 @@ func (w *BankWL) Program(core, txns int) sim.Program {
 			}
 			ctx.TxEnd()
 		}
-	}
-}
-
-// Stream implements Workload on the coroutine transport.
-func (w *BankWL) Stream(core, txns int, rng *rand.Rand) sim.OpStream {
-	return coro(core, rng, w.Program(core, txns))
+	})
 }

@@ -40,10 +40,10 @@ func (w *BPtreeWL) Setup(direct pmds.Accessor, heap *pmheap.Heap, cores int, rng
 	}
 }
 
-// Program implements Workload.
-func (w *BPtreeWL) Program(core, txns int) sim.Program {
+// Stream implements Workload.
+func (w *BPtreeWL) Stream(core, txns int, rng *rand.Rand) sim.OpStream {
 	t := w.trees[core]
-	return func(ctx *sim.Ctx) {
+	return sim.NewProgramStream(core, rng, func(ctx *sim.Ctx) {
 		for i := 0; i < txns; i++ {
 			ctx.TxBegin()
 			for j := 0; j < w.OpsPerTx(); j++ {
@@ -59,12 +59,7 @@ func (w *BPtreeWL) Program(core, txns int) sim.Program {
 			}
 			ctx.TxEnd()
 		}
-	}
-}
-
-// Stream implements Workload on the coroutine transport.
-func (w *BPtreeWL) Stream(core, txns int, rng *rand.Rand) sim.OpStream {
-	return coro(core, rng, w.Program(core, txns))
+	})
 }
 
 // LevelHashWL drives the two-level write-optimized hash with churn.
@@ -96,11 +91,11 @@ func (w *LevelHashWL) Setup(direct pmds.Accessor, heap *pmheap.Heap, cores int, 
 	}
 }
 
-// Program implements Workload: insert/delete churn keeps the load steady
+// Stream implements Workload: insert/delete churn keeps the load steady
 // below the movement ceiling so inserts stay one-movement-bounded.
-func (w *LevelHashWL) Program(core, txns int) sim.Program {
+func (w *LevelHashWL) Stream(core, txns int, rng *rand.Rand) sim.OpStream {
 	h := w.tables[core]
-	return func(ctx *sim.Ctx) {
+	return sim.NewProgramStream(core, rng, func(ctx *sim.Ctx) {
 		for i := 0; i < txns; i++ {
 			ctx.TxBegin()
 			for j := 0; j < w.OpsPerTx(); j++ {
@@ -116,10 +111,5 @@ func (w *LevelHashWL) Program(core, txns int) sim.Program {
 			}
 			ctx.TxEnd()
 		}
-	}
-}
-
-// Stream implements Workload on the coroutine transport.
-func (w *LevelHashWL) Stream(core, txns int, rng *rand.Rand) sim.OpStream {
-	return coro(core, rng, w.Program(core, txns))
+	})
 }

@@ -30,27 +30,13 @@ func (w *ArrayWL) Setup(direct pmds.Accessor, heap *pmheap.Heap, cores int, rng 
 	}
 }
 
-// Program implements Workload.
-func (w *ArrayWL) Program(core, txns int) sim.Program {
-	arr := w.arrs[core]
-	return func(ctx *sim.Ctx) {
-		for i := 0; i < txns; i++ {
-			ctx.TxBegin()
-			for j := 0; j < w.OpsPerTx(); j++ {
-				a := ctx.Rand.Intn(w.n)
-				b := ctx.Rand.Intn(w.n)
-				arr.Swap(ctx, a, b)
-			}
-			ctx.TxEnd()
-		}
-	}
-}
-
 // Stream implements Workload as a hand-written state machine: the swap's
 // sixteen loads and sixteen stores are scheduled directly, with no
-// program frame at all. The op and random-draw order is identical to
-// Program's (TxBegin; per swap draw i then j, interleave L i_w/L j_w for
-// w=0..7, then S i_w/S j_w; TxEnd).
+// program frame at all (measurably cheaper than the coroutine; see
+// EXPERIMENTS "Hand-written machines vs coroutine"). The op and
+// random-draw order is that of the loop "TxBegin; per swap draw a then b
+// and arr.Swap(a, b); TxEnd": per swap, interleave L a_w/L b_w for
+// w=0..7, then S a_w/S b_w.
 func (w *ArrayWL) Stream(core, txns int, rng *rand.Rand) sim.OpStream {
 	return &arrayStream{arr: w.arrs[core], n: w.n, ops: w.OpsPerTx(), txns: txns, rng: rng}
 }
@@ -140,8 +126,8 @@ func (s *arrayStream) Deliver(r sim.Result) {
 	}
 }
 
-// startSwap draws the next swap's element pair (same order as Program)
-// and arms the load phase.
+// startSwap draws the next swap's element pair (a, then b) and arms the
+// load phase.
 func (s *arrayStream) startSwap() {
 	s.a = s.rng.Intn(s.n)
 	s.b = s.rng.Intn(s.n)
@@ -177,22 +163,10 @@ func (w *BtreeWL) Setup(direct pmds.Accessor, heap *pmheap.Heap, cores int, rng 
 	}
 }
 
-// Program implements Workload.
-func (w *BtreeWL) Program(core, txns int) sim.Program {
-	t := w.trees[core]
-	return func(ctx *sim.Ctx) {
-		for i := 0; i < txns; i++ {
-			ctx.TxBegin()
-			for j := 0; j < w.OpsPerTx(); j++ {
-				t.Insert(ctx, mem.Word(ctx.Rand.Intn(w.keyRange))+1)
-			}
-			ctx.TxEnd()
-		}
-	}
-}
-
 // Stream implements Workload natively: the tree's insert state machine
-// (pmds.BTree.InsertStream) drives the engine with no coroutine at all.
+// (pmds.BTree.InsertStream) drives the engine with no coroutine at all —
+// about twice as fast as running BTree.Insert in a loop on the
+// coroutine, which is the form it must match op for op.
 func (w *BtreeWL) Stream(core, txns int, rng *rand.Rand) sim.OpStream {
 	return w.trees[core].InsertStream(rng, txns, w.OpsPerTx(), w.keyRange)
 }
@@ -225,10 +199,10 @@ func (w *HashWL) Setup(direct pmds.Accessor, heap *pmheap.Heap, cores int, rng *
 	}
 }
 
-// Program implements Workload.
-func (w *HashWL) Program(core, txns int) sim.Program {
+// Stream implements Workload.
+func (w *HashWL) Stream(core, txns int, rng *rand.Rand) sim.OpStream {
 	h := w.tables[core]
-	return func(ctx *sim.Ctx) {
+	return sim.NewProgramStream(core, rng, func(ctx *sim.Ctx) {
 		for i := 0; i < txns; i++ {
 			ctx.TxBegin()
 			for j := 0; j < w.OpsPerTx(); j++ {
@@ -236,12 +210,7 @@ func (w *HashWL) Program(core, txns int) sim.Program {
 			}
 			ctx.TxEnd()
 		}
-	}
-}
-
-// Stream implements Workload on the coroutine transport.
-func (w *HashWL) Stream(core, txns int, rng *rand.Rand) sim.OpStream {
-	return coro(core, rng, w.Program(core, txns))
+	})
 }
 
 // QueueWL enqueues and dequeues one element per transaction.
@@ -272,10 +241,10 @@ func (w *QueueWL) Setup(direct pmds.Accessor, heap *pmheap.Heap, cores int, rng 
 	}
 }
 
-// Program implements Workload.
-func (w *QueueWL) Program(core, txns int) sim.Program {
+// Stream implements Workload.
+func (w *QueueWL) Stream(core, txns int, rng *rand.Rand) sim.OpStream {
 	q := w.queues[core]
-	return func(ctx *sim.Ctx) {
+	return sim.NewProgramStream(core, rng, func(ctx *sim.Ctx) {
 		for i := 0; i < txns; i++ {
 			ctx.TxBegin()
 			for j := 0; j < w.OpsPerTx(); j++ {
@@ -284,12 +253,7 @@ func (w *QueueWL) Program(core, txns int) sim.Program {
 			}
 			ctx.TxEnd()
 		}
-	}
-}
-
-// Stream implements Workload on the coroutine transport.
-func (w *QueueWL) Stream(core, txns int, rng *rand.Rand) sim.OpStream {
-	return coro(core, rng, w.Program(core, txns))
+	})
 }
 
 // RBtreeWL randomly inserts keys into a per-core red-black tree.
@@ -321,10 +285,10 @@ func (w *RBtreeWL) Setup(direct pmds.Accessor, heap *pmheap.Heap, cores int, rng
 	}
 }
 
-// Program implements Workload.
-func (w *RBtreeWL) Program(core, txns int) sim.Program {
+// Stream implements Workload.
+func (w *RBtreeWL) Stream(core, txns int, rng *rand.Rand) sim.OpStream {
 	t := w.trees[core]
-	return func(ctx *sim.Ctx) {
+	return sim.NewProgramStream(core, rng, func(ctx *sim.Ctx) {
 		for i := 0; i < txns; i++ {
 			ctx.TxBegin()
 			for j := 0; j < w.OpsPerTx(); j++ {
@@ -333,12 +297,7 @@ func (w *RBtreeWL) Program(core, txns int) sim.Program {
 			}
 			ctx.TxEnd()
 		}
-	}
-}
-
-// Stream implements Workload on the coroutine transport.
-func (w *RBtreeWL) Stream(core, txns int, rng *rand.Rand) sim.OpStream {
-	return coro(core, rng, w.Program(core, txns))
+	})
 }
 
 // RtreeWL inserts into the PMDK-style radix tree (Fig. 4).
@@ -367,10 +326,10 @@ func (w *RtreeWL) Setup(direct pmds.Accessor, heap *pmheap.Heap, cores int, rng 
 	}
 }
 
-// Program implements Workload.
-func (w *RtreeWL) Program(core, txns int) sim.Program {
+// Stream implements Workload.
+func (w *RtreeWL) Stream(core, txns int, rng *rand.Rand) sim.OpStream {
 	t := w.trees[core]
-	return func(ctx *sim.Ctx) {
+	return sim.NewProgramStream(core, rng, func(ctx *sim.Ctx) {
 		for i := 0; i < txns; i++ {
 			ctx.TxBegin()
 			for j := 0; j < w.OpsPerTx(); j++ {
@@ -379,12 +338,7 @@ func (w *RtreeWL) Program(core, txns int) sim.Program {
 			}
 			ctx.TxEnd()
 		}
-	}
-}
-
-// Stream implements Workload on the coroutine transport.
-func (w *RtreeWL) Stream(core, txns int, rng *rand.Rand) sim.OpStream {
-	return coro(core, rng, w.Program(core, txns))
+	})
 }
 
 // CtrieWL inserts into the PMDK-style crit-bit trie (Fig. 4).
@@ -413,10 +367,10 @@ func (w *CtrieWL) Setup(direct pmds.Accessor, heap *pmheap.Heap, cores int, rng 
 	}
 }
 
-// Program implements Workload.
-func (w *CtrieWL) Program(core, txns int) sim.Program {
+// Stream implements Workload.
+func (w *CtrieWL) Stream(core, txns int, rng *rand.Rand) sim.OpStream {
 	t := w.tries[core]
-	return func(ctx *sim.Ctx) {
+	return sim.NewProgramStream(core, rng, func(ctx *sim.Ctx) {
 		for i := 0; i < txns; i++ {
 			ctx.TxBegin()
 			for j := 0; j < w.OpsPerTx(); j++ {
@@ -425,10 +379,5 @@ func (w *CtrieWL) Program(core, txns int) sim.Program {
 			}
 			ctx.TxEnd()
 		}
-	}
-}
-
-// Stream implements Workload on the coroutine transport.
-func (w *CtrieWL) Stream(core, txns int, rng *rand.Rand) sim.OpStream {
-	return coro(core, rng, w.Program(core, txns))
+	})
 }

@@ -41,10 +41,10 @@ func (w *HashMixWL) Setup(direct pmds.Accessor, heap *pmheap.Heap, cores int, rn
 	}
 }
 
-// Program implements Workload.
-func (w *HashMixWL) Program(core, txns int) sim.Program {
+// Stream implements Workload.
+func (w *HashMixWL) Stream(core, txns int, rng *rand.Rand) sim.OpStream {
 	h := w.tables[core]
-	return func(ctx *sim.Ctx) {
+	return sim.NewProgramStream(core, rng, func(ctx *sim.Ctx) {
 		for i := 0; i < txns; i++ {
 			ctx.TxBegin()
 			for j := 0; j < w.OpsPerTx(); j++ {
@@ -60,12 +60,7 @@ func (w *HashMixWL) Program(core, txns int) sim.Program {
 			}
 			ctx.TxEnd()
 		}
-	}
-}
-
-// Stream implements Workload on the coroutine transport.
-func (w *HashMixWL) Stream(core, txns int, rng *rand.Rand) sim.OpStream {
-	return coro(core, rng, w.Program(core, txns))
+	})
 }
 
 // RBtreeMixWL is insert/delete churn over the red-black tree: rotations
@@ -98,10 +93,10 @@ func (w *RBtreeMixWL) Setup(direct pmds.Accessor, heap *pmheap.Heap, cores int, 
 	}
 }
 
-// Program implements Workload.
-func (w *RBtreeMixWL) Program(core, txns int) sim.Program {
+// Stream implements Workload.
+func (w *RBtreeMixWL) Stream(core, txns int, rng *rand.Rand) sim.OpStream {
 	t := w.trees[core]
-	return func(ctx *sim.Ctx) {
+	return sim.NewProgramStream(core, rng, func(ctx *sim.Ctx) {
 		for i := 0; i < txns; i++ {
 			ctx.TxBegin()
 			for j := 0; j < w.OpsPerTx(); j++ {
@@ -114,10 +109,5 @@ func (w *RBtreeMixWL) Program(core, txns int) sim.Program {
 			}
 			ctx.TxEnd()
 		}
-	}
-}
-
-// Stream implements Workload on the coroutine transport.
-func (w *RBtreeMixWL) Stream(core, txns int, rng *rand.Rand) sim.OpStream {
-	return coro(core, rng, w.Program(core, txns))
+	})
 }

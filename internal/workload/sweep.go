@@ -48,11 +48,11 @@ func (w *SweepWL) Setup(direct pmds.Accessor, heap *pmheap.Heap, cores int, rng 
 	}
 }
 
-// Program implements Workload: each transaction touches w.words distinct
+// Stream implements Workload: each transaction touches w.words distinct
 // words, one per distinct cacheline, in a random permutation window.
-func (w *SweepWL) Program(core, txns int) sim.Program {
+func (w *SweepWL) Stream(core, txns int, rng *rand.Rand) sim.OpStream {
 	base := w.regions[core]
-	return func(ctx *sim.Ctx) {
+	return sim.NewProgramStream(core, rng, func(ctx *sim.Ctx) {
 		for i := 0; i < txns; i++ {
 			start := ctx.Rand.Intn(w.lines)
 			ctx.TxBegin()
@@ -64,68 +64,5 @@ func (w *SweepWL) Program(core, txns int) sim.Program {
 			}
 			ctx.TxEnd()
 		}
-	}
-}
-
-// Stream implements Workload as a hand-written state machine; the store
-// addresses are control-flow-independent, so no program frame is needed.
-// Rand-draw order matches Program exactly: the window start before
-// TxBegin, then one word index per store.
-func (w *SweepWL) Stream(core, txns int, rng *rand.Rand) sim.OpStream {
-	return &sweepStream{base: w.regions[core], words: w.words, lines: w.lines, txns: txns, rng: rng}
-}
-
-const (
-	sweepPhaseBegin = iota
-	sweepPhaseStore
-	sweepPhaseEnd
-)
-
-type sweepStream struct {
-	base  mem.Addr
-	words int
-	lines int
-	txns  int
-	rng   *rand.Rand
-
-	i, k  int // transaction index, store index within it
-	start int // window start for the current transaction
-	phase int
-	done  bool
-}
-
-func (s *sweepStream) Next() (sim.Op, bool) {
-	if s.done || s.i >= s.txns {
-		return sim.Op{}, false
-	}
-	switch s.phase {
-	case sweepPhaseBegin:
-		s.start = s.rng.Intn(s.lines)
-		return sim.Op{Kind: sim.OpTxBegin}, true
-	case sweepPhaseStore:
-		line := (s.start + s.k) % s.lines
-		wordIdx := s.rng.Intn(mem.WordsPerLine)
-		addr := s.base + mem.Addr(line*mem.LineSize+wordIdx*mem.WordSize)
-		return sim.Op{Kind: sim.OpStore, Addr: addr, Data: mem.Word(s.i*s.words+s.k) + 1}, true
-	default:
-		return sim.Op{Kind: sim.OpTxEnd}, true
-	}
-}
-
-func (s *sweepStream) Deliver(r sim.Result) {
-	if r.Latency < 0 {
-		s.done = true
-		return
-	}
-	switch s.phase {
-	case sweepPhaseBegin:
-		s.k, s.phase = 0, sweepPhaseStore
-	case sweepPhaseStore:
-		if s.k++; s.k == s.words {
-			s.phase = sweepPhaseEnd
-		}
-	default:
-		s.i++
-		s.phase = sweepPhaseBegin
-	}
+	})
 }
