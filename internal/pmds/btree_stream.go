@@ -14,8 +14,9 @@ import (
 // Insert/splitChild/insertNonFull operation for operation — every Load
 // and Store below corresponds to one Accessor call in btree.go, in the
 // same order, so the op sequence (and therefore every simulated result)
-// is bit-identical to running BTree.Insert through a transport. Keep the
-// two in sync when changing either.
+// is bit-identical to running BTree.Insert on sim.NewProgramStream. Keep
+// the two in sync when changing either; the workload package's
+// TestStateMachinesMatchReferenceLoops drives them side by side.
 
 // btreeInsertStream states. Each state either emits exactly one op (its
 // successor state consumes the delivered value) or computes and falls
