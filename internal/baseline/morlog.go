@@ -27,6 +27,7 @@ type MorLog struct {
 	txid []uint16
 
 	logs, merged, spilled int64
+	spill                 [1]logging.Entry // staging-overflow scratch
 }
 
 var _ logging.Design = (*MorLog)(nil)
@@ -70,7 +71,7 @@ func (m *MorLog) Store(core int, addr mem.Addr, old, new mem.Word, now sim.Cycle
 	if buf.Full() {
 		// Staging overflow: spill the oldest entry to the log region in
 		// the background to make room.
-		m.flushEntries(core, now, buf.EvictOldest(1), false)
+		m.flushEntries(core, now, buf.EvictOldest(m.spill[:0], 1), false)
 		m.spilled++
 	}
 	buf.Append(e)

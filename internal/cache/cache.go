@@ -41,23 +41,35 @@ func DefaultHierarchyConfig() HierarchyConfig {
 	}
 }
 
+// line is one way's record: the data and dirty flag of the line the way
+// holds. The address is the way's tag, so the record does not repeat it.
 type line struct {
-	addr  mem.Addr // line-aligned tag
-	lru   int64
 	data  [mem.LineSize]byte // held inline: no per-fill allocation
 	dirty bool
 }
+
+// Line records live in fixed pages of linePageSize records (~16 KB). A
+// way is bound to a record the first time it is filled and keeps it for
+// good, so a cache allocates record storage only for the ways a run
+// actually fills — a TPCC run touches a few thousand of the L3's 128 k.
+const (
+	linePageBits = 8
+	linePageSize = 1 << linePageBits
+)
 
 // invalidTag marks an empty way in the tag array. It is not line-aligned,
 // so no real line address can collide with it.
 const invalidTag = ^mem.Addr(0)
 
-// Cache is one set-associative level. Tags live in their own dense array
-// (mirroring arr) so the per-access way scan reads one contiguous run of
-// words instead of striding across the full line records. The tag array
-// is also the sole validity record — a line record is only read when its
-// tag matches — so whole-cache invalidation touches 8 bytes per line, not
-// the 88-byte record.
+// Cache is one set-associative level. Per-way state is dense: the tags,
+// the LRU stamps and the record refs are three parallel arrays, so a
+// lookup scans one contiguous run of tags and a victim scan reads only
+// tags and stamps. The tag array is the sole validity record — a way's
+// stamp and record are only read while its tag is valid — so whole-cache
+// invalidation touches 8 bytes per line and leaves records bound. A
+// level builds its arrays on its first fill, so a cache never filled
+// (the L3 of most runs shorter than its capacity) costs nothing; until
+// then it scans a shared all-invalid tag array and every lookup misses.
 //
 // Invalidation is sparse: insert notes every way it moves from invalid
 // to valid, and reset clears only those ways. A torture-fleet campaign
@@ -68,11 +80,9 @@ type Cache struct {
 	sets    int
 	setMask int // sets-1 when sets is a power of two (the usual case), else -1
 	ways    int
-	arr     []line     // sets*ways, row-major by set; stale unless tag valid
-	tags    []mem.Addr // arr[i].addr, or invalidTag for an empty way
-	filled  []int32    // ways filled since the last reset; len == cap means sweep
-	pooled  *cacheArrays
-	tick    int64
+	cacheArrays
+	pooled *cacheArrays
+	tick   int64
 
 	Hits, Misses int64
 }
@@ -83,34 +93,55 @@ type Cache struct {
 // scattered stores by then).
 const sparseResetDiv = 8
 
-// cacheArrays bundles one level's line records, tag array and filled-way
-// list so they recycle together. Because validity lives solely in the
-// tag array, recycled records may carry stale contents — they are
-// unreachable until an insert overwrites them. A pooled cacheArrays is
-// clean when returned, not when taken: Release resets the tags (and
-// empties the list) before the put, so NewCache takes it as is.
+// cacheArrays is one level's per-way state and record pages, recycled
+// together. Until the level's first fill only tags is set, to the shared
+// all-invalid array. Because validity lives solely in the tag array,
+// recycled stamps and records may carry stale contents — they are
+// unreachable until an insert overwrites them — and every way keeps the
+// record it was bound to. A pooled cacheArrays is clean when returned,
+// not when taken: Release resets the tags (and empties the list) before
+// the put, so NewCache takes it as is.
 type cacheArrays struct {
-	arr    []line
-	tags   []mem.Addr
-	filled []int32
+	tags   []mem.Addr // line address per way, or invalidTag for an empty way
+	lru    []int64    // last-use stamp per way; stale unless tag valid
+	refs   []int32    // record per way: index + 1 into pages; 0 = never filled
+	pages  []*[linePageSize]line
+	bound  int32   // records bound: refs 1..bound
+	filled []int32 // ways filled since the last reset; len == cap means sweep
 }
 
-// arrPools recycles cacheArrays by line count. Short-lived machines (the
+// arrPools recycles cacheArrays by way count. Short-lived machines (the
 // torture fleet builds thousands per sweep) otherwise spend more time
-// zeroing fresh multi-megabyte L3 record arrays than simulating.
-var arrPools sync.Map // line count -> *sync.Pool
+// building fresh arrays than simulating.
+var arrPools sync.Map // way count -> *sync.Pool
 
 func getArrays(n int) *cacheArrays {
 	p, ok := arrPools.Load(n)
 	if !ok {
-		p, _ = arrPools.LoadOrStore(n, &sync.Pool{New: func() any {
-			a := &cacheArrays{arr: make([]line, n), tags: make([]mem.Addr, n),
-				filled: make([]int32, 0, n/sparseResetDiv)}
-			fillInvalid(a.tags)
-			return a
-		}})
+		// Never-filled caches of this geometry share one all-invalid tag
+		// array, so a lookup scans it like any other and misses. It is
+		// never written: alloc replaces it before the first fill, and
+		// reset skips a cache that has none of its own.
+		invalid := make([]mem.Addr, n)
+		fillInvalid(invalid)
+		p, _ = arrPools.LoadOrStore(n, newArrPool(invalid))
 	}
 	return p.(*sync.Pool).Get().(*cacheArrays)
+}
+
+// newArrPool returns a pool whose new arrays are never filled, their
+// tags the shared all-invalid array.
+func newArrPool(invalid []mem.Addr) *sync.Pool {
+	return &sync.Pool{New: func() any { return &cacheArrays{tags: invalid} }}
+}
+
+// alloc builds the per-way arrays of a cache with n ways in all,
+// replacing the shared all-invalid tags.
+func (a *cacheArrays) alloc(n int) {
+	a.tags, a.lru, a.refs = make([]mem.Addr, n), make([]int64, n), make([]int32, n)
+	a.pages = make([]*[linePageSize]line, 0, (n+linePageSize-1)/linePageSize)
+	a.filled = make([]int32, 0, n/sparseResetDiv)
+	fillInvalid(a.tags)
 }
 
 // fillInvalid resets a tag array to all-empty. The doubling copy runs at
@@ -137,26 +168,30 @@ func NewCache(cfg Config) *Cache {
 	}
 	a := getArrays(sets * cfg.Ways)
 	return &Cache{cfg: cfg, sets: sets, setMask: mask, ways: cfg.Ways,
-		arr: a.arr, tags: a.tags, filled: a.filled, pooled: a}
+		cacheArrays: *a, pooled: a}
 }
 
-// Release resets the cache and returns its arrays to the pool, so pooled
-// arrays are always clean. The cache must not be used afterwards.
+// Release resets the cache and returns its arrays, records still bound,
+// to the pool, so pooled arrays are always clean. The cache must not be
+// used afterwards.
 func (c *Cache) Release() {
 	if c.pooled == nil {
 		return
 	}
 	c.reset()
-	c.pooled.filled = c.filled
-	if p, ok := arrPools.Load(len(c.pooled.arr)); ok {
+	*c.pooled = c.cacheArrays
+	if p, ok := arrPools.Load(c.sets * c.ways); ok {
 		p.(*sync.Pool).Put(c.pooled)
 	}
-	c.pooled, c.arr, c.tags, c.filled = nil, nil, nil, nil
+	c.pooled, c.cacheArrays = nil, cacheArrays{}
 }
 
 // reset invalidates every way: only the ways noted as filled, or the
 // whole tag array once the note list overflowed.
 func (c *Cache) reset() {
+	if c.lru == nil {
+		return // never filled: the tags are the shared all-invalid array
+	}
 	if len(c.filled) == cap(c.filled) {
 		fillInvalid(c.tags)
 	} else {
@@ -175,15 +210,28 @@ func (c *Cache) setBase(addr mem.Addr) int {
 	return int(idx%uint64(c.sets)) * c.ways
 }
 
-// lookup returns the way holding addr's line, or nil.
-func (c *Cache) lookup(addr mem.Addr) *line {
-	la := addr.Line()
+// find returns the index of the way holding la's line, or -1.
+func (c *Cache) find(la mem.Addr) int {
 	base := c.setBase(la)
 	tags := c.tags[base : base+c.ways]
 	for i := range tags {
 		if tags[i] == la {
-			return &c.arr[base+i]
+			return base + i
 		}
+	}
+	return -1
+}
+
+// rec returns way w's record. The way must hold a valid line.
+func (c *Cache) rec(w int) *line {
+	r := c.refs[w] - 1
+	return &c.pages[r>>linePageBits][r&(linePageSize-1)]
+}
+
+// lookup returns the record of the way holding addr's line, or nil.
+func (c *Cache) lookup(addr mem.Addr) *line {
+	if w := c.find(addr.Line()); w >= 0 {
+		return c.rec(w)
 	}
 	return nil
 }
@@ -198,46 +246,64 @@ type Evicted struct {
 // insert places data for la, returning the resident line and the victim
 // if a valid line was displaced.
 func (c *Cache) insert(la mem.Addr, data *[mem.LineSize]byte, dirty bool) (*line, Evicted, bool) {
+	if c.lru == nil {
+		c.alloc(c.sets * c.ways)
+	}
 	base := c.setBase(la)
-	set := c.arr[base : base+c.ways]
 	tags := c.tags[base : base+c.ways]
+	lru := c.lru[base : base+c.ways]
 	vi := 0
 	for i := range tags {
 		if tags[i] == invalidTag {
 			vi = i
 			break
 		}
-		if set[i].lru < set[vi].lru {
+		if lru[i] < lru[vi] {
 			vi = i
 		}
 	}
-	victim := &set[vi]
-	var ev Evicted
+	w := base + vi
 	had := tags[vi] != invalidTag
-	if had {
-		ev = Evicted{Addr: victim.addr, Data: victim.data, Dirty: victim.dirty}
-	} else if len(c.filled) < cap(c.filled) {
-		c.filled = append(c.filled, int32(base+vi))
-	}
-	c.tick++
-	victim.addr, victim.lru, victim.data, victim.dirty = la, c.tick, *data, dirty
-	tags[vi] = la
-	return victim, ev, had
-}
-
-// remove invalidates la, returning its contents.
-func (c *Cache) remove(la mem.Addr) (Evicted, bool) {
-	base := c.setBase(la)
-	tags := c.tags[base : base+c.ways]
-	for i := range tags {
-		if tags[i] == la {
-			l := &c.arr[base+i]
-			ev := Evicted{Addr: l.addr, Data: l.data, Dirty: l.dirty}
-			tags[i] = invalidTag // record left stale; never read while invalid
-			return ev, true
+	if !had {
+		if c.refs[w] == 0 {
+			c.bind(w)
+		}
+		if len(c.filled) < cap(c.filled) {
+			c.filled = append(c.filled, int32(w))
 		}
 	}
-	return Evicted{}, false
+	l := c.rec(w)
+	var ev Evicted
+	if had {
+		ev = Evicted{Addr: tags[vi], Data: l.data, Dirty: l.dirty}
+	}
+	c.tick++
+	l.data, l.dirty = *data, dirty
+	lru[vi] = c.tick
+	tags[vi] = la
+	return l, ev, had
+}
+
+// bind gives way w, never filled before, the next free record, adding a
+// page when the last one is full.
+func (c *Cache) bind(w int) {
+	if c.bound&(linePageSize-1) == 0 {
+		c.pages = append(c.pages, new([linePageSize]line))
+	}
+	c.bound++
+	c.refs[w] = c.bound
+}
+
+// remove invalidates la's way and returns its record, or nil if la is
+// not cached. The record stays bound to the way, so it reads back
+// unchanged until the next insert into this cache.
+func (c *Cache) remove(la mem.Addr) *line {
+	w := c.find(la)
+	if w < 0 {
+		return nil
+	}
+	c.tags[w] = invalidTag
+	return c.rec(w)
 }
 
 // FillFn reads a line's bytes from memory at time now, returning data and
@@ -283,32 +349,37 @@ func (h *Hierarchy) L2(i int) *Cache { return h.l2[i] }
 func (h *Hierarchy) L3() *Cache { return h.l3 }
 
 // access brings addr's line into core's L1 and returns a pointer to the
-// resident line plus the access latency.
+// resident line plus the access latency. The miss path is a separate
+// function so the hit path keeps a small frame.
 func (h *Hierarchy) access(core int, addr mem.Addr, now sim.Cycle) (*line, sim.Cycle) {
-	l1, l2 := h.l1[core], h.l2[core]
-	if l := l1.lookup(addr); l != nil {
+	l1 := h.l1[core]
+	la := addr.Line()
+	if w := l1.find(la); w >= 0 {
 		l1.Hits++
 		l1.tick++
-		l.lru = l1.tick
-		return l, h.cfg.L1.Latency
+		l1.lru[w] = l1.tick
+		return l1.rec(w), h.cfg.L1.Latency
 	}
+	return h.miss(core, la, now)
+}
+
+// miss fills la into core's L1 from L2, L3 or memory.
+func (h *Hierarchy) miss(core int, la mem.Addr, now sim.Cycle) (*line, sim.Cycle) {
+	l1, l2 := h.l1[core], h.l2[core]
 	l1.Misses++
-	la := addr.Line()
 
 	var data [mem.LineSize]byte
 	var dirty bool
 	lat := h.cfg.L1.Latency + h.cfg.L2.Latency
-	if l := l2.lookup(la); l != nil {
+	if l := l2.remove(la); l != nil { // promote exclusively into L1
 		l2.Hits++
 		data, dirty = l.data, l.dirty
-		l2.remove(la) // promote exclusively into L1
 	} else {
 		l2.Misses++
 		lat += h.cfg.L3.Latency
-		if l := h.l3.lookup(la); l != nil {
+		if l := h.l3.remove(la); l != nil {
 			h.l3.Hits++
 			data, dirty = l.data, l.dirty
-			h.l3.remove(la)
 		} else {
 			h.l3.Misses++
 			var fillLat sim.Cycle
@@ -431,11 +502,13 @@ func (h *Hierarchy) DirtyLine(core int, la mem.Addr) ([mem.LineSize]byte, bool) 
 func (h *Hierarchy) ForceWriteBackAll(now sim.Cycle) int {
 	n := 0
 	flush := func(c *Cache) {
-		for i := range c.arr {
-			l := &c.arr[i]
-			if c.tags[i] != invalidTag && l.dirty {
+		for w, tag := range c.tags {
+			if tag == invalidTag {
+				continue
+			}
+			if l := c.rec(w); l.dirty {
 				h.Writebacks++
-				h.writeback(now, l.addr, l.data)
+				h.writeback(now, tag, l.data)
 				l.dirty = false
 				n++
 			}
@@ -450,8 +523,8 @@ func (h *Hierarchy) ForceWriteBackAll(now sim.Cycle) int {
 }
 
 // InvalidateAll drops every line — the volatile caches at a crash.
-// Only the filled tags are reset; the stale line records are unreachable
-// once their tags are invalid.
+// Only the filled tags are reset; the stale stamps and line records stay
+// bound to their ways, unreachable while the tags are invalid.
 func (h *Hierarchy) InvalidateAll() {
 	for i := range h.l1 {
 		h.l1[i].reset()

@@ -83,6 +83,11 @@ type Silo struct {
 	runScratch []wordKV
 	runs       []wordRun
 	runBytes   []byte
+
+	// Overflow-path scratch: the evicted batch and its undo images.
+	// Region.Append keeps neither slice.
+	evicted []logging.Entry
+	images  []logging.Image
 }
 
 var _ logging.Design = (*Silo)(nil)
@@ -203,8 +208,8 @@ func (s *Silo) overflow(core int, now sim.Cycle) {
 	if s.opts.SingleEntryOverflow {
 		n = 1
 	}
-	evicted := st.buf.EvictOldest(n)
-	images := make([]logging.Image, 0, len(evicted))
+	evicted := st.buf.EvictOldest(s.evicted[:0], n)
+	images := s.images[:0]
 	for _, e := range evicted {
 		if !e.FlushBit {
 			var b [mem.WordSize]byte
@@ -215,6 +220,7 @@ func (s *Silo) overflow(core int, now sim.Cycle) {
 		images = append(images, e.UndoImage())
 	}
 	s.env.Region.Append(now, core, images)
+	s.evicted, s.images = evicted, images
 	st.overflowed = true
 	s.overflows++
 	s.tel.LogOverflow(core, now, len(evicted))

@@ -96,16 +96,16 @@ func (b *Buffer) Push(e Entry) {
 	b.entries = append(b.entries, e)
 }
 
-// EvictOldest removes and returns up to n entries in FIFO order — the
-// batched overflow eviction of §III-F.
-func (b *Buffer) EvictOldest(n int) []Entry {
+// EvictOldest removes up to n entries in FIFO order — the batched
+// overflow eviction of §III-F — and returns them appended to dst, storage
+// the caller owns (pass dst[:0] to reuse it).
+func (b *Buffer) EvictOldest(dst []Entry, n int) []Entry {
 	if n > len(b.entries) {
 		n = len(b.entries)
 	}
-	out := make([]Entry, n)
-	copy(out, b.entries[:n])
+	dst = append(dst, b.entries[:n]...)
 	b.entries = append(b.entries[:0], b.entries[n:]...)
-	return out
+	return dst
 }
 
 // Entries returns the live entries in FIFO order (shared backing array;

@@ -147,15 +147,20 @@ func TestBufferCapacityAndEvict(t *testing.T) {
 	if !b.Full() {
 		t.Fatal("buffer should be full")
 	}
-	ev := b.EvictOldest(2)
-	if len(ev) != 2 || ev[0].Addr != 0 || ev[1].Addr != 8 {
-		t.Errorf("evicted %v, want oldest two", ev)
+	scratch := make([]Entry, 1, 4)
+	scratch[0].Addr = 99
+	ev := b.EvictOldest(scratch, 2)
+	if len(ev) != 3 || ev[0].Addr != 99 || ev[1].Addr != 0 || ev[2].Addr != 8 {
+		t.Errorf("evicted %v, want oldest two appended after the caller's entry", ev)
+	}
+	if &ev[0] != &scratch[0] {
+		t.Error("EvictOldest reallocated caller storage with room to spare")
 	}
 	if b.Len() != 1 || b.Entries()[0].Addr != 16 {
 		t.Errorf("remaining entry wrong")
 	}
 	// Evicting more than available returns what exists.
-	if got := b.EvictOldest(10); len(got) != 1 {
+	if got := b.EvictOldest(nil, 10); len(got) != 1 {
 		t.Errorf("over-evict returned %d entries", len(got))
 	}
 }

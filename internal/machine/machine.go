@@ -265,12 +265,12 @@ func (m *Machine) Commits() int64 { return m.commits }
 func (m *Machine) Crashed() bool { return m.engine != nil && m.engine.Crashed() }
 
 // Release returns the machine's pooled resources for reuse by the next
-// machine: always the cache hierarchy's line and tag arrays, and — when
-// the machine was built with a Recycler — the PM device tables, the
-// golden-shadow table, and the pending-write tables too (reset in place,
-// not reallocated). The machine must not be used afterwards. Callers
-// that drop a machine without Release just fall back to the garbage
-// collector.
+// machine: always the cache hierarchy's per-way arrays and line records,
+// and — when the machine was built with a Recycler — the PM device
+// tables, the golden-shadow table, and the pending-write tables too
+// (reset in place, not reallocated). The machine must not be used
+// afterwards. Callers that drop a machine without Release just fall back
+// to the garbage collector.
 func (m *Machine) Release() {
 	m.hier.Release()
 	r := m.cfg.Recycle

@@ -10,8 +10,9 @@ import (
 // media/buffer tables, the golden-shadow table, and the per-core pending
 // write tables — across machine lifetimes, so a fleet worker running
 // thousands of short campaigns stops paying the table-regrowth and GC
-// cost of building each machine from scratch. (Cache line/tag arrays are
-// pooled globally by package cache, under the same rule below.)
+// cost of building each machine from scratch. (Cache per-way arrays and
+// line records are pooled globally by package cache, under the same rule
+// below.)
 //
 // A pooled part is clean when returned, not when taken: the put path
 // resets it to a state observationally identical to a freshly
