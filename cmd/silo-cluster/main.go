@@ -16,9 +16,13 @@
 //
 // Sweep mode (resumable fleet; default):
 //
-//	silo-cluster -seed 1 -campaigns 1000 -out cluster.jsonl
+//	silo-cluster -seed 1 -campaigns 1000 -out cluster.srs
 //	# ... SIGINT drains the fleet ...
-//	silo-cluster -seed 1 -campaigns 1000 -out cluster.jsonl -resume cluster.jsonl
+//	silo-cluster -seed 1 -campaigns 1000 -out cluster.srs -resume cluster.srs
+//
+// The checkpoint is an SRS1 result store, the same as silo-torture's:
+// summarize it with silo-report -torture, export it as JSON lines with
+// silo-report -jsonl.
 //
 // Exit codes: 0 clean; 1 durability violated (shadow divergence);
 // 2 configuration error; 3 infra-only failures; 130 interrupted.
@@ -61,8 +65,8 @@ func main() {
 		designs   = flag.String("designs", strings.Join(harness.DesignNames(), ","), "comma-separated designs for the sweep")
 		shrink    = flag.Bool("shrink", true, "shrink failing campaigns to minimal reproducers")
 		audit     = flag.Bool("audit", true, "runtime invariant auditor inside every node")
-		out       = flag.String("out", "", "record every completed campaign to this file (.srs = binary result store, else JSONL)")
-		resume    = flag.String("resume", "", "checkpoint from a previous run (.srs or JSONL); completed campaigns are not re-executed")
+		out       = flag.String("out", "", "record every completed campaign to this SRS1 result store")
+		resume    = flag.String("resume", "", "checkpoint store from a previous run; completed campaigns are not re-executed")
 		wall      = flag.Duration("wall", 2*time.Minute, "per-campaign wall-clock watchdog (0 disables)")
 		retries   = flag.Int("retries", 2, "retries for infra failures")
 		parallel  = flag.Int("parallel", 0, "concurrent campaigns (0 = GOMAXPROCS)")
@@ -331,7 +335,7 @@ func sweepMode(f sweepFlags) int {
 	}
 
 	if f.resume != "" {
-		// Load before the sink opens: a .srs sink truncates the temp
+		// Load before the sink opens: the sink truncates the temp
 		// segment the resume records may live in.
 		recs, err := harness.LoadRecords(f.resume)
 		if err != nil {

@@ -8,30 +8,34 @@
 //	silo-report -txns 1250 -o report.md
 //
 // With -torture it instead summarizes a torture/cluster sweep
-// checkpoint (as written by silo-torture/silo-cluster -out), JSONL or
-// binary .srs store by extension. The loader is strict: an empty
-// stream or a corrupt record mid-file is a clear error and a nonzero
-// exit; only an interrupted writer's artifact — a torn final JSONL
-// line, or a store's recoverable sealed prefix — is tolerated, and
+// checkpoint: the SRS1 result store silo-torture or silo-cluster -out
+// wrote. The store is opened read-only via mmap and summarized from
+// its fixed-size index rows alone. The loader is strict: a missing,
+// empty or damaged store, or a file that is not a store at all, is a
+// clear error and a nonzero exit; only an interrupted writer's
+// artifact — the store's recoverable sealed prefix — is tolerated, and
 // called out:
 //
-//	silo-report -torture sweep.jsonl
 //	silo-report -torture sweep.srs
 //
-// A .srs store is opened read-only via mmap and summarized from its
-// fixed-size index rows alone; -design/-workload/-failed-only switch
-// to a query listing, still without deserializing any payload:
+// -design/-workload/-failed-only switch to a query listing, still
+// without deserializing any payload:
 //
 //	silo-report -torture sweep.srs -design Silo -failed-only
 //
-// -convert migrates an existing JSONL checkpoint into a store (the
-// output path is the positional argument, default the input with a
-// .srs extension); summaries over either format are byte-identical:
+// JSONL is an export and an import, never a checkpoint. -jsonl writes
+// every record of a sealed store to stdout, one JSON line each in
+// append order; -convert imports a JSONL checkpoint (the format older
+// sweeps wrote) into a store, with the output path as the positional
+// argument (default: the input with a .srs extension). The round trip
+// reproduces both the lines and the summary byte for byte:
 //
-//	silo-report -convert sweep.jsonl sweep.srs
+//	silo-report -jsonl sweep.srs > sweep.jsonl
+//	silo-report -convert sweep.jsonl back.srs
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -52,15 +56,16 @@ func main() {
 		txns    = flag.Int("txns", 600, "transactions per core (grid) / total (others)")
 		seed    = flag.Int64("seed", 42, "simulation seed")
 		out     = flag.String("o", "", "output file (default stdout)")
-		torture = flag.String("torture", "", "summarize this torture/cluster checkpoint (.srs store or JSONL) instead of running the suite")
-		convert = flag.String("convert", "", "convert this JSONL checkpoint to a binary .srs store (output = positional arg, default input with .srs)")
+		torture = flag.String("torture", "", "summarize this torture/cluster checkpoint store instead of running the suite")
+		convert = flag.String("convert", "", "import this JSONL checkpoint into a store (output = positional arg, default input with .srs)")
+		jsonl   = flag.String("jsonl", "", "export every record of this sealed store to stdout as JSON lines, in append order")
 
-		design     = flag.String("design", "", "with -torture on a .srs store: list only campaigns of this design")
-		workload   = flag.String("workload", "", "with -torture on a .srs store: list only campaigns of this workload")
-		failedOnly = flag.Bool("failed-only", false, "with -torture on a .srs store: list only campaigns with a durability failure")
+		design     = flag.String("design", "", "with -torture: list only campaigns of this design")
+		workload   = flag.String("workload", "", "with -torture: list only campaigns of this workload")
+		failedOnly = flag.Bool("failed-only", false, "with -torture: list only campaigns with a durability failure")
 
-		merge  = flag.String("merge", "", "merge/compact the positional .srs stores into this store (latest record per campaign index wins, ascending index order)")
-		pareto = flag.Bool("pareto", false, "render the Pareto frontier of the positional explorer checkpoints (.srs or JSONL; see silo-explore)")
+		merge  = flag.String("merge", "", "merge/compact the positional stores into this store (latest record per campaign index wins, ascending index order)")
+		pareto = flag.Bool("pareto", false, "render the Pareto frontier of the positional explorer checkpoint stores (see silo-explore)")
 	)
 	showVersion := buildinfo.Flag()
 	flag.Parse()
@@ -68,6 +73,9 @@ func main() {
 
 	if *convert != "" {
 		os.Exit(convertMode(*convert, flag.Arg(0)))
+	}
+	if *jsonl != "" {
+		os.Exit(jsonlMode(*jsonl))
 	}
 	if *merge != "" {
 		os.Exit(mergeMode(*merge, flag.Args()))
@@ -80,7 +88,7 @@ func main() {
 		os.Exit(tortureReport(*torture, filter))
 	}
 	if *design != "" || *workload != "" || *failedOnly {
-		fmt.Fprintln(os.Stderr, "silo-report: -design/-workload/-failed-only require -torture with a .srs store")
+		fmt.Fprintln(os.Stderr, "silo-report: -design/-workload/-failed-only require -torture")
 		os.Exit(2)
 	}
 
@@ -176,19 +184,18 @@ func main() {
 	fmt.Fprintln(w, "\n---\nAll tables regenerated from live simulation; see EXPERIMENTS.md for the paper-vs-measured analysis.")
 }
 
-// tortureReport summarizes a checkpoint — JSONL stream or .srs binary
-// store by extension. Exit codes: 0 a readable checkpoint with zero
-// durability failures; 1 failures on record, or the checkpoint is
-// unreadable (missing, empty, or corrupt mid-file). A non-zero Filter
-// switches to the index-only query listing (stores only).
+// tortureReport summarizes a checkpoint store. Exit codes: 0 a
+// readable store with zero durability failures; 1 failures on record,
+// or the store is unreadable (missing, empty, damaged, or not a store).
+// A non-zero Filter switches to the index-only query listing.
 func tortureReport(path string, filter resultstore.Filter) int {
 	if filter != (resultstore.Filter{}) {
 		return queryStore(path, filter)
 	}
-	s, err := harness.SummarizeCheckpoint(path)
+	s, err := harness.SummarizeStore(path)
 	if err != nil {
 		// Store-layer errors already name the file; only prefix the
-		// path for loaders (JSONL) whose errors don't.
+		// path for those that don't.
 		msg := err.Error()
 		if !strings.Contains(msg, path) {
 			msg = path + ": " + msg
@@ -208,15 +215,14 @@ func tortureReport(path string, filter resultstore.Filter) int {
 // fixed-size index rows alone — no payload is ever deserialized, so a
 // filtered listing over a 100k-campaign store touches only the mmap'd
 // index section. Exit codes: 0 listed (even zero matches); 1 the store
-// is unreadable; 2 the path is not a .srs store.
+// is unreadable or the file is not a store.
 func queryStore(path string, filter resultstore.Filter) int {
-	if !harness.IsStorePath(path) {
-		fmt.Fprintf(os.Stderr, "silo-report: %s: -design/-workload/-failed-only need a .srs store (convert JSONL first: silo-report -convert %s)\n", path, path)
-		return 2
-	}
 	st, err := resultstore.Open(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "silo-report:", err)
+		if errors.Is(err, resultstore.ErrNotStore) {
+			fmt.Fprintf(os.Stderr, "silo-report: to use a JSONL checkpoint, convert it first: silo-report -convert %s\n", path)
+		}
 		return 1
 	}
 	defer st.Close()
@@ -248,17 +254,12 @@ func queryStore(path string, filter resultstore.Filter) int {
 	return 0
 }
 
-// convertMode migrates a JSONL checkpoint to a binary store. The
-// output path defaults to the input with a .srs extension. Exit codes:
-// 0 converted; 1 the input is unreadable or the write failed; 2 bad
-// arguments.
+// convertMode imports a JSONL checkpoint into a store. The output path
+// defaults to the input with a .srs extension. Exit codes: 0
+// converted; 1 the input is unreadable or the write failed.
 func convertMode(in, out string) int {
 	if out == "" {
 		out = strings.TrimSuffix(in, ".jsonl") + ".srs"
-	}
-	if !harness.IsStorePath(out) {
-		fmt.Fprintf(os.Stderr, "silo-report: -convert output %q must have a .srs extension\n", out)
-		return 2
 	}
 	f, err := os.Open(in)
 	if err != nil {
@@ -266,7 +267,7 @@ func convertMode(in, out string) int {
 		return 1
 	}
 	defer f.Close()
-	n, tornTail, err := harness.ConvertJSONL(f, out)
+	n, tornTail, err := convertJSONL(f, out)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "silo-report: convert %s: %v\n", in, err)
 		return 1
@@ -278,13 +279,19 @@ func convertMode(in, out string) int {
 	return 0
 }
 
+// jsonlMode exports a sealed store as JSON lines on stdout. Exit
+// codes: 0 exported; 1 the store is unreadable.
+func jsonlMode(path string) int {
+	if err := exportJSONL(os.Stdout, path); err != nil {
+		fmt.Fprintln(os.Stderr, "silo-report:", err)
+		return 1
+	}
+	return 0
+}
+
 // mergeMode folds the source stores into one compacted store (see
 // harness.MergeStores): silo-report -merge merged.srs shard-0.srs ...
 func mergeMode(out string, srcs []string) int {
-	if !harness.IsStorePath(out) {
-		fmt.Fprintf(os.Stderr, "silo-report: -merge output %q must have a .srs extension\n", out)
-		return 2
-	}
 	if len(srcs) == 0 {
 		fmt.Fprintln(os.Stderr, "silo-report: -merge needs at least one source store as a positional argument")
 		return 2
@@ -302,14 +309,14 @@ func mergeMode(out string, srcs []string) int {
 // frontier (throughput vs media writes vs crash-flush energy).
 func paretoMode(paths []string) int {
 	if len(paths) == 0 {
-		fmt.Fprintln(os.Stderr, "silo-report: -pareto needs at least one explorer checkpoint as a positional argument")
+		fmt.Fprintln(os.Stderr, "silo-report: -pareto needs at least one explorer checkpoint store as a positional argument")
 		return 2
 	}
 	byIndex := make(map[int]harness.Record)
 	for _, p := range paths {
 		recs, err := harness.LoadRecords(p)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "silo-report: %s: %v\n", p, err)
+			fmt.Fprintln(os.Stderr, "silo-report:", err) // names the file
 			return 1
 		}
 		for i, r := range recs {

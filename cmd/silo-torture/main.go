@@ -9,17 +9,18 @@
 //
 // Sweep mode (resumable fleet):
 //
-//	silo-torture -seed 1 -campaigns 5000 -out sweep.jsonl
+//	silo-torture -seed 1 -campaigns 5000 -out sweep.srs
 //	# ... SIGINT drains the fleet and prints the resume command ...
-//	silo-torture -seed 1 -campaigns 5000 -out sweep.jsonl -resume sweep.jsonl
+//	silo-torture -seed 1 -campaigns 5000 -out sweep.srs -resume sweep.srs
 //
-// The checkpoint format follows the -out extension: .srs selects the
-// mmap-scannable binary result store (internal/resultstore; query it
-// with silo-report -torture), anything else the JSONL stream. A store
-// streams into <out>.tmp and is sealed + atomically renamed on exit;
-// a killed fleet leaves the temp segment, and -resume <out>.srs
-// recovers its sealed prefix byte-exactly. With -telemetry-dir set,
-// failing campaigns' Chrome traces are also embedded into the store,
+// The checkpoint is always the mmap-scannable SRS1 result store
+// (internal/resultstore; query it with silo-report -torture, export it
+// as JSON lines with silo-report -jsonl). It streams into <out>.tmp
+// and is sealed + atomically renamed on exit; a killed fleet leaves
+// the temp segment, and -resume <out> recovers its sealed prefix
+// byte-exactly. A JSONL checkpoint from an older sweep is refused with
+// a pointer to silo-report -convert. With -telemetry-dir set, failing
+// campaigns' Chrome traces are also embedded into the store,
 // compressed, next to their records.
 //
 // Repro mode (replay one schedule, e.g. from a failure's repro line):
@@ -69,8 +70,8 @@ func main() {
 		planStr   = flag.String("plan", "", "replay exactly this crash schedule instead of deriving one per campaign")
 
 		audit     = flag.Bool("audit", true, "runtime invariant auditor inside every campaign")
-		out       = flag.String("out", "", "record every completed campaign to this file (.srs = binary result store, else JSONL)")
-		resume    = flag.String("resume", "", "checkpoint from a previous run (.srs or JSONL); completed campaign indices are not re-executed")
+		out       = flag.String("out", "", "record every completed campaign to this SRS1 result store")
+		resume    = flag.String("resume", "", "checkpoint store from a previous run; completed campaign indices are not re-executed")
 		wall      = flag.Duration("wall", 2*time.Minute, "per-campaign wall-clock watchdog (0 disables)")
 		maxCycles = flag.Int64("maxcycles", 1<<31, "per-campaign sim-cycle watchdog (0 disables)")
 		retries   = flag.Int("retries", 2, "retries for infra failures (watchdog kills, host flakes)")
@@ -95,7 +96,7 @@ func main() {
 	// exit seals the checkpoint sink and flushes the profiles before
 	// terminating: os.Exit skips deferred functions, so every exit path
 	// below must go through it. Sealing even on a drained interrupt
-	// means a .srs store is always published valid; only a hard kill
+	// means the store is always published valid; only a hard kill
 	// leaves the (recoverable) temp segment.
 	var sink *harness.CheckpointSink
 	exit := func(code int) {
@@ -158,7 +159,7 @@ func main() {
 	}
 
 	if *resume != "" {
-		// Must happen before the sink opens: a store sink truncates the
+		// Must happen before the sink opens: the sink truncates the
 		// temp segment the resume records may live in.
 		recs, err := harness.LoadRecords(*resume)
 		if err != nil {
@@ -173,8 +174,7 @@ func main() {
 			fatal(err)
 		}
 		sink = s
-		// A store re-emits resumed records so the sealed result is
-		// complete (JSONL keeps its history in the file; no-op there).
+		// Re-emit resumed records so the sealed store is complete.
 		if err := sink.Seed(cfg.Resume); err != nil {
 			fatal(err)
 		}

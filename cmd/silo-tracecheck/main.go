@@ -5,10 +5,12 @@
 // that produces an unloadable timeline fails the build instead of being
 // discovered inside Perfetto weeks later.
 //
-// A .srs argument is a binary result store (silo-torture -out sweep.srs):
-// it is opened read-only via mmap, the index is scanned for campaigns
-// with an embedded trace blob, and each blob is decompressed and
-// validated — no payload record is ever deserialized.
+// An argument that starts with the SRS1 magic is a binary result store
+// (silo-torture -out sweep.srs), whatever its name: it is opened
+// read-only via mmap, the index is scanned for campaigns with an
+// embedded trace blob, and each blob is decompressed and validated —
+// no payload record is ever deserialized. Any other file is read as a
+// Chrome trace.
 //
 // Usage:
 //
@@ -21,13 +23,13 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
 	"silo/internal/buildinfo"
-	"silo/internal/harness"
 	"silo/internal/resultstore"
 	"silo/internal/telemetry"
 )
@@ -46,11 +48,18 @@ func main() {
 	}
 	ok := true
 	for _, path := range flag.Args() {
-		if path != "-" && harness.IsStorePath(path) {
-			if !checkStore(path) {
+		if path != "-" {
+			// The header, not the name, tells a store from a trace.
+			st, err := resultstore.Open(path)
+			switch {
+			case err == nil:
+				ok = checkStore(path, st) && ok
+				continue
+			case !errors.Is(err, resultstore.ErrNotStore):
+				fmt.Fprintln(os.Stderr, "silo-tracecheck:", err)
 				ok = false
+				continue
 			}
-			continue
 		}
 		var r io.Reader
 		name := path
@@ -81,15 +90,11 @@ func main() {
 	}
 }
 
-// checkStore validates every trace blob embedded in a binary result
-// store. The index scan finds the campaigns with traces; only those
-// blobs are decompressed — payload records stay untouched.
-func checkStore(path string) bool {
-	st, err := resultstore.Open(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "silo-tracecheck:", err)
-		return false
-	}
+// checkStore validates every trace blob embedded in an open result
+// store, then closes it. The index scan finds the campaigns with
+// traces; only those blobs are decompressed — payload records stay
+// untouched.
+func checkStore(path string, st *resultstore.Store) bool {
 	defer st.Close()
 	ok, traced := true, 0
 	st.Scan(resultstore.Filter{}, func(i int, r resultstore.Row) bool {

@@ -95,7 +95,7 @@ func (s *shadow) checkGet(key, got, want uint64, node int, now sim.Cycle) {
 // in-flight Puts were rolled back.
 func (s *shadow) checkRecovered(node int, owner func(uint64) int, read func(uint64) uint64, now sim.Cycle) {
 	// Sorted key order keeps divergence reports deterministic (they feed
-	// byte-identical JSONL checkpoints).
+	// byte-identical checkpoint records).
 	keys := make([]uint64, 0, len(s.committed))
 	for key := range s.committed {
 		if owner(key) == node {

@@ -157,8 +157,8 @@ func RunCampaign(c harness.Campaign) harness.CampaignOutcome {
 
 // TortureConfig parameterizes a cluster campaign sweep. It is a thin
 // projection onto harness.TortureConfig: the fleet supplies panic
-// containment, watchdogs, seeded-backoff infra retries, JSONL
-// checkpoint/resume, and shrinking; this package supplies the campaign
+// containment, watchdogs, seeded-backoff infra retries, checkpoint
+// store and resume, and shrinking; this package supplies the campaign
 // executor.
 type TortureConfig struct {
 	Seed      int64

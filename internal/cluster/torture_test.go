@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"bytes"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"silo/internal/harness"
+	"silo/internal/resultstore"
 )
 
 // Scenario must be a pure function of the campaign: the fleet's resume
@@ -53,60 +55,93 @@ func TestClusterTortureSweep(t *testing.T) {
 	}
 }
 
-// An interrupted cluster sweep resumed from its JSONL checkpoint must
-// finish with the byte-identical stream of an uninterrupted run.
-func TestClusterSweepResumeByteIdentical(t *testing.T) {
-	base := TortureConfig{Seed: 31, Campaigns: 6, Nodes: 3, Requests: 120, Parallel: 1}
-
-	runSweep := func(stopAfter int, buf *bytes.Buffer, resume map[int]harness.Record) harness.TortureResult {
-		cfg := base
-		cfg.Resume = resume
-		var stop chan struct{}
+// sweepStore runs cfg into a sealed checkpoint store at path, seeded
+// with cfg.Resume first as silo-cluster does, and stops the sweep after
+// stopAfter fresh records when positive. It returns the result and the
+// store's record stream: its payloads, one per line, in append order.
+func sweepStore(t *testing.T, cfg TortureConfig, path string, stopAfter int) (harness.TortureResult, []byte) {
+	t.Helper()
+	sink, err := harness.OpenCheckpointSink(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Seed(cfg.Resume); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Sink = sink
+	cfg.OnSinkError = func(err error) { t.Error("sink error:", err) }
+	if stopAfter > 0 {
+		stop := make(chan struct{})
 		n := 0
-		if stopAfter > 0 {
-			stop = make(chan struct{})
-			cfg.Stop = stop
-		}
-		cfg.OnRecord = func(r harness.Record) {
-			if err := harness.WriteRecord(buf, r); err != nil {
-				t.Fatal(err)
-			}
-			if n++; stopAfter > 0 && n == stopAfter {
+		cfg.Stop = stop
+		cfg.OnRecord = func(harness.Record) {
+			if n++; n == stopAfter {
 				close(stop)
 			}
 		}
-		res, err := Torture(cfg)
+	}
+	res, err := Torture(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := resultstore.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var stream bytes.Buffer
+	for i := 0; i < st.Count(); i++ {
+		p, err := st.Payload(i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		stream.Write(p)
+		stream.WriteByte('\n')
 	}
+	return res, stream.Bytes()
+}
 
-	var baseline bytes.Buffer
-	full := runSweep(0, &baseline, nil)
-	if !full.Ok() || len(full.Infra) != 0 {
-		t.Fatalf("baseline sweep unclean:\n%s", full.Summary())
-	}
-
-	var interrupted bytes.Buffer
-	part := runSweep(2, &interrupted, nil)
+// interruptAndResume stops a sweep after two records, resumes it from
+// its store into the same path, and returns the resumed result and the
+// final record stream.
+func interruptAndResume(t *testing.T, base TortureConfig, path string) (harness.TortureResult, []byte) {
+	t.Helper()
+	part, _ := sweepStore(t, base, path, 2)
 	if !part.Interrupted {
 		t.Fatal("stop did not interrupt the sweep")
 	}
-	recs, err := harness.ReadRecords(bytes.NewReader(interrupted.Bytes()))
+	recs, err := harness.LoadRecords(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != 2 {
-		t.Fatalf("partial stream has %d records, want 2", len(recs))
+		t.Fatalf("partial store has %d records, want 2", len(recs))
 	}
-	resumed := runSweep(0, &interrupted, recs)
+	cfg := base
+	cfg.Resume = recs
+	resumed, stream := sweepStore(t, cfg, path, 0)
 	if resumed.Interrupted {
 		t.Fatal("resumed sweep still interrupted")
 	}
-	if !bytes.Equal(interrupted.Bytes(), baseline.Bytes()) {
-		t.Errorf("resumed stream differs from baseline:\n%s\nvs\n%s",
-			interrupted.Bytes(), baseline.Bytes())
+	return resumed, stream
+}
+
+// An interrupted cluster sweep resumed from its checkpoint store must
+// finish with the byte-identical record stream of an uninterrupted run.
+func TestClusterSweepResumeByteIdentical(t *testing.T) {
+	base := TortureConfig{Seed: 31, Campaigns: 6, Nodes: 3, Requests: 120, Parallel: 1}
+	dir := t.TempDir()
+
+	full, baseline := sweepStore(t, base, filepath.Join(dir, "baseline.srs"), 0)
+	if !full.Ok() || len(full.Infra) != 0 {
+		t.Fatalf("baseline sweep unclean:\n%s", full.Summary())
+	}
+	resumed, stream := interruptAndResume(t, base, filepath.Join(dir, "interrupted.srs"))
+	if !bytes.Equal(stream, baseline) {
+		t.Errorf("resumed stream differs from baseline:\n%s\nvs\n%s", stream, baseline)
 	}
 	if full.Summary() != resumed.Summary() {
 		t.Errorf("summaries differ:\n%s\nvs\n%s", full.Summary(), resumed.Summary())
@@ -114,7 +149,7 @@ func TestClusterSweepResumeByteIdentical(t *testing.T) {
 }
 
 // The deterministic-replay guard at replication scope: a forced-R=3
-// sync sweep must emit a byte-identical JSONL stream on a second run
+// sync sweep must leave a byte-identical record stream on a second run
 // and through an interrupt/resume cycle, and its summary must carry the
 // availability breakdown.
 func TestClusterReplicatedSweepByteIdentical(t *testing.T) {
@@ -122,40 +157,15 @@ func TestClusterReplicatedSweepByteIdentical(t *testing.T) {
 		Seed: 93, Campaigns: 6, Nodes: 4, Requests: 150, Parallel: 1,
 		Replicas: 3, Replication: ReplSync,
 	}
+	dir := t.TempDir()
 
-	runSweep := func(stopAfter int, buf *bytes.Buffer, resume map[int]harness.Record) harness.TortureResult {
-		cfg := base
-		cfg.Resume = resume
-		var stop chan struct{}
-		n := 0
-		if stopAfter > 0 {
-			stop = make(chan struct{})
-			cfg.Stop = stop
-		}
-		cfg.OnRecord = func(r harness.Record) {
-			if err := harness.WriteRecord(buf, r); err != nil {
-				t.Fatal(err)
-			}
-			if n++; stopAfter > 0 && n == stopAfter {
-				close(stop)
-			}
-		}
-		res, err := Torture(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-
-	var first, second bytes.Buffer
-	resA := runSweep(0, &first, nil)
-	resB := runSweep(0, &second, nil)
+	resA, first := sweepStore(t, base, filepath.Join(dir, "first.srs"), 0)
+	resB, second := sweepStore(t, base, filepath.Join(dir, "second.srs"), 0)
 	if !resA.Ok() || len(resA.Infra) != 0 {
 		t.Fatalf("replicated sweep unclean:\n%s", resA.Summary())
 	}
-	if !bytes.Equal(first.Bytes(), second.Bytes()) {
-		t.Fatalf("two identical replicated sweeps wrote different streams:\n%s\nvs\n%s",
-			first.Bytes(), second.Bytes())
+	if !bytes.Equal(first, second) {
+		t.Fatalf("two identical replicated sweeps wrote different streams:\n%s\nvs\n%s", first, second)
 	}
 	if resA.Summary() != resB.Summary() {
 		t.Fatalf("summaries differ:\n%s\nvs\n%s", resA.Summary(), resB.Summary())
@@ -167,22 +177,9 @@ func TestClusterReplicatedSweepByteIdentical(t *testing.T) {
 		t.Fatalf("r3/sync breakdown missing or lossy: %+v", a)
 	}
 
-	var interrupted bytes.Buffer
-	part := runSweep(2, &interrupted, nil)
-	if !part.Interrupted {
-		t.Fatal("stop did not interrupt the sweep")
-	}
-	recs, err := harness.ReadRecords(bytes.NewReader(interrupted.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed := runSweep(0, &interrupted, recs)
-	if resumed.Interrupted {
-		t.Fatal("resumed sweep still interrupted")
-	}
-	if !bytes.Equal(interrupted.Bytes(), first.Bytes()) {
-		t.Errorf("resumed replicated stream differs from baseline:\n%s\nvs\n%s",
-			interrupted.Bytes(), first.Bytes())
+	resumed, stream := interruptAndResume(t, base, filepath.Join(dir, "interrupted.srs"))
+	if !bytes.Equal(stream, first) {
+		t.Errorf("resumed replicated stream differs from baseline:\n%s\nvs\n%s", stream, first)
 	}
 	if resA.Summary() != resumed.Summary() {
 		t.Errorf("resumed summary differs:\n%s\nvs\n%s", resA.Summary(), resumed.Summary())

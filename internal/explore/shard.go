@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"silo/internal/harness"
@@ -60,21 +59,20 @@ func (s *ShardedSink) Write(r harness.Record, enc []byte) error {
 	return s.shard(r.Index).Write(r, enc)
 }
 
-// Seed pre-populates the shards with resumed records in index order, so
-// each sealed shard is complete even though the fleet will not re-emit
-// its resumed campaigns.
+// Seed pre-populates each shard with its share of the resumed records
+// (index i goes to shard i%N, as in Write), so every sealed shard is
+// complete even though the fleet will not re-emit its resumed
+// campaigns.
 func (s *ShardedSink) Seed(recs map[int]harness.Record) error {
-	idxs := make([]int, 0, len(recs))
-	for i := range recs {
-		idxs = append(idxs, i)
+	parts := make([]map[int]harness.Record, len(s.shards))
+	for k := range parts {
+		parts[k] = make(map[int]harness.Record)
 	}
-	sort.Ints(idxs)
-	for _, i := range idxs {
-		enc, err := s.Encode(recs[i])
-		if err != nil {
-			return err
-		}
-		if err := s.Write(recs[i], enc); err != nil {
+	for i, r := range recs {
+		parts[i%len(s.shards)][i] = r
+	}
+	for k, sink := range s.shards {
+		if err := sink.Seed(parts[k]); err != nil {
 			return err
 		}
 	}

@@ -1,22 +1,18 @@
 package harness
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"sort"
 
 	"silo/internal/stats"
 )
 
-// CheckpointSummary aggregates a torture JSONL checkpoint stream for
+// CheckpointSummary aggregates a torture checkpoint store for
 // reporting: one sweep's worth of campaign records, deduplicated by
 // campaign index (the latest record wins, matching resume semantics).
 type CheckpointSummary struct {
-	Records   int // JSON lines parsed (including superseded duplicates)
+	Records   int // records in the store (including superseded duplicates)
 	Campaigns int // distinct campaign indices
 
 	MidRun   int
@@ -39,81 +35,11 @@ type CheckpointSummary struct {
 	// and for streams written before replication existed.
 	Avail map[string]*AvailSummary
 
-	// TornTail is set when the final line of the stream is an
-	// unparseable partial record — the writing process died mid-write.
-	// That is interruption, not corruption, so it does not fail the
-	// load; anything unparseable *before* the last line does.
+	// TornTail is set when the store was never sealed (or was damaged)
+	// and the summary covers only its recovered sealed prefix — the
+	// writing process died mid-write. That is interruption, not
+	// corruption, so it does not fail the load.
 	TornTail bool
-}
-
-// LoadCheckpoint strictly parses a torture JSONL stream. Unlike
-// ReadRecords (the resume path, which silently skips anything odd so an
-// interrupted sweep can always continue), the reporting path must not
-// quietly under-count: an empty stream and any corrupt record in the
-// middle of the file are errors naming the line; only a torn final line
-// — the signature of an interrupted writer — is tolerated, and flagged.
-func LoadCheckpoint(r io.Reader) (*CheckpointSummary, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 4<<20)
-	s := &CheckpointSummary{Designs: make(map[string]int), Avail: make(map[string]*AvailSummary)}
-	latest := make(map[int]Record)
-	var order []int
-	lineNo := 0
-	badLine := 0 // most recent unparseable line (candidate torn tail)
-	var badErr error
-	for sc.Scan() {
-		lineNo++
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		if badErr != nil {
-			return nil, fmt.Errorf("checkpoint: line %d: %w (corrupt record mid-stream; the file is damaged, not merely interrupted)", badLine, badErr)
-		}
-		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			badLine, badErr = lineNo, err
-			continue
-		}
-		s.Records++
-		if _, seen := latest[rec.Index]; !seen {
-			order = append(order, rec.Index)
-		}
-		latest[rec.Index] = rec
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("checkpoint: reading stream: %w", err)
-	}
-	s.TornTail = badErr != nil
-	if s.Records == 0 {
-		if s.TornTail {
-			return nil, errors.New("checkpoint: stream holds only a torn partial record (writer died mid-first-write); re-run the sweep")
-		}
-		return nil, errors.New("checkpoint: no records (empty stream); was the sweep run with -out?")
-	}
-	sort.Ints(order)
-	s.Campaigns = len(order)
-	for _, idx := range order {
-		rec := latest[idx]
-		s.Designs[rec.Design]++
-		if rec.Infra {
-			s.Infra++
-			continue
-		}
-		if rec.Err != "" || len(rec.Mismatches) > 0 {
-			s.Failures = append(s.Failures, rec)
-			continue
-		}
-		if rec.MidRun {
-			s.MidRun++
-		}
-		s.Commits += rec.Commits
-		s.Torn += rec.Torn
-		s.Dropped += rec.Dropped
-		s.Restarts += rec.Restarts
-		mergeAvail(s.Avail, rec.Avail)
-	}
-	return s, nil
 }
 
 // Table renders the summary's per-design breakdown.

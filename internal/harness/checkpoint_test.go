@@ -2,77 +2,74 @@ package harness
 
 import (
 	"bytes"
-	"strconv"
+	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"silo/internal/resultstore"
 )
 
-func validLine(idx int, extra string) string {
-	return `{"index":` + strconv.Itoa(idx) + `,"design":"Silo","workload":"Array","cores":1,"txns":4,"seed":1,"plan":"trigger=none","repro":"r","report":{},"attempts":1,"commits":3,"mid_run":true` + extra + "}\n"
-}
-
-func TestLoadCheckpointEmptyStreamErrors(t *testing.T) {
-	for name, body := range map[string]string{
-		"empty":      "",
-		"whitespace": "\n\n  \n",
-	} {
-		t.Run(name, func(t *testing.T) {
-			s, err := LoadCheckpoint(strings.NewReader(body))
-			if err == nil {
-				t.Fatalf("want error on %s stream, got %+v", name, s)
-			}
-			if !strings.Contains(err.Error(), "no records") {
-				t.Errorf("error does not explain the problem: %v", err)
-			}
-		})
-	}
-}
-
-func TestLoadCheckpointTornTailTolerated(t *testing.T) {
-	body := validLine(0, "") + validLine(1, "") + `{"index":2,"design":"Si`
-	s, err := LoadCheckpoint(strings.NewReader(body))
+// writeStore writes recs, in order, to a sealed checkpoint store.
+func writeStore(t *testing.T, path string, recs ...Record) {
+	t.Helper()
+	sink, err := OpenCheckpointSink(path)
 	if err != nil {
-		t.Fatalf("torn final line must not fail the load: %v", err)
+		t.Fatal(err)
 	}
-	if !s.TornTail {
-		t.Error("torn tail not flagged")
+	for _, r := range recs {
+		enc, err := sink.Encode(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sink.Write(r, enc); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if s.Campaigns != 2 || s.Records != 2 {
-		t.Errorf("campaigns=%d records=%d, want 2/2", s.Campaigns, s.Records)
-	}
-	if !strings.Contains(s.String(), "interrupted mid-write") {
-		t.Errorf("summary hides the interruption:\n%s", s.String())
-	}
-}
-
-func TestLoadCheckpointOnlyTornRecordErrors(t *testing.T) {
-	s, err := LoadCheckpoint(strings.NewReader(`{"index":0,"des`))
-	if err == nil {
-		t.Fatalf("a stream holding only a torn record must error, got %+v", s)
-	}
-	if !strings.Contains(err.Error(), "torn partial record") {
-		t.Errorf("error does not explain the problem: %v", err)
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
-func TestLoadCheckpointMidStreamCorruptionErrors(t *testing.T) {
-	body := validLine(0, "") + "GARBAGE NOT JSON\n" + validLine(1, "")
-	_, err := LoadCheckpoint(strings.NewReader(body))
-	if err == nil {
-		t.Fatal("mid-stream corruption must fail the load")
+// storePayloads returns a sealed store's record payloads in append
+// order, one per line: the store's byte-exact record stream, as
+// silo-report -jsonl exports it.
+func storePayloads(t *testing.T, path string) []byte {
+	t.Helper()
+	st, err := resultstore.Open(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "line 2") {
-		t.Errorf("error does not name the corrupt line: %v", err)
+	defer st.Close()
+	var b bytes.Buffer
+	for i := 0; i < st.Count(); i++ {
+		p, err := st.Payload(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Write(p)
+		b.WriteByte('\n')
 	}
+	return b.Bytes()
+}
+
+func plainRecord(idx int) Record {
+	return Record{Index: idx, Design: "Silo", Workload: "Array", Cores: 1, Txns: 4, Seed: 1,
+		Plan: "trigger=none", Repro: "r", Attempts: 1, Commits: 3, MidRun: true}
 }
 
 func TestLoadCheckpointAggregates(t *testing.T) {
-	var b bytes.Buffer
-	b.WriteString(validLine(0, ""))
-	b.WriteString(validLine(0, `,"torn":2`)) // retried campaign: later record wins
-	b.WriteString(validLine(1, `,"err":"infra: watchdog","infra":true`))
-	b.WriteString(validLine(2, `,"mismatches":["addr 8 want 1 got 2"]`))
-	s, err := LoadCheckpoint(&b)
+	retried := plainRecord(0)
+	retried.Torn = 2 // retried campaign: later record wins
+	infra := plainRecord(1)
+	infra.Err, infra.Infra = "infra: watchdog", true
+	failed := plainRecord(2)
+	failed.Mismatches = []string{"addr 8 want 1 got 2"}
+	path := filepath.Join(t.TempDir(), "sweep.srs")
+	writeStore(t, path, plainRecord(0), retried, infra, failed)
+
+	s, err := SummarizeStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,8 +79,8 @@ func TestLoadCheckpointAggregates(t *testing.T) {
 	if s.Infra != 1 {
 		t.Errorf("infra=%d want 1", s.Infra)
 	}
-	if len(s.Failures) != 1 || s.Failures[0].Index != 2 {
-		t.Errorf("failures=%+v want campaign 2 only", s.Failures)
+	if len(s.Failures) != 1 || s.Failures[0].Index != 2 || s.Failures[0].Mismatches[0] != failed.Mismatches[0] {
+		t.Errorf("failures=%+v want campaign 2 only, with its mismatch", s.Failures)
 	}
 	if s.Torn != 2 {
 		t.Errorf("later duplicate did not win: torn=%d want 2", s.Torn)
@@ -101,21 +98,24 @@ func TestLoadCheckpointAggregates(t *testing.T) {
 	}
 }
 
-// A real sweep's stream must load cleanly and agree with the sweep's own
-// aggregates.
+// A real sweep's store must summarize cleanly and agree with the
+// sweep's own aggregates.
 func TestLoadCheckpointRoundTripFromSweep(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := TortureConfig{Seed: 13, Campaigns: 5, Txns: 8, Parallel: 1}
-	cfg.OnRecord = func(r Record) {
-		if err := WriteRecord(&buf, r); err != nil {
-			t.Fatal(err)
-		}
+	path := filepath.Join(t.TempDir(), "sweep.srs")
+	sink, err := OpenCheckpointSink(path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	cfg := TortureConfig{Seed: 13, Campaigns: 5, Txns: 8, Parallel: 1, Sink: sink}
+	cfg.OnSinkError = func(err error) { t.Error("sink error:", err) }
 	res, err := Torture(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := LoadCheckpoint(bytes.NewReader(buf.Bytes()))
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := SummarizeStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,5 +128,32 @@ func TestLoadCheckpointRoundTripFromSweep(t *testing.T) {
 	}
 	if len(s.Failures) != len(res.Failures) {
 		t.Errorf("failures %d vs %d", len(s.Failures), len(res.Failures))
+	}
+}
+
+// A JSONL checkpoint from before SRS1 was the only format is refused by
+// its header: the loaders return ErrNotStore without trying to recover
+// it, the sink will not replace it, and every error names the converter.
+func TestJSONLCheckpointRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.jsonl")
+	legacy := []byte(`{"index":0,"design":"Silo","workload":"Array","commits":3,"attempts":1}` + "\n")
+	if err := os.WriteFile(path, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	hint := "silo-report -convert " + path
+	_, loadErr := LoadRecords(path)
+	_, sumErr := SummarizeStore(path)
+	_, sinkErr := OpenCheckpointSink(path)
+	for name, err := range map[string]error{"LoadRecords": loadErr, "SummarizeStore": sumErr, "OpenCheckpointSink": sinkErr} {
+		if !errors.Is(err, resultstore.ErrNotStore) {
+			t.Errorf("%s = %v, want ErrNotStore", name, err)
+			continue
+		}
+		if !strings.Contains(err.Error(), hint) {
+			t.Errorf("%s error does not name %q: %v", name, hint, err)
+		}
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, legacy) {
+		t.Error("the JSONL checkpoint was modified")
 	}
 }

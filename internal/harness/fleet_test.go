@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -193,7 +192,7 @@ func TestFleetStopDrains(t *testing.T) {
 }
 
 // Interrupt + resume must reproduce the uninterrupted sweep's aggregates
-// byte for byte, with the resumed half replayed from the JSONL stream.
+// byte for byte, with the resumed half replayed from a checkpoint store.
 func TestFleetResumeByteIdenticalAggregates(t *testing.T) {
 	base := TortureConfig{Seed: 6, Campaigns: 8, Txns: 8, Shrink: false}
 
@@ -203,24 +202,34 @@ func TestFleetResumeByteIdenticalAggregates(t *testing.T) {
 	}
 
 	// Run again streaming records, keep only the first 5 indices —
-	// simulating a sweep interrupted partway through its checkpoint file.
+	// simulating a sweep interrupted partway through its checkpoint.
+	path := filepath.Join(t.TempDir(), "sweep.srs")
+	sink, err := OpenCheckpointSink(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var mu sync.Mutex
-	var stream bytes.Buffer
 	cfg := base
-	cfg.OnRecord = func(r Record) {
-		mu.Lock()
-		defer mu.Unlock()
-		if r.Index < 5 {
-			if err := WriteRecord(&stream, r); err != nil {
-				t.Error(err)
-			}
+	cfg.OnRecord = func(r Record) { // OnRecord calls are serialized
+		if r.Index >= 5 {
+			return
+		}
+		enc, err := sink.Encode(r)
+		if err == nil {
+			err = sink.Write(r, enc)
+		}
+		if err != nil {
+			t.Error(err)
 		}
 	}
 	if _, err := Torture(cfg); err != nil {
 		t.Fatal(err)
 	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	recs, err := ReadRecords(&stream)
+	recs, err := LoadRecords(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,16 +1,11 @@
 package harness
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
-	"path/filepath"
-	"sort"
-	"strings"
+	"slices"
 
 	"silo/internal/resultstore"
 )
@@ -22,31 +17,6 @@ import (
 type RecordSink interface {
 	Encode(Record) ([]byte, error)
 	Write(Record, []byte) error
-}
-
-// NewJSONLSink streams records to w as JSON lines, marshaling outside
-// the emit lock (w sees exactly the bytes WriteRecord would produce).
-func NewJSONLSink(w io.Writer) RecordSink { return jsonlSink{w} }
-
-type jsonlSink struct{ w io.Writer }
-
-func (s jsonlSink) Encode(r Record) ([]byte, error) {
-	b, err := json.Marshal(r)
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
-func (s jsonlSink) Write(_ Record, enc []byte) error {
-	_, err := s.w.Write(enc)
-	return err
-}
-
-// IsStorePath reports whether path selects the binary result store
-// (by .srs extension) rather than the JSONL stream.
-func IsStorePath(path string) bool {
-	return strings.EqualFold(filepath.Ext(path), ".srs")
 }
 
 // RowFromRecord projects a record onto its fixed-size index row. The
@@ -129,21 +99,18 @@ func availFromRow(r resultstore.Row) *AvailSummary {
 	}
 }
 
-// CheckpointSink is the file-backed RecordSink behind -out: a JSONL
-// appender or an SRS1 store writer, selected by extension. Store
-// output streams into <path>.tmp and is published by Close (sealed
-// footer + atomic rename); a killed fleet leaves the temp segment,
-// whose sealed prefix LoadRecords recovers on resume.
+// CheckpointSink is the file-backed RecordSink behind -out: an SRS1
+// store writer. Output streams into <path>.tmp and is published by
+// Close (sealed footer + atomic rename); a killed fleet leaves the temp
+// segment, whose sealed prefix LoadRecords recovers on resume.
 type CheckpointSink struct {
-	path  string
-	file  *os.File            // JSONL mode
-	store *resultstore.Writer // store mode
+	store *resultstore.Writer
 
-	// Store writes flush to disk every flushEvery records so a killed
-	// fleet loses a bounded suffix, not its whole run: the byte
-	// threshold inside the writer alone could buffer a small sweep
-	// entirely. One flush is one write syscall, so the write path still
-	// amortizes to ~1/64 of JSONL's syscall rate.
+	// Writes flush to disk every flushEvery records so a killed fleet
+	// loses a bounded suffix, not its whole run: the byte threshold
+	// inside the writer alone could buffer a small sweep entirely. One
+	// flush is one write syscall, so the write path amortizes to ~1/64
+	// of a syscall per record.
 	written    int
 	flushEvery int
 }
@@ -151,60 +118,57 @@ type CheckpointSink struct {
 // storeFlushEvery is the durability cadence for store sinks.
 const storeFlushEvery = 64
 
-// OpenCheckpointSink opens the checkpoint stream at path, selecting
-// the format by extension (.srs → binary store, anything else →
-// append-mode JSONL).
+// OpenCheckpointSink opens an SRS1 store writer for path, whatever its
+// extension. A file already at path that is not a store is refused
+// (ErrNotStore), never replaced.
 func OpenCheckpointSink(path string) (*CheckpointSink, error) {
-	if IsStorePath(path) {
-		w, err := resultstore.NewWriter(path)
-		if err != nil {
-			return nil, err
-		}
-		return &CheckpointSink{path: path, store: w, flushEvery: storeFlushEvery}, nil
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	w, err := resultstore.NewWriter(path)
 	if err != nil {
-		return nil, err
+		return nil, convertHint(path, err)
 	}
-	return &CheckpointSink{path: path, file: f}, nil
+	return &CheckpointSink{store: w, flushEvery: storeFlushEvery}, nil
 }
 
-// Encode marshals the record once, outside the emit lock; both
-// formats use the same JSON bytes (the store appends them as the
-// payload, so a store round-trips records byte-exactly).
+// convertHint points a caller handed a file that is not a store (most
+// likely a JSONL checkpoint from before SRS1 was the only format) at
+// the converter.
+func convertHint(path string, err error) error {
+	if errors.Is(err, resultstore.ErrNotStore) {
+		return fmt.Errorf("%w; to use a JSONL checkpoint, convert it first: silo-report -convert %s", err, path)
+	}
+	return err
+}
+
+// Encode marshals the record once, outside the emit lock; the store
+// appends the bytes as the payload, so it round-trips records
+// byte-exactly.
 func (s *CheckpointSink) Encode(r Record) ([]byte, error) {
 	return json.Marshal(r)
 }
 
 // Write appends one encoded record (serialized by the fleet).
 func (s *CheckpointSink) Write(r Record, enc []byte) error {
-	if s.store != nil {
-		if err := s.store.Append(RowFromRecord(r), enc); err != nil {
-			return err
-		}
-		s.written++
-		if s.flushEvery > 0 && s.written%s.flushEvery == 0 {
-			return s.store.Flush()
-		}
-		return nil
+	if err := s.store.Append(RowFromRecord(r), enc); err != nil {
+		return err
 	}
-	_, err := s.file.Write(append(enc, '\n'))
-	return err
+	s.written++
+	if s.written%s.flushEvery == 0 {
+		return s.store.Flush()
+	}
+	return nil
 }
 
-// Seed pre-populates a store with resumed records in campaign order,
+// Seed pre-populates the store with resumed records in campaign order,
 // so the sealed result is complete even though the fleet will not
-// re-emit them. JSONL streams keep their history in the file itself,
-// so seeding is a no-op there.
+// re-emit them. It ends with a flush: opening the sink truncated the
+// temp segment the records may have been recovered from, so until then
+// they exist only in memory.
 func (s *CheckpointSink) Seed(recs map[int]Record) error {
-	if s.store == nil || len(recs) == 0 {
-		return nil
-	}
 	idxs := make([]int, 0, len(recs))
 	for i := range recs {
 		idxs = append(idxs, i)
 	}
-	sort.Ints(idxs)
+	slices.Sort(idxs)
 	for _, i := range idxs {
 		enc, err := s.Encode(recs[i])
 		if err != nil {
@@ -214,25 +178,18 @@ func (s *CheckpointSink) Seed(recs map[int]Record) error {
 			return err
 		}
 	}
-	return nil
+	return s.store.Flush()
 }
 
 // AttachTrace embeds a recorded Chrome trace into the store for the
-// campaign (no-op for JSONL, where traces stay separate files).
+// campaign.
 func (s *CheckpointSink) AttachTrace(index int, blob []byte) error {
-	if s.store == nil {
-		return nil
-	}
 	return s.store.AttachTrace(int64(index), blob)
 }
 
-// Close publishes the stream: Seal+rename for a store, plain close
-// for JSONL. Safe to call once.
+// Close publishes the store (Seal + atomic rename). Safe to call once.
 func (s *CheckpointSink) Close() error {
-	if s.store != nil {
-		return s.store.Seal()
-	}
-	return s.file.Close()
+	return s.store.Seal()
 }
 
 // decodeStoreRecord parses one store payload back into a Record.
@@ -244,64 +201,35 @@ func decodeStoreRecord(payload []byte) (Record, error) {
 	return rec, nil
 }
 
-// storeAllRecords reads every record of a sealed store in append
-// order (duplicates preserved).
-func storeAllRecords(st *resultstore.Store) ([]Record, error) {
-	recs := make([]Record, 0, st.Count())
-	for i := 0; i < st.Count(); i++ {
-		p, err := st.Payload(i)
-		if err != nil {
-			return nil, err
-		}
-		rec, err := decodeStoreRecord(p)
-		if err != nil {
-			return nil, err
-		}
-		recs = append(recs, rec)
-	}
-	return recs, nil
-}
-
-// applyResumeSemantics folds records into the resume map with
-// ReadRecords' rules: later records supersede earlier ones, and
-// infra-failed records are dropped so the fleet retries them.
-func applyResumeSemantics(out map[int]Record, recs []Record) {
-	for _, rec := range recs {
-		if rec.Infra {
-			delete(out, rec.Index)
-			continue
-		}
-		out[rec.Index] = rec
-	}
-}
-
-// LoadRecords reads a checkpoint for resume, selecting the reader by
-// extension. For stores it accepts every artifact an interrupted
-// fleet can leave behind: a sealed store at path, an unsealed temp
-// segment at path (pointed at directly), and a newer temp segment at
-// path.tmp layered over the sealed store it was rewriting. The
-// recovered records are byte-exactly what the writer sealed.
+// LoadRecords reads a checkpoint store for resume. It accepts every
+// artifact an interrupted fleet can leave behind: a sealed store at
+// path, an unsealed temp segment at path (pointed at directly), and a
+// newer temp segment at path.tmp layered over the sealed store it was
+// rewriting. A later record for a campaign index supersedes earlier
+// ones, and infra-failed records are dropped so the fleet retries
+// them. A file that is not a store is ErrNotStore, never recovered.
 func LoadRecords(path string) (map[int]Record, error) {
-	if !IsStorePath(path) {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return ReadRecords(f)
-	}
 	out := make(map[int]Record)
 	found := false
 	st, err := resultstore.Open(path)
 	switch {
 	case err == nil:
-		recs, rerr := storeAllRecords(st)
-		st.Close()
-		if rerr != nil {
-			return nil, fmt.Errorf("%s: %w", path, rerr)
+		payloads := make([][]byte, st.Count())
+		for i := range payloads {
+			if payloads[i], err = st.Payload(i); err != nil {
+				break
+			}
 		}
-		applyResumeSemantics(out, recs)
+		if err == nil {
+			err = applyPayloads(out, payloads)
+		}
+		st.Close()
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
+		}
 		found = true
+	case errors.Is(err, resultstore.ErrNotStore):
+		return nil, convertHint(path, err)
 	case errors.Is(err, resultstore.ErrCorrupt):
 		// Unsealed or damaged: recover the sealed chunk prefix.
 		payloads, rerr := resultstore.Recover(path)
@@ -332,6 +260,7 @@ func LoadRecords(path string) (map[int]Record, error) {
 	return out, nil
 }
 
+// applyPayloads folds records into the resume map in append order.
 func applyPayloads(out map[int]Record, payloads [][]byte) error {
 	for _, p := range payloads {
 		rec, err := decodeStoreRecord(p)
@@ -347,31 +276,19 @@ func applyPayloads(out map[int]Record, payloads [][]byte) error {
 	return nil
 }
 
-// SummarizeCheckpoint summarizes a checkpoint at path for reporting,
-// dispatching by extension: LoadCheckpoint for JSONL, SummarizeStore
-// for SRS1 stores.
-func SummarizeCheckpoint(path string) (*CheckpointSummary, error) {
-	if !IsStorePath(path) {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return LoadCheckpoint(f)
-	}
-	return SummarizeStore(path)
-}
-
 // SummarizeStore aggregates a store by scanning only its fixed-size
 // index rows — no payload is deserialized except for the (rare)
 // failed campaigns, whose mismatch strings and repro lines the report
 // prints. This is the mmap fast path: a 100k-campaign summary is an
 // index scan, not 100k JSON parses. An unsealed or damaged store is
-// summarized from its recovered sealed prefix and flagged TornTail,
-// mirroring the JSONL interrupted-writer semantics.
+// summarized from its recovered sealed prefix and flagged TornTail; a
+// file that is not a store is ErrNotStore.
 func SummarizeStore(path string) (*CheckpointSummary, error) {
 	st, err := resultstore.Open(path)
 	if err != nil {
+		if errors.Is(err, resultstore.ErrNotStore) {
+			return nil, convertHint(path, err)
+		}
 		if errors.Is(err, resultstore.ErrCorrupt) {
 			return summarizeRecovered(path, err)
 		}
@@ -388,52 +305,21 @@ func SummarizeStore(path string) (*CheckpointSummary, error) {
 	if st.Count() == 0 {
 		return nil, errors.New("checkpoint: no records (empty store); was the sweep run with -out?")
 	}
-	s := &CheckpointSummary{Designs: make(map[string]int), Avail: make(map[string]*AvailSummary)}
-	s.Records = st.Count()
-	latest := make(map[int64]int)
-	var order []int64
-	for i := 0; i < st.Count(); i++ {
-		idx := st.Row(i).Index
-		if _, seen := latest[idx]; !seen {
-			order = append(order, idx)
+	s, err := summarizeRows(st.Count(), st.Row, func(i int) (Record, error) {
+		p, err := st.Payload(i)
+		if err != nil {
+			return Record{}, err
 		}
-		latest[idx] = i
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	s.Campaigns = len(order)
-	for _, idx := range order {
-		row := st.Row(latest[idx])
-		s.Designs[row.Design]++
-		if row.Infra {
-			s.Infra++
-			continue
-		}
-		if row.Failed() {
-			p, err := st.Payload(latest[idx])
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", path, err)
-			}
-			rec, err := decodeStoreRecord(p)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", path, err)
-			}
-			s.Failures = append(s.Failures, rec)
-			continue
-		}
-		if row.MidRun {
-			s.MidRun++
-		}
-		s.Commits += row.Commits
-		s.Torn += row.Torn
-		s.Dropped += row.Dropped
-		s.Restarts += int(row.Restarts)
-		mergeAvail(s.Avail, availFromRow(row))
+		return decodeStoreRecord(p)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return s, nil
 }
 
 // summarizeRecovered summarizes the sealed prefix of an unsealed or
-// damaged store the way LoadCheckpoint treats a torn JSONL tail.
+// damaged store, flagged as an interrupted writer's torn tail.
 func summarizeRecovered(path string, openErr error) (*CheckpointSummary, error) {
 	payloads, err := resultstore.Recover(path)
 	if err != nil {
@@ -443,117 +329,59 @@ func summarizeRecovered(path string, openErr error) (*CheckpointSummary, error) 
 	if len(payloads) == 0 {
 		return nil, fmt.Errorf("%s: unsealed store with no recoverable records (writer died before the first chunk flush); re-run or resume the sweep", path)
 	}
-	recs := make([]Record, 0, len(payloads))
-	for _, p := range payloads {
-		rec, derr := decodeStoreRecord(p)
-		if derr != nil {
-			return nil, fmt.Errorf("%s: %w", path, derr)
+	recs := make([]Record, len(payloads))
+	for i, p := range payloads {
+		if recs[i], err = decodeStoreRecord(p); err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
 		}
-		recs = append(recs, rec)
 	}
-	s := summarizeRecords(recs)
+	s, _ := summarizeRows(len(recs),
+		func(i int) resultstore.Row { return RowFromRecord(recs[i]) },
+		func(i int) (Record, error) { return recs[i], nil })
 	s.TornTail = true
 	return s, nil
 }
 
-// summarizeRecords aggregates in-memory records with LoadCheckpoint's
-// exact rules (shared by the recovered-store path).
-func summarizeRecords(recs []Record) *CheckpointSummary {
-	s := &CheckpointSummary{Designs: make(map[string]int), Avail: make(map[string]*AvailSummary)}
-	latest := make(map[int]Record)
-	var order []int
-	for _, rec := range recs {
-		s.Records++
-		if _, seen := latest[rec.Index]; !seen {
-			order = append(order, rec.Index)
+// summarizeRows aggregates n records in append order from their index
+// rows: the latest record per campaign index wins, infra records are
+// counted apart, and only failed campaigns are fetched in full (for
+// their mismatch strings and repro lines).
+func summarizeRows(n int, row func(int) resultstore.Row, failure func(int) (Record, error)) (*CheckpointSummary, error) {
+	s := &CheckpointSummary{Records: n, Designs: make(map[string]int), Avail: make(map[string]*AvailSummary)}
+	latest := make(map[int64]int)
+	var order []int64
+	for i := 0; i < n; i++ {
+		idx := row(i).Index
+		if _, seen := latest[idx]; !seen {
+			order = append(order, idx)
 		}
-		latest[rec.Index] = rec
+		latest[idx] = i
 	}
-	sort.Ints(order)
+	slices.Sort(order)
 	s.Campaigns = len(order)
 	for _, idx := range order {
-		rec := latest[idx]
-		s.Designs[rec.Design]++
-		if rec.Infra {
+		r := row(latest[idx])
+		s.Designs[r.Design]++
+		if r.Infra {
 			s.Infra++
 			continue
 		}
-		if rec.Err != "" || len(rec.Mismatches) > 0 {
+		if r.Failed() {
+			rec, err := failure(latest[idx])
+			if err != nil {
+				return nil, err
+			}
 			s.Failures = append(s.Failures, rec)
 			continue
 		}
-		if rec.MidRun {
+		if r.MidRun {
 			s.MidRun++
 		}
-		s.Commits += rec.Commits
-		s.Torn += rec.Torn
-		s.Dropped += rec.Dropped
-		s.Restarts += rec.Restarts
-		mergeAvail(s.Avail, rec.Avail)
+		s.Commits += r.Commits
+		s.Torn += r.Torn
+		s.Dropped += r.Dropped
+		s.Restarts += int(r.Restarts)
+		mergeAvail(s.Avail, availFromRow(r))
 	}
-	return s
-}
-
-// ConvertJSONL migrates a JSONL checkpoint stream into a sealed store
-// at outPath, preserving the full record history — duplicates,
-// infra records and order included — so summaries over either format
-// are byte-identical. The parse is LoadCheckpoint-strict: corruption
-// mid-stream fails the conversion, a torn final line (interrupted
-// writer) is tolerated and reported. Returns the records written and
-// whether a torn tail was dropped.
-func ConvertJSONL(r io.Reader, outPath string) (records int, tornTail bool, err error) {
-	if !IsStorePath(outPath) {
-		return 0, false, fmt.Errorf("convert: output %q must be a .srs store", outPath)
-	}
-	w, err := resultstore.NewWriter(outPath)
-	if err != nil {
-		return 0, false, err
-	}
-	abort := func(e error) (int, bool, error) {
-		w.Abort()
-		return 0, false, e
-	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 4<<20)
-	lineNo, badLine := 0, 0
-	var badErr error
-	for sc.Scan() {
-		lineNo++
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		if badErr != nil {
-			return abort(fmt.Errorf("convert: line %d: %w (corrupt record mid-stream; the file is damaged, not merely interrupted)", badLine, badErr))
-		}
-		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			badLine, badErr = lineNo, err
-			continue
-		}
-		// Re-marshal rather than copying the line: the store payload is
-		// canonically json.Marshal(rec), which keeps store payloads
-		// byte-identical whether written by a fleet or by conversion.
-		enc, err := json.Marshal(rec)
-		if err != nil {
-			return abort(err)
-		}
-		if err := w.Append(RowFromRecord(rec), enc); err != nil {
-			return abort(err)
-		}
-		records++
-	}
-	if err := sc.Err(); err != nil {
-		return abort(fmt.Errorf("convert: reading stream: %w", err))
-	}
-	if records == 0 {
-		if badErr != nil {
-			return abort(errors.New("convert: stream holds only a torn partial record (writer died mid-first-write); re-run the sweep"))
-		}
-		return abort(errors.New("convert: no records (empty stream); was the sweep run with -out?"))
-	}
-	if err := w.Seal(); err != nil {
-		return 0, false, err
-	}
-	return records, badErr != nil, nil
+	return s, nil
 }

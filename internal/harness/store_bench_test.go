@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -13,16 +12,15 @@ import (
 
 // BenchmarkFleetEmit measures the fleet's record-emit path end to end
 // with an instant executor, so the sink serialization (and the emit
-// lock around it) dominates. The two-phase RecordSink moved the JSON
+// lock around it) dominates. The two-phase RecordSink keeps the JSON
 // marshal outside that lock; with 8 workers the serialized section is
-// now just the buffered write.
+// just the buffered store append.
 func BenchmarkFleetEmit(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		sink func(b *testing.B) RecordSink
 	}{
 		{"nosink", func(*testing.B) RecordSink { return nil }},
-		{"jsonl", func(*testing.B) RecordSink { return NewJSONLSink(io.Discard) }},
 		{"store", func(b *testing.B) RecordSink {
 			sink, err := OpenCheckpointSink(filepath.Join(b.TempDir(), "bench.srs"))
 			if err != nil {
@@ -30,10 +28,6 @@ func BenchmarkFleetEmit(b *testing.B) {
 			}
 			b.Cleanup(func() { sink.Close() })
 			return sink
-		}},
-		{"jsonl-locked", func(*testing.B) RecordSink {
-			// The pre-refactor shape: marshal under the lock.
-			return lockedMarshalSink{w: io.Discard}
 		}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
@@ -59,31 +53,15 @@ func benchEmitRun(c Campaign) CampaignOutcome {
 	}
 }
 
-// lockedMarshalSink mimics the old single-phase emit: Encode is a
-// no-op, so the marshal runs inside Write — under the fleet's lock.
-type lockedMarshalSink struct {
-	w io.Writer
-}
-
-func (s lockedMarshalSink) Encode(Record) ([]byte, error) { return nil, nil }
-func (s lockedMarshalSink) Write(r Record, _ []byte) error {
-	enc, err := NewJSONLSink(s.w).Encode(r)
-	if err != nil {
-		return err
-	}
-	_, err = s.w.Write(enc)
-	return err
-}
-
-// benchCheckpoint writes an n-record checkpoint in both formats once
-// per benchmark binary and returns the two paths.
+// benchCheckpoint writes an n-record checkpoint store once per
+// benchmark binary and returns its path.
 var benchCheckpoint = struct {
-	once         sync.Once
-	jsonl, store string
-	err          error
+	once sync.Once
+	path string
+	err  error
 }{}
 
-func benchCheckpointPaths(b *testing.B, n int) (jsonl, store string) {
+func benchCheckpointPath(b *testing.B, n int) string {
 	b.Helper()
 	benchCheckpoint.once.Do(func() {
 		dir, err := os.MkdirTemp("", "silo-bench-ckpt")
@@ -91,14 +69,8 @@ func benchCheckpointPaths(b *testing.B, n int) (jsonl, store string) {
 			benchCheckpoint.err = err
 			return
 		}
-		benchCheckpoint.jsonl = filepath.Join(dir, "sweep.jsonl")
-		benchCheckpoint.store = filepath.Join(dir, "sweep.srs")
-		js, err := OpenCheckpointSink(benchCheckpoint.jsonl)
-		if err != nil {
-			benchCheckpoint.err = err
-			return
-		}
-		ss, err := OpenCheckpointSink(benchCheckpoint.store)
+		benchCheckpoint.path = filepath.Join(dir, "sweep.srs")
+		sink, err := OpenCheckpointSink(benchCheckpoint.path)
 		if err != nil {
 			benchCheckpoint.err = err
 			return
@@ -111,56 +83,32 @@ func benchCheckpointPaths(b *testing.B, n int) (jsonl, store string) {
 				MidRun: true, Commits: 398, Torn: 1, Restarts: 1, Attempts: 1,
 				Report: recovery.Report{CommittedTx: 398, RedoApplied: 12, UndoApplied: 3, TotalRecords: 415, AppliedWrites: 3104, Complete: true},
 			}
-			for _, s := range []*CheckpointSink{js, ss} {
-				enc, err := s.Encode(r)
-				if err != nil {
-					benchCheckpoint.err = err
-					return
-				}
-				if err := s.Write(r, enc); err != nil {
-					benchCheckpoint.err = err
-					return
-				}
+			enc, err := sink.Encode(r)
+			if err == nil {
+				err = sink.Write(r, enc)
+			}
+			if err != nil {
+				benchCheckpoint.err = err
+				return
 			}
 		}
-		if err := js.Close(); err != nil {
-			benchCheckpoint.err = err
-		}
-		if err := ss.Close(); err != nil {
-			benchCheckpoint.err = err
-		}
+		benchCheckpoint.err = sink.Close()
 	})
 	if benchCheckpoint.err != nil {
 		b.Fatal(benchCheckpoint.err)
 	}
-	return benchCheckpoint.jsonl, benchCheckpoint.store
+	return benchCheckpoint.path
 }
 
 const benchCampaigns = 100_000
 
-// BenchmarkSummarizeJSONL is the baseline: summarizing a 100k-campaign
-// JSONL checkpoint parses every record.
-func BenchmarkSummarizeJSONL(b *testing.B) {
-	jsonl, _ := benchCheckpointPaths(b, benchCampaigns)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, err := SummarizeCheckpoint(jsonl)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if s.Campaigns != benchCampaigns {
-			b.Fatal("bad summary")
-		}
-	}
-}
-
-// BenchmarkSummarizeStore is the acceptance path: the same summary
-// from the store's mmap'd index alone.
+// BenchmarkSummarizeStore summarizes a 100k-campaign store from its
+// mmap'd index alone.
 func BenchmarkSummarizeStore(b *testing.B) {
-	_, store := benchCheckpointPaths(b, benchCampaigns)
+	store := benchCheckpointPath(b, benchCampaigns)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := SummarizeCheckpoint(store)
+		s, err := SummarizeStore(store)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -25,7 +25,7 @@ func MergeStores(dst string, srcs []string) (int, error) {
 	for _, src := range srcs {
 		st, err := resultstore.Open(src)
 		if err != nil {
-			return 0, fmt.Errorf("merge %s: %w", src, err)
+			return 0, fmt.Errorf("merge: %w", convertHint(src, err))
 		}
 		for i := 0; i < st.Count(); i++ {
 			row := st.Row(i)

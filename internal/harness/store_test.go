@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -48,8 +47,7 @@ func storeSweepRun(c Campaign) CampaignOutcome {
 }
 
 // sweepToPath runs the synthetic sweep with a CheckpointSink at path
-// (format by extension) and returns the fleet's emitted records in
-// completion order.
+// and returns the fleet's emitted records in completion order.
 func sweepToPath(t *testing.T, path string, campaigns int) []Record {
 	t.Helper()
 	sink, err := OpenCheckpointSink(path)
@@ -76,153 +74,6 @@ func sweepToPath(t *testing.T, path string, campaigns int) []Record {
 	return recs
 }
 
-// TestStoreSweepSummaryByteIdentical runs the same synthetic sweep
-// into a JSONL stream and a binary store and demands the rendered
-// summaries agree byte for byte.
-func TestStoreSweepSummaryByteIdentical(t *testing.T) {
-	dir := t.TempDir()
-	jsonlPath := filepath.Join(dir, "sweep.jsonl")
-	storePath := filepath.Join(dir, "sweep.srs")
-	sweepToPath(t, jsonlPath, 24)
-	sweepToPath(t, storePath, 24)
-
-	js, err := SummarizeCheckpoint(jsonlPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss, err := SummarizeCheckpoint(storePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if js.String() != ss.String() {
-		t.Errorf("summaries differ:\n--- jsonl ---\n%s--- store ---\n%s", js.String(), ss.String())
-	}
-	if js.Table().String() != ss.Table().String() {
-		t.Errorf("tables differ:\n--- jsonl ---\n%s--- store ---\n%s", js.Table().String(), ss.Table().String())
-	}
-}
-
-// TestLoadRecordsStoreMatchesJSONL demands resume state is identical
-// whichever format the checkpoint was written in.
-func TestLoadRecordsStoreMatchesJSONL(t *testing.T) {
-	dir := t.TempDir()
-	jsonlPath := filepath.Join(dir, "sweep.jsonl")
-	storePath := filepath.Join(dir, "sweep.srs")
-	sweepToPath(t, jsonlPath, 20)
-	sweepToPath(t, storePath, 20)
-
-	fromJSONL, err := LoadRecords(jsonlPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromStore, err := LoadRecords(storePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fromJSONL, fromStore) {
-		t.Errorf("resume maps differ: jsonl %d records, store %d records", len(fromJSONL), len(fromStore))
-	}
-	// Infra campaigns (index%8 == 6) must be absent so the fleet
-	// retries them.
-	for idx := range fromStore {
-		if idx%8 == 6 {
-			t.Errorf("infra campaign %d survived into the resume map", idx)
-		}
-	}
-}
-
-// TestConvertJSONLByteIdenticalSummaries is the migration guarantee:
-// converting a JSONL checkpoint to a store preserves the summary
-// byte-exactly — records, duplicates, infra and order included.
-func TestConvertJSONLByteIdenticalSummaries(t *testing.T) {
-	dir := t.TempDir()
-	jsonlPath := filepath.Join(dir, "sweep.jsonl")
-	storePath := filepath.Join(dir, "converted.srs")
-	sweepToPath(t, jsonlPath, 32)
-
-	raw, err := os.ReadFile(jsonlPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, tornTail, err := ConvertJSONL(bytes.NewReader(raw), storePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tornTail {
-		t.Error("clean stream reported a torn tail")
-	}
-	if n != 32 {
-		t.Errorf("converted %d records, want 32", n)
-	}
-
-	js, err := SummarizeCheckpoint(jsonlPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss, err := SummarizeCheckpoint(storePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if js.String() != ss.String() {
-		t.Errorf("converted summary differs:\n--- jsonl ---\n%s--- store ---\n%s", js.String(), ss.String())
-	}
-	if js.Table().String() != ss.Table().String() {
-		t.Errorf("converted table differs")
-	}
-	// And the resume view agrees too.
-	fromJSONL, err := LoadRecords(jsonlPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromStore, err := LoadRecords(storePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fromJSONL, fromStore) {
-		t.Error("converted resume map differs from the JSONL original")
-	}
-}
-
-func TestConvertJSONLTornTailTolerated(t *testing.T) {
-	body := validLine(0, "") + validLine(1, "") + `{"index":2,"design":"Si`
-	out := filepath.Join(t.TempDir(), "out.srs")
-	n, tornTail, err := ConvertJSONL(strings.NewReader(body), out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 || !tornTail {
-		t.Fatalf("n=%d tornTail=%v, want 2/true", n, tornTail)
-	}
-	s, err := SummarizeCheckpoint(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Campaigns != 2 || s.TornTail {
-		t.Errorf("campaigns=%d torntail=%v, want 2/false (the store sealed complete)", s.Campaigns, s.TornTail)
-	}
-}
-
-func TestConvertJSONLRejectsMidStreamCorruption(t *testing.T) {
-	body := validLine(0, "") + "GARBAGE NOT JSON\n" + validLine(1, "")
-	out := filepath.Join(t.TempDir(), "out.srs")
-	if _, _, err := ConvertJSONL(strings.NewReader(body), out); err == nil {
-		t.Fatal("mid-stream corruption must fail the conversion")
-	}
-	if _, err := os.Stat(out); !os.IsNotExist(err) {
-		t.Error("failed conversion left a store behind")
-	}
-	if _, err := os.Stat(out + ".tmp"); !os.IsNotExist(err) {
-		t.Error("failed conversion left a temp segment behind")
-	}
-}
-
-func TestConvertJSONLRejectsEmptyStream(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "out.srs")
-	if _, _, err := ConvertJSONL(strings.NewReader(""), out); err == nil {
-		t.Fatal("empty stream must fail the conversion")
-	}
-}
-
 // TestStoreInterruptedWriterResume is the crash-recovery round trip:
 // a fleet killed mid-sweep leaves an unsealed temp segment; resume
 // recovers its sealed prefix byte-exactly, re-runs the rest, and the
@@ -234,7 +85,7 @@ func TestStoreInterruptedWriterResume(t *testing.T) {
 	// Uninterrupted reference.
 	fullPath := filepath.Join(dir, "full.srs")
 	sweepToPath(t, fullPath, campaigns)
-	want, err := SummarizeCheckpoint(fullPath)
+	want, err := SummarizeStore(fullPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +168,7 @@ func TestStoreInterruptedWriterResume(t *testing.T) {
 		t.Errorf("resume re-ran %d campaigns, want %d", reran, campaigns-len(recovered))
 	}
 
-	got, err := SummarizeCheckpoint(intPath)
+	got, err := SummarizeStore(intPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,8 +191,7 @@ func (s sinkFunc) Write(r Record, enc []byte) error { return s.write(r, enc) }
 
 // TestSummarizeUnsealedStoreTornTail points the summarizer at a store
 // whose writer died before sealing: only the temp segment exists. The
-// summary must come from the sealed prefix and flag the interruption,
-// mirroring the JSONL torn-tail semantics.
+// summary must come from the sealed prefix and flag the interruption.
 func TestSummarizeUnsealedStoreTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.srs")
 	sink, err := OpenCheckpointSink(path)
@@ -360,7 +210,7 @@ func TestSummarizeUnsealedStoreTornTail(t *testing.T) {
 		}
 	}
 	// Abandon without Close: only sweep.srs.tmp exists.
-	s, err := SummarizeCheckpoint(path)
+	s, err := SummarizeStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,43 +225,29 @@ func TestSummarizeUnsealedStoreTornTail(t *testing.T) {
 	}
 }
 
-// TestJSONLSinkMatchesWriteRecord pins the sink refactor: the
-// two-phase sink writes byte-identical output to the old WriteRecord
-// path.
-func TestJSONLSinkMatchesWriteRecord(t *testing.T) {
-	recs := sweepToPath(t, filepath.Join(t.TempDir(), "x.jsonl"), 8)
-	var viaSink, viaWriteRecord bytes.Buffer
-	sink := NewJSONLSink(&viaSink)
-	for _, r := range recs {
-		enc, err := sink.Encode(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sink.Write(r, enc); err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteRecord(&viaWriteRecord, r); err != nil {
-			t.Fatal(err)
-		}
+// TestCheckpointSinkSeedIsDurable resumes into a sink and abandons it
+// right after seeding: opening the sink truncated the temp segment the
+// records were recovered from, so Seed must flush them to disk itself
+// rather than wait for the next 64-record flush.
+func TestCheckpointSinkSeedIsDurable(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.srs")
+	recs := make(map[int]Record)
+	for i := 0; i < 10; i++ {
+		recs[i] = plainRecord(i)
 	}
-	if !bytes.Equal(viaSink.Bytes(), viaWriteRecord.Bytes()) {
-		t.Error("sink output differs from WriteRecord")
+	sink, err := OpenCheckpointSink(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestIsStorePath pins extension dispatch.
-func TestIsStorePath(t *testing.T) {
-	for path, want := range map[string]bool{
-		"sweep.srs":     true,
-		"SWEEP.SRS":     true,
-		"a/b/c.srs":     true,
-		"sweep.jsonl":   false,
-		"sweep.srs.tmp": false,
-		"sweep":         false,
-		"srs":           false,
-	} {
-		if got := IsStorePath(path); got != want {
-			t.Errorf("IsStorePath(%q) = %v, want %v", path, got, want)
-		}
+	if err := sink.Seed(recs); err != nil {
+		t.Fatal(err)
+	}
+	// Abandon without Close: the resumed fleet "died" right after Seed.
+	got, err := LoadRecords(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, recs) {
+		t.Errorf("recovered %d of %d seeded records", len(got), len(recs))
 	}
 }

@@ -83,8 +83,9 @@ type TortureConfig struct {
 	Backoff time.Duration
 
 	// Resume maps campaign index → completed record from a previous
-	// run's JSONL stream; those campaigns are not re-executed, and the
-	// final aggregates are byte-identical to an uninterrupted sweep.
+	// run's checkpoint store (LoadRecords); those campaigns are not
+	// re-executed, and the final aggregates are byte-identical to an
+	// uninterrupted sweep.
 	Resume map[int]Record
 
 	// OnRecord, when non-nil, receives every freshly completed

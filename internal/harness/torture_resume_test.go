@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -39,91 +40,90 @@ func TestRetryDelayDeterministic(t *testing.T) {
 	}
 }
 
-// interruptedSweep runs the sweep at Parallel=1 writing JSONL to buf,
-// stopping after `after` records, then resumes from the partial stream
-// and appends the rest to the same buffer.
-func interruptedSweep(t *testing.T, base TortureConfig, after int) []byte {
+// sweepStore runs cfg at Parallel=1 into a sealed checkpoint store at
+// path, seeded with cfg.Resume first as the CLIs do.
+func sweepStore(t *testing.T, cfg TortureConfig, path string) TortureResult {
 	t.Helper()
-	var buf bytes.Buffer
+	sink, err := OpenCheckpointSink(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Seed(cfg.Resume); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Parallel = 1
+	cfg.Sink = sink
+	cfg.OnSinkError = func(err error) { t.Error("sink error:", err) }
+	res, err := Torture(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// interruptedSweep runs the sweep into a store at path, stopping after
+// `after` records, then resumes from that store into the same path and
+// returns the final store's record stream.
+func interruptedSweep(t *testing.T, base TortureConfig, path string, after int) []byte {
+	t.Helper()
 	stop := make(chan struct{})
 	n := 0
 	cfg := base
-	cfg.Parallel = 1
 	cfg.Stop = stop
-	cfg.OnRecord = func(r Record) {
-		if err := WriteRecord(&buf, r); err != nil {
-			t.Fatal(err)
-		}
+	cfg.OnRecord = func(Record) {
 		if n++; n == after {
 			close(stop)
 		}
 	}
-	first, err := Torture(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := sweepStore(t, cfg, path)
 	if !first.Interrupted || first.Skipped == 0 {
 		t.Fatalf("sweep was not interrupted: skipped=%d", first.Skipped)
 	}
 
-	recs, err := ReadRecords(bytes.NewReader(buf.Bytes()))
+	recs, err := LoadRecords(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != after {
-		t.Fatalf("partial stream has %d records, want %d", len(recs), after)
+		t.Fatalf("partial store has %d records, want %d", len(recs), after)
 	}
 	cfg = base
-	cfg.Parallel = 1
 	cfg.Resume = recs
-	cfg.OnRecord = func(r Record) {
-		if err := WriteRecord(&buf, r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	resumed, err := Torture(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resumed := sweepStore(t, cfg, path)
 	if resumed.Interrupted || resumed.Skipped != 0 {
 		t.Fatalf("resumed sweep still interrupted: skipped=%d", resumed.Skipped)
 	}
-	return buf.Bytes()
+	return storePayloads(t, path)
 }
 
 // Two interrupted-and-resumed sweeps — and an uninterrupted baseline —
-// must produce byte-identical JSONL checkpoint streams: sequential
+// must leave stores whose JSONL exports are byte-identical: sequential
 // emission order, pure-function retry backoff, and no wall-clock state
 // in any record.
 func TestFleetInterruptedResumeByteIdenticalJSONL(t *testing.T) {
 	base := TortureConfig{Seed: 21, Campaigns: 6, Txns: 8}
+	dir := t.TempDir()
 
-	var baseline bytes.Buffer
-	cfg := base
-	cfg.Parallel = 1
-	cfg.OnRecord = func(r Record) {
-		if err := WriteRecord(&baseline, r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := Torture(cfg); err != nil {
-		t.Fatal(err)
-	}
+	sweepStore(t, base, filepath.Join(dir, "baseline.srs"))
+	baseline := storePayloads(t, filepath.Join(dir, "baseline.srs"))
 
-	a := interruptedSweep(t, base, 3)
-	b := interruptedSweep(t, base, 3)
+	a := interruptedSweep(t, base, filepath.Join(dir, "a.srs"), 3)
+	b := interruptedSweep(t, base, filepath.Join(dir, "b.srs"), 3)
 	if !bytes.Equal(a, b) {
 		t.Errorf("two interrupted+resumed runs differ:\n%s\nvs\n%s", a, b)
 	}
-	if !bytes.Equal(a, baseline.Bytes()) {
+	if !bytes.Equal(a, baseline) {
 		t.Errorf("interrupted+resumed stream differs from uninterrupted baseline:\n%s\nvs\n%s",
-			a, baseline.Bytes())
+			a, baseline)
 	}
 	// Interrupting at a different point must still converge to the same
 	// final stream.
-	c := interruptedSweep(t, base, 5)
-	if !bytes.Equal(c, baseline.Bytes()) {
+	c := interruptedSweep(t, base, filepath.Join(dir, "c.srs"), 5)
+	if !bytes.Equal(c, baseline) {
 		t.Errorf("different interruption point changed the final stream:\n%s\nvs\n%s",
-			c, baseline.Bytes())
+			c, baseline)
 	}
 }

@@ -1,19 +1,17 @@
 package harness
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 
 	"silo/internal/fault"
 	"silo/internal/recovery"
 )
 
-// Record is one campaign outcome in the fleet's JSONL checkpoint
-// stream: self-contained (the campaign is reconstructible from it, so a
-// resumed sweep re-derives nothing) and machine-readable for CI.
+// Record is one campaign outcome in the fleet's checkpoint store, kept
+// as its JSON encoding in the record's payload: self-contained (the
+// campaign is reconstructible from it, so a resumed sweep re-derives
+// nothing) and machine-readable for CI (silo-report -jsonl exports it).
 type Record struct {
 	Index    int    `json:"index"`
 	Design   string `json:"design"`
@@ -122,44 +120,4 @@ func (r Record) Outcome() (CampaignOutcome, error) {
 		o.Err = errors.New(r.Err)
 	}
 	return o, nil
-}
-
-// WriteRecord appends one record to w as a JSON line.
-func WriteRecord(w io.Writer, r Record) error {
-	b, err := json.Marshal(r)
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
-}
-
-// ReadRecords parses a JSONL checkpoint stream into an index-keyed map.
-// A torn final line — the process died mid-write — is skipped, not an
-// error; a later record for the same index wins (retried campaigns).
-// Infra-failed records are dropped so a resumed sweep retries them.
-func ReadRecords(r io.Reader) (map[int]Record, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 4<<20)
-	out := make(map[int]Record)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			continue // torn tail of an interrupted stream
-		}
-		if rec.Infra {
-			delete(out, rec.Index)
-			continue
-		}
-		out[rec.Index] = rec
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

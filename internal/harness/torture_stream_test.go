@@ -1,12 +1,13 @@
 package harness
 
 import (
-	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// A record must survive the JSONL roundtrip with enough fidelity that a
+// A record must survive the store roundtrip with enough fidelity that a
 // resumed sweep aggregates it exactly as if the campaign had just run.
 func TestRecordRoundtrip(t *testing.T) {
 	cfg := TortureConfig{Seed: 11, Campaigns: 1, Txns: 8}
@@ -15,11 +16,9 @@ func TestRecordRoundtrip(t *testing.T) {
 		t.Fatalf("campaign infra-failed: %v", out.Err)
 	}
 
-	var buf bytes.Buffer
-	if err := WriteRecord(&buf, OutcomeRecord(out)); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := ReadRecords(&buf)
+	path := filepath.Join(t.TempDir(), "sweep.srs")
+	writeStore(t, path, OutcomeRecord(out))
+	recs, err := LoadRecords(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,18 +43,42 @@ func TestRecordRoundtrip(t *testing.T) {
 	}
 }
 
-// The checkpoint reader must tolerate the torn tail of an interrupted
-// stream, let later duplicates win (retried campaigns), and drop infra
+// The resume loader must tolerate the torn tail of an interrupted
+// writer, let later duplicates win (retried campaigns), and drop infra
 // records so a resumed sweep re-executes them.
 func TestReadRecordsSkipsTornTailAndInfra(t *testing.T) {
-	var buf bytes.Buffer
-	buf.WriteString(`{"index":0,"design":"Silo","workload":"Array","cores":1,"txns":4,"seed":1,"plan":"trigger=none","repro":"r0","report":{},"attempts":1,"commits":3}` + "\n")
-	buf.WriteString(`{"index":0,"design":"Silo","workload":"Array","cores":1,"txns":4,"seed":1,"plan":"trigger=none","repro":"r0","report":{},"attempts":2,"commits":4}` + "\n")
-	buf.WriteString(`{"index":5,"design":"Silo","workload":"Array","cores":1,"txns":4,"seed":1,"plan":"trigger=none","repro":"r5","report":{},"attempts":3,"err":"infra: watchdog","infra":true}` + "\n")
-	buf.WriteString("\n")
-	buf.WriteString(`{"index":7,"design":"Si`) // process died mid-write
+	first := plainRecord(0)
+	retried := plainRecord(0)
+	retried.Attempts, retried.Commits = 2, 4
+	infra := plainRecord(5)
+	infra.Attempts, infra.Err, infra.Infra = 3, "infra: watchdog", true
+	path := filepath.Join(t.TempDir(), "sweep.srs")
+	sink, err := OpenCheckpointSink(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink.flushEvery = 1
+	for _, r := range []Record{first, retried, infra, plainRecord(7)} {
+		enc, err := sink.Encode(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sink.Write(r, enc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The process died mid-write: the store was never sealed and the
+	// chunk holding record 7 is torn.
+	tmp := path + ".tmp"
+	fi, err := os.Stat(tmp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(tmp, fi.Size()-3); err != nil {
+		t.Fatal(err)
+	}
 
-	recs, err := ReadRecords(&buf)
+	recs, err := LoadRecords(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,18 +97,22 @@ func TestReadRecordsSkipsTornTailAndInfra(t *testing.T) {
 // still renders a full summary.
 func TestFleetFullyResumedSweep(t *testing.T) {
 	base := TortureConfig{Seed: 9, Campaigns: 4, Txns: 8, Shrink: false}
-	var buf bytes.Buffer
-	cfg := base
-	cfg.OnRecord = func(r Record) { // OnRecord calls are serialized
-		if err := WriteRecord(&buf, r); err != nil {
-			t.Error(err)
-		}
+	path := filepath.Join(t.TempDir(), "sweep.srs")
+	sink, err := OpenCheckpointSink(path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	cfg := base
+	cfg.Sink = sink
+	cfg.OnSinkError = func(err error) { t.Error("sink error:", err) }
 	full, err := Torture(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReadRecords(&buf)
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := LoadRecords(path)
 	if err != nil {
 		t.Fatal(err)
 	}

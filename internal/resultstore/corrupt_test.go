@@ -224,8 +224,9 @@ func TestRecoverBitFlippedChunk(t *testing.T) {
 	}
 }
 
-// TestRecoverRejectsForeignFile asserts Recover is ErrCorrupt on
-// not-an-SRS1-segment inputs rather than returning zero records.
+// TestRecoverRejectsForeignFile asserts Recover and Open reject
+// not-an-SRS1-segment inputs by header with ErrNotStore (which is also
+// ErrCorrupt) rather than returning zero records.
 func TestRecoverRejectsForeignFile(t *testing.T) {
 	dir := t.TempDir()
 	cases := map[string][]byte{
@@ -238,9 +239,70 @@ func TestRecoverRejectsForeignFile(t *testing.T) {
 		if err := os.WriteFile(p, content, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Recover(p); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: Recover = %v, want ErrCorrupt", name, err)
+		if _, err := Recover(p); !errors.Is(err, ErrNotStore) || !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Recover = %v, want ErrNotStore wrapping ErrCorrupt", name, err)
 		}
+		if _, err := Open(p); !errors.Is(err, ErrNotStore) {
+			t.Errorf("%s: Open = %v, want ErrNotStore", name, err)
+		}
+	}
+}
+
+// TestDamagedStoreIsNotForeign pins the other side of the header
+// check: a store whose magic survived is damaged, not foreign, so
+// callers still try to recover it.
+func TestDamagedStoreIsNotForeign(t *testing.T) {
+	data, _ := sealedImage(t)
+	for name, img := range map[string][]byte{
+		"truncated":  data[:len(data)/2],
+		"magic only": data[:len(Magic)],
+	} {
+		if _, err := openBytes(img); !errors.Is(err, ErrCorrupt) || errors.Is(err, ErrNotStore) {
+			t.Errorf("%s: openBytes = %v, want ErrCorrupt but not ErrNotStore", name, err)
+		}
+	}
+}
+
+// TestNewWriterRefusesForeignFile asserts the writer never replaces a
+// file that is not a store (Seal's rename would destroy it), while a
+// sealed store at the path is replaced as before.
+func TestNewWriterRefusesForeignFile(t *testing.T) {
+	dir := t.TempDir()
+	foreign := filepath.Join(dir, "sweep.jsonl")
+	legacy := []byte(`{"index":0}` + "\n")
+	if err := os.WriteFile(foreign, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewWriter(foreign); !errors.Is(err, ErrNotStore) {
+		t.Fatalf("NewWriter over a JSONL file = %v, want ErrNotStore", err)
+	}
+	if got, _ := os.ReadFile(foreign); !bytes.Equal(got, legacy) {
+		t.Error("refused writer still changed the file")
+	}
+	if _, err := os.Stat(foreign + ".tmp"); !os.IsNotExist(err) {
+		t.Error("refused writer left a temp segment")
+	}
+
+	store := filepath.Join(dir, "sweep.srs")
+	for round := 0; round < 2; round++ {
+		w, err := NewWriter(store)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if err := w.Append(Row{Index: int64(round)}, []byte("{}")); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Seal(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := Open(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if st.Count() != 1 || st.Row(0).Index != 1 {
+		t.Errorf("second writer did not replace the sealed store: count %d", st.Count())
 	}
 }
 

@@ -2,9 +2,10 @@
 // format for fleet campaign results: a dense fixed-size index row per
 // campaign for scan-fast filtering plus a variable-length payload
 // section holding the full records (and optional compressed trace
-// blobs). It is the binary successor to the JSONL checkpoint stream —
-// "query one million campaign results" becomes an index scan over a
-// memory-mapped file instead of a million JSON parses.
+// blobs). It is the fleet's only checkpoint format (JSONL survives as
+// an export and import in silo-report) — "query one million campaign
+// results" is an index scan over a memory-mapped file, not a million
+// JSON parses.
 //
 // On-disk layout (all integers little-endian):
 //
@@ -31,6 +32,27 @@ import (
 // magic, impossible lengths, CRC mismatches, and unsealed segments.
 var ErrCorrupt = errors.New("resultstore: corrupt store")
 
+// ErrNotStore is wrapped when a file does not begin with the SRS1
+// magic: it is some other format (a JSONL checkpoint, a trace), not a
+// damaged store, so there is nothing to recover. It wraps ErrCorrupt,
+// so a caller asking only "is this a readable store?" needs no second
+// check.
+var ErrNotStore error = notStoreError{}
+
+type notStoreError struct{}
+
+func (notStoreError) Error() string { return "resultstore: not an SRS1 file" }
+func (notStoreError) Unwrap() error { return ErrCorrupt }
+
+// checkMagic is the header check that tells a store (sealed or a temp
+// segment, however torn past its magic) from any other file.
+func checkMagic(b []byte) error {
+	if len(b) < len(Magic) || string(b[:len(Magic)]) != Magic {
+		return fmt.Errorf("%w (starts %q)", ErrNotStore, b[:min(len(b), len(Magic))])
+	}
+	return nil
+}
+
 const (
 	// Magic opens every SRS1 file, sealed or not.
 	Magic   = "SRS1"
@@ -53,7 +75,7 @@ const (
 )
 
 // Kind classifies a campaign outcome in the index, mirroring the
-// JSONL reporting logic: Infra wins over everything (no durability
+// record's reporting logic: Infra wins over everything (no durability
 // verdict), then a run error, then golden-shadow mismatches.
 type Kind uint8
 
@@ -321,11 +343,11 @@ func placeholderHeader() []byte {
 // parseHeader validates the fixed header fields and CRC.
 func parseHeader(b []byte) (header, error) {
 	var h header
+	if err := checkMagic(b); err != nil {
+		return h, err
+	}
 	if len(b) < headerSize {
 		return h, fmt.Errorf("%w: %d bytes is shorter than the %d-byte header", ErrCorrupt, len(b), headerSize)
-	}
-	if string(b[0:4]) != Magic {
-		return h, fmt.Errorf("%w: bad magic %q (want %q)", ErrCorrupt, b[0:4], Magic)
 	}
 	if v := le.Uint32(b[4:]); v != Version {
 		return h, fmt.Errorf("%w: unsupported version %d (want %d)", ErrCorrupt, v, Version)

@@ -24,8 +24,9 @@ type Store struct {
 }
 
 // Open maps the store at path and validates its seals. Any structural
-// problem — truncation, bad magic, bad CRC, an unsealed temp segment —
-// returns an error wrapping ErrCorrupt.
+// problem — truncation, bad CRC, an unsealed temp segment — returns an
+// error wrapping ErrCorrupt; a file that is not SRS1 at all wraps
+// ErrNotStore.
 func Open(path string) (*Store, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -54,12 +55,12 @@ func Open(path string) (*Store, error) {
 // openBytes validates an in-memory image (shared by Open and the
 // fuzzer, which must exercise exactly the production checks).
 func openBytes(data []byte) (*Store, error) {
-	if len(data) < headerSize+footerSize {
-		return nil, fmt.Errorf("%w: %d bytes cannot hold header and footer", ErrCorrupt, len(data))
-	}
 	h, err := parseHeader(data)
 	if err != nil {
 		return nil, err
+	}
+	if len(data) < headerSize+footerSize {
+		return nil, fmt.Errorf("%w: %d bytes cannot hold header and footer", ErrCorrupt, len(data))
 	}
 	ftr, err := parseFooter(data[len(data)-footerSize:])
 	if err != nil {

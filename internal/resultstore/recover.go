@@ -11,7 +11,7 @@ import (
 // returns every intact record payload in append order, byte-exactly as
 // written. Scanning stops at the first torn or unsealed tail (the only
 // thing a crashed append can produce), which is interruption, not an
-// error; a file that is not an SRS1 segment at all is ErrCorrupt.
+// error; a file that is not an SRS1 segment at all is ErrNotStore.
 // Trace chunks are skipped: losing debug blobs to a crash is fine,
 // losing records is not.
 func Recover(path string) ([][]byte, error) {
@@ -23,11 +23,11 @@ func Recover(path string) ([][]byte, error) {
 }
 
 func recoverBytes(data []byte) ([][]byte, error) {
+	if err := checkMagic(data); err != nil {
+		return nil, err
+	}
 	if len(data) < headerSize {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than the %d-byte header", ErrCorrupt, len(data), headerSize)
-	}
-	if string(data[0:4]) != Magic {
-		return nil, fmt.Errorf("%w: bad magic %q (want %q)", ErrCorrupt, data[0:4], Magic)
 	}
 	if v := le.Uint32(data[4:]); v != Version {
 		return nil, fmt.Errorf("%w: unsupported version %d (want %d)", ErrCorrupt, v, Version)

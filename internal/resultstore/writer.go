@@ -5,6 +5,7 @@ import (
 	"compress/flate"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 )
@@ -42,7 +43,17 @@ type Writer struct {
 
 // NewWriter creates the temp segment for a store at path, truncating
 // any prior temp segment (read it with Recover first if resuming).
+// Seal replaces a store already at path, so a file there that is not
+// a store is refused with ErrNotStore rather than clobbered.
 func NewWriter(path string) (*Writer, error) {
+	if f, err := os.Open(path); err == nil {
+		head := make([]byte, len(Magic))
+		n, _ := io.ReadFull(f, head) // a short read is judged by its bytes
+		f.Close()
+		if err := checkMagic(head[:n]); err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
+		}
+	}
 	f, err := os.OpenFile(path+".tmp", os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, err
