@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -57,6 +58,161 @@ func storePayloads(t *testing.T, path string) []byte {
 func plainRecord(idx int) Record {
 	return Record{Index: idx, Design: "Silo", Workload: "Array", Cores: 1, Txns: 4, Seed: 1,
 		Plan: "trigger=none", Repro: "r", Attempts: 1, Commits: 3, MidRun: true}
+}
+
+// writeRaw writes each record, with the given payload, through a sink
+// at path that flushes after every record, and returns the sink
+// unsealed. Abandoning it leaves what a fleet killed mid-sweep leaves
+// at path.tmp; closing it seals the store.
+func writeRaw(t *testing.T, path string, recs []Record, payloads [][]byte) *CheckpointSink {
+	t.Helper()
+	sink, err := OpenCheckpointSink(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink.flushEvery = 1
+	for i, r := range recs {
+		if err := sink.Write(r, payloads[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sink
+}
+
+// tearTail cuts the last bytes off an abandoned store's temp segment,
+// as if the final chunk never fully reached disk.
+func tearTail(t *testing.T, path string) {
+	t.Helper()
+	fi, err := os.Stat(path + ".tmp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path+".tmp", fi.Size()-5); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// encodeAll marshals recs as the sink would.
+func encodeAll(t *testing.T, recs ...Record) [][]byte {
+	t.Helper()
+	out := make([][]byte, len(recs))
+	for i, r := range recs {
+		var err error
+		if out[i], err = json.Marshal(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// A checkpoint with no records must fail the summary with an error that
+// says so, never report PASS on zero campaigns. A sealed store holding
+// nothing says "no records"; an empty or blank file (what an empty
+// JSONL stream was) is not a store at all, for either loader.
+func TestLoadCheckpointEmptyStreamErrors(t *testing.T) {
+	dir := t.TempDir()
+	sealed := filepath.Join(dir, "sealed.srs")
+	writeStore(t, sealed)
+	if s, err := SummarizeStore(sealed); err == nil {
+		t.Errorf("want error on a store with no records, got %+v", s)
+	} else if !strings.Contains(err.Error(), "no records") {
+		t.Errorf("error does not explain the problem: %v", err)
+	}
+	for name, body := range map[string]string{
+		"empty":      "",
+		"whitespace": "\n\n  \n",
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(dir, name+".srs")
+			if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if recs, err := LoadRecords(path); !errors.Is(err, resultstore.ErrNotStore) {
+				t.Errorf("LoadRecords on %s file = %d records, %v; want ErrNotStore", name, len(recs), err)
+			}
+			if s, err := SummarizeStore(path); !errors.Is(err, resultstore.ErrNotStore) {
+				t.Errorf("SummarizeStore on %s file = %+v, %v; want ErrNotStore", name, s, err)
+			}
+		})
+	}
+}
+
+// A writer killed mid-append leaves a torn partial chunk after its last
+// flushed record. Both loaders keep every whole record and the summary
+// flags the interruption instead of failing.
+func TestLoadCheckpointTornTailTolerated(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.srs")
+	recs := []Record{plainRecord(0), plainRecord(1), plainRecord(2)}
+	writeRaw(t, path, recs, encodeAll(t, recs...))
+	tearTail(t, path) // the third record's chunk
+	s, err := SummarizeStore(path)
+	if err != nil {
+		t.Fatalf("torn final record must not fail the load: %v", err)
+	}
+	if !s.TornTail {
+		t.Error("torn tail not flagged")
+	}
+	if s.Campaigns != 2 || s.Records != 2 {
+		t.Errorf("campaigns=%d records=%d, want 2/2", s.Campaigns, s.Records)
+	}
+	if !strings.Contains(s.String(), "interrupted mid-write") {
+		t.Errorf("summary hides the interruption:\n%s", s.String())
+	}
+	got, err := LoadRecords(path)
+	if err != nil {
+		t.Fatalf("torn final record must not fail resume: %v", err)
+	}
+	if len(got) != 2 {
+		t.Errorf("resume recovered %d records, want 2", len(got))
+	}
+}
+
+// A checkpoint whose only record is torn holds nothing to summarize:
+// that is an error naming the cause, not an empty PASS.
+func TestLoadCheckpointOnlyTornRecordErrors(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.srs")
+	recs := []Record{plainRecord(0)}
+	writeRaw(t, path, recs, encodeAll(t, recs...))
+	tearTail(t, path)
+	s, err := SummarizeStore(path)
+	if err == nil {
+		t.Fatalf("a store holding only a torn record must error, got %+v", s)
+	}
+	if !strings.Contains(err.Error(), "no recoverable records") {
+		t.Errorf("error does not explain the problem: %v", err)
+	}
+}
+
+// A payload that is not a record, between good ones, is corruption the
+// writer never produces: loading fails and names the record's position,
+// in a sealed store and in an unsealed one alike.
+func TestLoadCheckpointMidStreamCorruptionErrors(t *testing.T) {
+	dir := t.TempDir()
+	recs := []Record{plainRecord(0), plainRecord(1), plainRecord(2)}
+	payloads := encodeAll(t, recs...)
+	payloads[1] = []byte("GARBAGE NOT JSON")
+
+	sealed := filepath.Join(dir, "sealed.srs")
+	if err := writeRaw(t, sealed, recs, payloads).Close(); err != nil {
+		t.Fatal(err)
+	}
+	unsealed := filepath.Join(dir, "unsealed.srs")
+	writeRaw(t, unsealed, recs, payloads)
+
+	for name, load := range map[string]func() error{
+		"sealed LoadRecords":      func() error { _, err := LoadRecords(sealed); return err },
+		"unsealed LoadRecords":    func() error { _, err := LoadRecords(unsealed); return err },
+		"unsealed SummarizeStore": func() error { _, err := SummarizeStore(unsealed); return err },
+	} {
+		err := load()
+		if !errors.Is(err, resultstore.ErrCorrupt) {
+			t.Errorf("%s: mid-stream corruption must fail the load with ErrCorrupt, got %v", name, err)
+			continue
+		}
+		if !strings.Contains(err.Error(), "record 2") {
+			t.Errorf("%s: error does not name the corrupt record: %v", name, err)
+		}
+	}
 }
 
 func TestLoadCheckpointAggregates(t *testing.T) {

@@ -261,11 +261,12 @@ func LoadRecords(path string) (map[int]Record, error) {
 }
 
 // applyPayloads folds records into the resume map in append order.
+// A payload that does not decode is named by its 1-based position.
 func applyPayloads(out map[int]Record, payloads [][]byte) error {
-	for _, p := range payloads {
+	for i, p := range payloads {
 		rec, err := decodeStoreRecord(p)
 		if err != nil {
-			return err
+			return fmt.Errorf("record %d: %w", i+1, err)
 		}
 		if rec.Infra {
 			delete(out, rec.Index)
@@ -332,7 +333,7 @@ func summarizeRecovered(path string, openErr error) (*CheckpointSummary, error) 
 	recs := make([]Record, len(payloads))
 	for i, p := range payloads {
 		if recs[i], err = decodeStoreRecord(p); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
+			return nil, fmt.Errorf("%s: record %d: %w", path, i+1, err)
 		}
 	}
 	s, _ := summarizeRows(len(recs),

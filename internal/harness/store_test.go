@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"bufio"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -72,6 +74,77 @@ func sweepToPath(t *testing.T, path string, campaigns int) []Record {
 		t.Fatal(err)
 	}
 	return recs
+}
+
+// The legacy fixture in cmd/silo-report/testdata is what the JSONL
+// checkpoint sink wrote for sweepToPath's 24-campaign sweep, and its
+// summary as the JSONL summarizer rendered it.
+const (
+	legacyJSONL   = "../../cmd/silo-report/testdata/legacy_v1.jsonl"
+	legacySummary = "../../cmd/silo-report/testdata/legacy_v1.summary.txt"
+)
+
+// TestStoreSweepSummaryByteIdentical runs the fixture's sweep into a
+// store and demands its rendered summary and design table agree byte
+// for byte with the JSONL summarizer's for the same sweep.
+func TestStoreSweepSummaryByteIdentical(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.srs")
+	sweepToPath(t, path, 24)
+	want, err := os.ReadFile(legacySummary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := SummarizeStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.String() + s.Table().String(); got != string(want) {
+		t.Errorf("store summary differs from the JSONL one:\n--- jsonl ---\n%s--- store ---\n%s", want, got)
+	}
+}
+
+// TestLoadRecordsStoreMatchesJSONL demands the resume state a store
+// yields equals the one its JSONL fixture holds: later duplicates win
+// and infra-failed campaigns are dropped so the fleet retries them.
+func TestLoadRecordsStoreMatchesJSONL(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.srs")
+	sweepToPath(t, path, 24)
+	fromStore, err := LoadRecords(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromJSONL := make(map[int]Record)
+	f, err := os.Open(legacyJSONL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		var rec Record
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Infra {
+			delete(fromJSONL, rec.Index)
+			continue
+		}
+		fromJSONL[rec.Index] = rec
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fromJSONL, fromStore) {
+		t.Errorf("resume maps differ: jsonl %d records, store %d records", len(fromJSONL), len(fromStore))
+	}
+	// Infra campaigns (index%8 == 6) must be absent so the fleet
+	// retries them.
+	for idx := range fromStore {
+		if idx%8 == 6 {
+			t.Errorf("infra campaign %d survived into the resume map", idx)
+		}
+	}
 }
 
 // TestStoreInterruptedWriterResume is the crash-recovery round trip:
