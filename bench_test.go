@@ -183,19 +183,22 @@ func BenchmarkFig15BufferLatency(b *testing.B) {
 // BenchmarkEngineOverhead measures the simulator's own speed: host
 // nanoseconds per simulated memory operation (the number that bounds how
 // big an experiment is practical), driving the cooperative scheduler over
-// the B-tree insert stream.
+// the B-tree insert stream (a hand-written OpStream) and over Array (a
+// program on the coroutine, its loads answered at issue).
 func BenchmarkEngineOverhead(b *testing.B) {
-	b.Run("cooperative", func(b *testing.B) {
-		var ops int64
-		var r Result
-		for i := 0; i < b.N; i++ {
-			r = runSpec(b, harness.Spec{Design: "Silo", Workload: "Btree", Cores: 4,
-				Txns: 2000, Seed: int64(i)})
-			ops = r.Loads + r.Stores + 2*r.Transactions
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ops)/float64(b.N), "host-ns/simOp")
-		b.ReportMetric(float64(ops), "simOps/run")
-	})
+	for _, arm := range []struct{ name, workload string }{{"cooperative", "Btree"}, {"array", "Array"}} {
+		b.Run(arm.name, func(b *testing.B) {
+			var ops int64
+			var r Result
+			for i := 0; i < b.N; i++ {
+				r = runSpec(b, harness.Spec{Design: "Silo", Workload: arm.workload, Cores: 4,
+					Txns: 2000, Seed: int64(i)})
+				ops = r.Loads + r.Stores + 2*r.Transactions
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ops)/float64(b.N), "host-ns/simOp")
+			b.ReportMetric(float64(ops), "simOps/run")
+		})
+	}
 }
 
 // --- Ablations (DESIGN.md §4): each design choice on vs off ---

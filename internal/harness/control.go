@@ -44,30 +44,14 @@ type ControlledRun struct {
 	TickOps int
 }
 
-// NewControlledRun builds the machine and workload for spec exactly like
-// RunMachine, but leaves the engine unstarted.
+// NewControlledRun builds the machine and workload streams for spec
+// through the same path as RunMachine, but leaves the engine unstarted.
 func NewControlledRun(spec Spec) (*ControlledRun, error) {
-	m, wl, err := Build(spec)
+	m, streams, err := buildStreams(spec)
 	if err != nil {
 		return nil, err
 	}
-	if spec.Txns <= 0 {
-		spec.Txns = 1000
-	}
-	cores := spec.Cores
-	if cores < 1 {
-		cores = 1
-	}
-	eng := m.Engine(spec.Seed)
-	per := spec.Txns / cores
-	if per < 1 {
-		per = 1
-	}
-	streams := make([]sim.OpStream, cores)
-	for c := 0; c < cores; c++ {
-		streams[c] = wl.Stream(c, per, sim.CoreRand(spec.Seed, c))
-	}
-	return &ControlledRun{spec: spec, mach: m, eng: eng, streams: streams, TickOps: 64}, nil
+	return &ControlledRun{spec: spec, mach: m, eng: m.Engine(spec.Seed), streams: streams, TickOps: 64}, nil
 }
 
 // Machine exposes the run's machine (telemetry recorder, device, region —

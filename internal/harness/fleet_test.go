@@ -12,6 +12,9 @@ import (
 	"silo/internal/audit"
 	"silo/internal/core"
 	"silo/internal/fault"
+	"silo/internal/machine"
+	"silo/internal/mem"
+	"silo/internal/sim"
 	"silo/internal/telemetry"
 )
 
@@ -59,6 +62,34 @@ func TestFleetContainsPanickingCampaign(t *testing.T) {
 	}
 	if !strings.Contains(res.Summary(), f.Campaign.Repro()) {
 		t.Error("summary lacks the failing campaign's repro line")
+	}
+}
+
+// skewedPeek is a machine whose Peek disagrees with the value its loads
+// execute to.
+type skewedPeek struct{ *machine.Machine }
+
+func (p skewedPeek) Peek(core int, addr mem.Addr) mem.Word { return p.Machine.Peek(core, addr) + 1 }
+
+// A load that executes to a different value than its program was given
+// at issue must become a failed campaign, never a silent one.
+func TestFleetReportsLoadMismatch(t *testing.T) {
+	c := Campaign{Spec: Spec{Design: "Silo", Workload: "Array", Cores: 2, Txns: 8, Seed: 1}}
+	out := runContained(func(c Campaign) CampaignOutcome {
+		m, wl, err := Build(c.Spec)
+		if err != nil {
+			t.Error(err)
+			return CampaignOutcome{Campaign: c}
+		}
+		streams := []sim.OpStream{wl.Stream(0, 4, sim.CoreRand(1, 0)), wl.Stream(1, 4, sim.CoreRand(1, 1))}
+		sim.NewEngine(skewedPeek{m}, 2, 1).RunStreams(streams)
+		return CampaignOutcome{Campaign: c}
+	}, c, 0)
+	if !out.Failed() || !out.Panicked {
+		t.Fatalf("mismatch not reported as a failed campaign: err %v, panicked %v", out.Err, out.Panicked)
+	}
+	if !strings.Contains(out.Err.Error(), "program was given") {
+		t.Errorf("err = %v, want the load mismatch", out.Err)
 	}
 }
 

@@ -199,28 +199,33 @@ func Run(spec Spec) (stats.Run, error) {
 // RunMachine executes the spec and also returns the machine, for callers
 // that inspect design internals (Fig. 13) or verify crash recovery.
 func RunMachine(spec Spec) (*machine.Machine, stats.Run, error) {
-	m, wl, err := Build(spec)
+	m, streams, err := buildStreams(spec)
 	if err != nil {
 		return nil, stats.Run{}, err
 	}
-	if spec.Txns <= 0 {
-		spec.Txns = 1000
+	m.Engine(spec.Seed).RunStreams(streams)
+	return m, m.CollectStats(spec.Design, spec.Workload), nil
+}
+
+// buildStreams builds spec's machine and one workload stream per core,
+// spec.Txns (default 1000) split evenly across the cores — the one
+// spec-to-streams path of RunMachine and NewControlledRun.
+func buildStreams(spec Spec) (*machine.Machine, []sim.OpStream, error) {
+	m, wl, err := Build(spec)
+	if err != nil {
+		return nil, nil, err
 	}
-	cores := spec.Cores
-	if cores < 1 {
-		cores = 1
+	txns := spec.Txns
+	if txns <= 0 {
+		txns = 1000
 	}
-	eng := m.Engine(spec.Seed)
-	per := spec.Txns / cores
-	if per < 1 {
-		per = 1
-	}
+	cores := max(spec.Cores, 1)
+	per := max(txns/cores, 1)
 	streams := make([]sim.OpStream, cores)
-	for c := 0; c < cores; c++ {
+	for c := range streams {
 		streams[c] = wl.Stream(c, per, sim.CoreRand(spec.Seed, c))
 	}
-	eng.RunStreams(streams)
-	return m, m.CollectStats(spec.Design, spec.Workload), nil
+	return m, streams, nil
 }
 
 // ReplayRun re-executes a recorded trace under spec's design. The spec's

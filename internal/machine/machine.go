@@ -5,6 +5,7 @@
 package machine
 
 import (
+	"encoding/binary"
 	"math/rand"
 
 	"silo/internal/audit"
@@ -304,6 +305,22 @@ func (m *Machine) fill(la mem.Addr, now sim.Cycle) ([mem.LineSize]byte, sim.Cycl
 	var line [mem.LineSize]byte
 	lat := m.dev.ReadInto(now, la, line[:])
 	return line, lat
+}
+
+// Peek implements sim.Executor: the word core's load of addr would read
+// now, from the sources a load reads — the hierarchy, then (on a miss)
+// the design's MC buffer and the device, as fill does — with no timing,
+// no LRU update and no statistics.
+func (m *Machine) Peek(core int, addr mem.Addr) mem.Word {
+	if w, ok := m.hier.PeekWord(core, addr); ok {
+		return w
+	}
+	if m.mcReader != nil {
+		if data, hit := m.mcReader.MCBuffered(addr.Line()); hit {
+			return mem.Word(binary.LittleEndian.Uint64(data[addr.Word().LineOffset():]))
+		}
+	}
+	return m.dev.PeekWord(addr)
 }
 
 func (m *Machine) writeback(now sim.Cycle, la mem.Addr, data [mem.LineSize]byte) {

@@ -33,6 +33,9 @@ func runPrograms(eng *sim.Engine, progs ...sim.Program) {
 func TestExecLoadStore(t *testing.T) {
 	m := newMachine(1, core.Factory(core.Options{}))
 	m.Device().PokeWord(0x1000, 7)
+	if w := m.Peek(0, 0x1000); w != 7 {
+		t.Errorf("peek from the device = %d, want 7", w)
+	}
 	r := m.Exec(0, sim.Op{Kind: sim.OpLoad, Addr: 0x1000}, 0)
 	if r.Value != 7 {
 		t.Errorf("load = %d, want 7", r.Value)
@@ -41,6 +44,9 @@ func TestExecLoadStore(t *testing.T) {
 		t.Error("load had no latency")
 	}
 	m.Exec(0, sim.Op{Kind: sim.OpStore, Addr: 0x1000, Data: 8}, 10)
+	if w := m.Peek(0, 0x1000); w != 8 {
+		t.Errorf("peek from the cache = %d, want 8", w)
+	}
 	r = m.Exec(0, sim.Op{Kind: sim.OpLoad, Addr: 0x1000}, 20)
 	if r.Value != 8 {
 		t.Errorf("load after store = %d", r.Value)
@@ -144,7 +150,7 @@ func TestCollectStatsGathersEverything(t *testing.T) {
 }
 
 func TestMCReaderFillPath(t *testing.T) {
-	// A line buffered in LAD's MC must satisfy cache fills.
+	// A line buffered in LAD's MC must satisfy cache fills and Peek.
 	m := newMachine(1, baseline.NewLAD)
 	lad := m.Design().(*baseline.LAD)
 	m.Exec(0, sim.Op{Kind: sim.OpTxBegin}, 0)
@@ -153,6 +159,9 @@ func TestMCReaderFillPath(t *testing.T) {
 	line[0] = 9
 	lad.CachelineEvicted(2, 0x4000, line)
 	m.Hierarchy().InvalidateAll() // force the next load to fill
+	if w := m.Peek(0, 0x4000); w != 9 {
+		t.Errorf("peek from MC buffer = %d, want 9", w)
+	}
 	r := m.Exec(0, sim.Op{Kind: sim.OpLoad, Addr: 0x4000}, 3)
 	if r.Value != 9 {
 		t.Errorf("fill from MC buffer = %d, want 9", r.Value)

@@ -11,9 +11,12 @@
 // operations and zero heap allocations per op.
 //
 // A workload written as a plain Go function (a Program issuing operations
-// through a Ctx) becomes an OpStream through NewProgramStream, which
-// suspends the function on a runtime coroutine (iter.Pull); workloads
-// whose op sequence needs no program frame implement OpStream directly.
+// through a Ctx) becomes an OpStream through NewProgramStream, which runs
+// the function on a runtime coroutine (iter.Pull), answers its loads at
+// issue time (each core's data is private, so a load's value never
+// depends on timing) and suspends it once per maxRunAhead queued ops. A
+// workload whose op sequence needs no program frame may implement
+// OpStream directly.
 package sim
 
 import (
@@ -75,10 +78,14 @@ type Result struct {
 }
 
 // Executor executes operations against the simulated machine (caches,
-// logging hardware, memory controller, PM). It is called with operations
-// in nondecreasing `now` order across all cores.
+// logging hardware, memory controller, PM). Exec is called with
+// operations in nondecreasing `now` order across all cores. Peek returns
+// the word a load of addr by core would read if executed now, with no
+// side effects and no timing; program streams answer loads with it at
+// issue time.
 type Executor interface {
 	Exec(core int, op Op, now Cycle) Result
+	Peek(core int, addr mem.Addr) mem.Word
 }
 
 // ErrCrashed is the panic value used to unwind core programs when the
@@ -254,9 +261,10 @@ func (e *Engine) CoreTime(i int) Cycle { return e.coreTime[i] }
 // Ops returns the number of operations of kind k executed.
 func (e *Engine) Ops(k OpKind) int64 { return e.opsByKind[k] }
 
-// Bind arms the cooperative scheduler with one stream per core and
-// prefetches each stream's first operation. Streams run when Step is
-// called; most callers use RunStreams instead.
+// Bind arms the cooperative scheduler with one stream per core, hands
+// each program stream the executor it answers loads from, and prefetches
+// each stream's first operation. Streams run when Step is called; most
+// callers use RunStreams instead.
 func (e *Engine) Bind(streams []OpStream) {
 	if len(streams) != e.cores {
 		panic("sim: len(streams) must equal core count")
@@ -264,7 +272,10 @@ func (e *Engine) Bind(streams []OpStream) {
 	e.streams = streams
 	e.slots = make([]slot, e.cores)
 	e.live = e.cores
-	for i := range e.slots {
+	for i, s := range streams {
+		if cs, ok := s.(*coroStream); ok {
+			cs.exec = e.exec
+		}
 		e.fetch(i)
 	}
 }
@@ -312,43 +323,42 @@ func (e *Engine) Step() bool {
 
 	// Slow path: a crash happened, is scheduled, or a watchdog is armed.
 	// All three arming points set e.special, so the common op pays one
-	// branch here.
-	if e.special {
-		if e.crashed.Load() {
-			e.streams[best].Deliver(Result{Latency: -1})
-			e.fetch(best)
-			return true
-		}
-		if e.watchdog > 0 && bt >= e.watchdog {
-			e.watchdogFired = true
-			e.Crash()
-			e.streams[best].Deliver(Result{Latency: -1})
-			e.fetch(best)
-			return true
-		}
-		if e.crashInject != nil && bt >= e.crashAt {
-			inject := e.crashInject
-			e.crashInject = nil
-			inject(bt)
-			if !e.crashed.Load() {
-				e.Crash()
-			}
-			e.streams[best].Deliver(Result{Latency: -1})
-			e.fetch(best)
-			return true
-		}
+	// branch here before it executes.
+	res := Result{Latency: -1}
+	if !e.special || !e.crashNow(bt) {
+		res = e.exec.Exec(best, s.op, bt)
 	}
-	res := e.exec.Exec(best, s.op, bt)
-	if res.Latency < 0 {
-		// Executor-injected crash: unwind without advancing time.
-		e.streams[best].Deliver(res)
-		e.fetch(best)
-		return true
+	// A negative latency (a crash, here or executor-injected) unwinds
+	// the stream without advancing time.
+	if res.Latency >= 0 {
+		e.opsByKind[s.op.Kind]++
+		coreTime[best] = bt + res.Latency
 	}
-	e.opsByKind[s.op.Kind]++
-	coreTime[best] = bt + res.Latency
 	e.streams[best].Deliver(res)
 	e.fetch(best)
+	return true
+}
+
+// crashNow reports whether the op due at time t must receive the crash
+// sentinel instead of executing: the machine has crashed, the watchdog
+// budget is spent (which crashes it), or a scheduled crash is due (which
+// it injects).
+func (e *Engine) crashNow(t Cycle) bool {
+	switch {
+	case e.crashed.Load():
+	case e.watchdog > 0 && t >= e.watchdog:
+		e.watchdogFired = true
+		e.Crash()
+	case e.crashInject != nil && t >= e.crashAt:
+		inject := e.crashInject
+		e.crashInject = nil
+		inject(t)
+		if !e.crashed.Load() {
+			e.Crash()
+		}
+	default:
+		return false
+	}
 	return true
 }
 
@@ -361,12 +371,10 @@ type stopper interface{ Stop() }
 // Finish tears down any still-suspended streams. External drivers of
 // Bind/Step (harness.ControlledRun) must call it when they stop stepping
 // before every stream is exhausted — normal exhaustion needs no teardown,
-// but an abnormal unwind (an audit-violation panic, an early stop) leaves
-// program streams suspended. RunStreams calls it internally.
-func (e *Engine) Finish() { e.release() }
-
-// release tears down still-suspended streams after an abnormal unwind.
-func (e *Engine) release() {
+// but an abnormal unwind (an audit-violation or load-mismatch panic, an
+// early stop) leaves program streams suspended. RunStreams calls it
+// internally.
+func (e *Engine) Finish() {
 	for i, s := range e.streams {
 		if st, ok := s.(stopper); ok && !e.slots[i].done {
 			st.Stop()
@@ -379,7 +387,7 @@ func (e *Engine) release() {
 // time. It may be called once per Engine.
 func (e *Engine) RunStreams(streams []OpStream) Cycle {
 	e.Bind(streams)
-	defer e.release()
+	defer e.Finish()
 	for e.Step() {
 	}
 	return e.Now()

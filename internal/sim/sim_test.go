@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"silo/internal/mem"
@@ -35,6 +36,8 @@ func (e *recordingExec) Exec(core int, op Op, now Cycle) Result {
 	}
 	return Result{Latency: e.lat}
 }
+
+func (e *recordingExec) Peek(core int, addr mem.Addr) mem.Word { return e.words[addr] }
 
 // runPrograms drives one Program per core to completion on the engine.
 func runPrograms(e *Engine, progs ...Program) Cycle {
@@ -168,6 +171,8 @@ func (c *crashAtExec) Exec(core int, op Op, now Cycle) Result {
 	return Result{Latency: 1}
 }
 
+func (c *crashAtExec) Peek(int, mem.Addr) mem.Word { return 0 }
+
 func TestEngineCrashUnwindsAllCores(t *testing.T) {
 	exec := &crashAtExec{at: 37}
 	e := NewEngine(exec, 4, 1)
@@ -206,8 +211,8 @@ func TestEngineEmptyPrograms(t *testing.T) {
 func TestEngineNegativeLatencyDoesNotAdvance(t *testing.T) {
 	// An executor returning -1 (crash sentinel) must end the core's run
 	// without moving its clock, and no later op of the program may reach
-	// the executor — whether the crashing op is one the program suspends
-	// on (a load) or one it had queued and run past (a compute).
+	// the executor — whether the crashing op is a load or a compute: the
+	// program has queued past either.
 	for _, kind := range []OpKind{OpCompute, OpLoad} {
 		exec := &negExec{}
 		e := NewEngine(exec, 1, 1)
@@ -236,6 +241,8 @@ type negExec struct {
 	e *Engine
 }
 
+func (x *negExec) Peek(int, mem.Addr) mem.Word { return 0 }
+
 func (x *negExec) Exec(core int, op Op, now Cycle) Result {
 	x.n++
 	if x.n == 2 {
@@ -243,6 +250,63 @@ func (x *negExec) Exec(core int, op Op, now Cycle) Result {
 		return Result{Latency: -1}
 	}
 	return Result{Latency: op.Cycles}
+}
+
+// A load is answered when it is issued — from the newest queued store to
+// the same word, else from the executor's Peek — before the engine has
+// executed anything.
+func TestProgramLoadAnsweredAtIssue(t *testing.T) {
+	exec := &recordingExec{words: map[mem.Addr]mem.Word{128: 9}}
+	e := NewEngine(exec, 1, 1)
+	var got [3]mem.Word
+	e.Bind([]OpStream{NewProgramStream(0, CoreRand(1, 0), func(ctx *Ctx) {
+		ctx.TxBegin()
+		ctx.Store(64, 7)
+		got[0] = ctx.Load(64)
+		got[1] = ctx.Load(128)
+		ctx.Store(64, 8)
+		got[2] = ctx.Load(64)
+		ctx.TxEnd()
+	})}) // the prefetch runs the whole program: 7 ops < maxRunAhead
+	if len(exec.ops) != 0 {
+		t.Fatalf("engine executed %d ops before the first Step", len(exec.ops))
+	}
+	if got != [3]mem.Word{7, 9, 8} {
+		t.Errorf("loads answered %v, want [7 9 8]", got)
+	}
+	for e.Step() {
+	}
+	if len(exec.ops) != 7 || e.Ops(OpLoad) != 3 {
+		t.Errorf("executed %d ops (%d loads), want 7 (3)", len(exec.ops), e.Ops(OpLoad))
+	}
+}
+
+// lyingExec's Peek disagrees with the value Exec's loads return.
+type lyingExec struct{ recordingExec }
+
+func (e *lyingExec) Peek(core int, addr mem.Addr) mem.Word { return e.words[addr] + 1 }
+
+// A load that executes to a different value than the program was given
+// must stop the run with a typed error naming core, address and values.
+func TestLoadMismatchPanicsTyped(t *testing.T) {
+	e := NewEngine(&lyingExec{}, 2, 1)
+	defer func() {
+		err, ok := recover().(*LoadMismatchError)
+		if !ok {
+			t.Fatalf("panic value %T, want *LoadMismatchError", err)
+		}
+		if want := (LoadMismatchError{Core: 1, Addr: 64, Peeked: 1, Delivered: 0}); *err != want {
+			t.Errorf("mismatch = %+v, want %+v", *err, want)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "core 1") || !strings.Contains(msg, "0x1") {
+			t.Errorf("message %q does not name the core and values", msg)
+		}
+	}()
+	runPrograms(e, func(ctx *Ctx) { ctx.Compute(5) }, func(ctx *Ctx) {
+		ctx.Compute(3)
+		ctx.Load(64)
+	})
+	t.Fatal("a mismatched load did not stop the run")
 }
 
 func TestOpKindString(t *testing.T) {

@@ -1,34 +1,34 @@
 package sim
 
 import (
+	"fmt"
 	"iter"
 	"math/rand"
+
+	"silo/internal/mem"
 )
 
 // NewProgramStream runs a Program as a pull-based OpStream on a runtime
-// coroutine (iter.Pull): the program's control flow is suspended when it
-// needs a result and resumed when the engine delivers it. The handoff is
-// a direct coroutine switch — no channel operations, no scheduler round
-// trip, and no heap allocations per op — which is what makes
-// control-flow-heavy workloads (tree descents, chain walks) cheap to
-// drive. It is the one way a Program runs on the engine.
+// coroutine (iter.Pull). It is the one way a Program runs on the engine;
+// the stream must be driven by an Engine, whose Bind hands it the
+// executor it answers loads from.
 //
-// The program suspends only at a load (its value is the program's next
-// input) and at a non-load op that finds maxRunAhead ops already queued.
-// Stores, Tx markers and compute ops return nothing a program can observe
-// (Ctx discards their Results), so issue queues them and returns at once;
-// the engine drains the queue in program order, one scheduling decision
-// per op, before the next switch. The bound keeps a program that never
-// loads (a livelock spinning on Compute, a store-only sweep) from running
-// ahead of the engine without limit, so the sim-cycle watchdog still
-// fires. The op sequence and every rand draw are those of a
-// suspend-per-op transport; a crash unwinds the program frame up to
-// maxRunAhead ops later on the host, and queued ops past the crash never
-// reach the executor.
+// A program never suspends for a load. Each core's data is private to it
+// (§III-A isolation; pmheap gives every core its own arena), so a load's
+// value cannot depend on timing, and issue answers it at once: from the
+// newest store to that word still queued, else from Executor.Peek. Every
+// op is queued, and the program suspends only when maxRunAhead ops are
+// queued or when it returns. The engine drains the queue in program
+// order, one scheduling decision per op, so ops execute at the times and
+// in the order a suspend-per-op transport gives them, with the same rand
+// draws. Deliver checks each executed load against the value the program
+// was given and panics with a *LoadMismatchError on a difference. A
+// crash unwinds the frame up to maxRunAhead ops later on the host;
+// queued ops past the crash never reach the executor.
 func NewProgramStream(core int, rng *rand.Rand, p Program) OpStream {
-	s := &coroStream{}
+	s := &coroStream{core: core}
 	ctx := &Ctx{core: core, issue: s.issue, Rand: rng}
-	s.next, s.stop = iter.Pull(func(yield func(Op) bool) {
+	s.next, s.stop = iter.Pull(func(yield func(struct{}) bool) {
 		s.yield = yield
 		defer func() {
 			if r := recover(); r != nil && r != ErrCrashed { //nolint:errorlint
@@ -40,94 +40,125 @@ func NewProgramStream(core int, rng *rand.Rand, p Program) OpStream {
 	return s
 }
 
-// maxRunAhead bounds how many non-load ops a coroutine program may issue
-// without suspending. Apart from the Fig. 14 sweep (one store run per
-// transaction), the longest run in any first-party workload is 43 ops
-// (BPtree node splits; Rtree 20, TPCC 6), so the bound costs those
-// workloads no extra switches.
+// maxRunAhead bounds how many ops a program may queue before it
+// suspends, loads included: a program switches once per maxRunAhead ops,
+// or at its end. The bound keeps a program that never ends (a livelock
+// spinning on loads or Compute) from running ahead of the engine without
+// limit, so the sim-cycle watchdog still fires, and it bounds the host
+// work a crash throws away.
 const maxRunAhead = 64
 
-type coroStream struct {
-	next  func() (Op, bool)
-	stop  func()
-	yield func(Op) bool
-	res   Result
-
-	queue      []Op // non-load ops issued since the last suspension (≤ maxRunAhead)
-	head       int
-	pending    Op // op yielded while queued ops were still undelivered
-	hasPending bool
-	done       bool
+// LoadMismatchError is the panic value of a program stream whose load
+// executed to a different value than the program was given at issue: a
+// word shared between cores, or an Executor.Peek that disagrees with
+// Exec.
+type LoadMismatchError struct {
+	Core      int
+	Addr      mem.Addr
+	Peeked    mem.Word // value the program was given at issue
+	Delivered mem.Word // value the executed load returned
 }
 
-// issue hands op to the engine. Loads suspend the program and return the
-// delivered result; everything else is queued and returns immediately
-// (the program cannot observe those results) until the queue holds
-// maxRunAhead ops, when it suspends like a load. A false yield means the
-// engine stopped pulling (Stop); a negative latency is the crash
-// sentinel. Both unwind the program through ErrCrashed, which the
-// coroutine body recovers.
+func (e *LoadMismatchError) Error() string {
+	return fmt.Sprintf("sim: core %d load of %v delivered %#x, program was given %#x",
+		e.Core, e.Addr, uint64(e.Delivered), uint64(e.Peeked))
+}
+
+type coroStream struct {
+	core  int
+	exec  Executor // set by Engine.Bind
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+
+	// queue holds the ops issued since the last suspension; a queued
+	// load carries the value the program was given in Data, which Next
+	// clears before the engine sees the op.
+	queue   [maxRunAhead]Op
+	n, head int
+	stores  [maxRunAhead]uint8 // queue indices of the queued stores
+	nstores int
+	done    bool
+}
+
+// issue queues op and answers it: a load's value is known at issue time
+// (see NewProgramStream), and the program cannot observe the results of
+// other ops (Ctx discards them). A full queue suspends the program; a
+// false yield means the engine stopped pulling (a crash sentinel or
+// Stop), which unwinds the program through ErrCrashed, recovered by the
+// coroutine body.
 func (s *coroStream) issue(op Op) Result {
 	if s.done {
 		panic(ErrCrashed)
 	}
-	if op.Kind != OpLoad && len(s.queue) < maxRunAhead {
-		s.queue = append(s.queue, op)
-		return Result{}
+	var r Result
+	switch op.Kind {
+	case OpLoad:
+		r.Value = s.peek(op.Addr)
+		op.Data = r.Value
+	case OpStore:
+		s.stores[s.nstores] = uint8(s.n)
+		s.nstores++
 	}
-	if !s.yield(op) {
+	s.queue[s.n] = op
+	s.n++
+	if s.n == maxRunAhead && !s.yield(struct{}{}) {
 		panic(ErrCrashed)
 	}
-	if s.res.Latency < 0 {
-		panic(ErrCrashed)
-	}
-	return s.res
+	return r
 }
 
-// Next implements OpStream: queued ops drain first (program order), then
-// the program resumes until its next operation or completion.
+// peek returns the word a load of addr issued now will read: the newest
+// queued store to it, else the executor's current view. Only the queue
+// needs scanning — every op the engine took from it before the program
+// resumed has executed.
+func (s *coroStream) peek(addr mem.Addr) mem.Word {
+	for i := s.nstores - 1; i >= 0; i-- {
+		if op := &s.queue[s.stores[i]]; op.Addr == addr {
+			return op.Data
+		}
+	}
+	return s.exec.Peek(s.core, addr)
+}
+
+// Next implements OpStream: queued ops drain first, in program order;
+// an empty queue resumes the program until it fills the queue again or
+// returns.
 func (s *coroStream) Next() (Op, bool) {
-	for {
-		if s.head < len(s.queue) {
-			op := s.queue[s.head]
-			s.head++
-			return op, true
-		}
-		s.queue, s.head = s.queue[:0], 0
-		if s.hasPending {
-			s.hasPending = false
-			return s.pending, true
-		}
+	if s.head == s.n {
 		if s.done {
 			return Op{}, false
 		}
-		op, ok := s.next()
-		if !ok {
-			// The program returned; ops it issued after its last load
-			// are still in the queue — loop to drain them.
+		s.n, s.head, s.nstores = 0, 0, 0
+		if _, ok := s.next(); !ok {
+			// The program returned; drain what it queued last.
 			s.done = true
-			continue
+			if s.n == 0 {
+				return Op{}, false
+			}
 		}
-		if len(s.queue) > 0 {
-			// Ops queued before this one must execute first.
-			s.pending, s.hasPending = op, true
-			continue
-		}
-		return op, true
 	}
+	op := s.queue[s.head]
+	s.head++
+	if op.Kind == OpLoad {
+		op.Data = 0
+	}
+	return op, true
 }
 
-// Deliver implements OpStream. Load results are picked up by issue when
-// the program resumes; results of queued ops carry no information. The
+// Deliver implements OpStream. A load's result must equal the value the
+// program was given at issue; other results carry no information. The
 // crash sentinel releases the suspended frame and ends the stream.
 func (s *coroStream) Deliver(r Result) {
 	if r.Latency < 0 {
-		s.queue, s.head, s.hasPending = s.queue[:0], 0, false
+		s.n, s.head = 0, 0
 		s.done = true
 		s.stop() // unwind the frame wherever it is suspended
 		return
 	}
-	s.res = r
+	if op := &s.queue[s.head-1]; op.Kind == OpLoad && op.Data != r.Value {
+		panic(&LoadMismatchError{Core: s.core, Addr: op.Addr, Peeked: op.Data, Delivered: r.Value})
+	}
 }
 
 // Stop releases a still-suspended program frame (abnormal engine unwind).

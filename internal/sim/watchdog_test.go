@@ -10,31 +10,44 @@ import (
 type spinExec struct{}
 
 func (spinExec) Exec(core int, op Op, now Cycle) Result { return Result{Latency: 1} }
+func (spinExec) Peek(int, mem.Addr) mem.Word            { return 0 }
 
 // A program that never terminates must be crashed and unwound once the
-// sim clock reaches the watchdog budget, instead of hanging the host.
+// sim clock reaches the watchdog budget, instead of hanging the host —
+// also when it spins on loads alone, which never suspend it: only the
+// maxRunAhead bound hands control back to the engine.
 func TestWatchdogKillsLivelockedProgram(t *testing.T) {
-	e := NewEngine(spinExec{}, 1, 1)
-	e.SetWatchdog(10_000)
-	done := make(chan struct{})
-	go func() {
-		runPrograms(e, func(ctx *Ctx) {
+	spins := map[string]Program{
+		"compute": func(ctx *Ctx) {
 			for {
 				ctx.Compute(1)
 			}
-		})
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("watchdog did not unwind the livelocked program")
+		},
+		"load": func(ctx *Ctx) {
+			for {
+				ctx.Load(64)
+			}
+		},
 	}
-	if !e.WatchdogFired() {
-		t.Error("WatchdogFired not reported")
-	}
-	if !e.Crashed() {
-		t.Error("watchdog kill did not mark the engine crashed")
+	for name, spin := range spins {
+		e := NewEngine(spinExec{}, 1, 1)
+		e.SetWatchdog(10_000)
+		done := make(chan struct{})
+		go func() {
+			runPrograms(e, spin)
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s spin: watchdog did not unwind the livelocked program", name)
+		}
+		if !e.WatchdogFired() {
+			t.Errorf("%s spin: WatchdogFired not reported", name)
+		}
+		if !e.Crashed() {
+			t.Errorf("%s spin: watchdog kill did not mark the engine crashed", name)
+		}
 	}
 }
 
@@ -48,31 +61,43 @@ func TestWatchdogQuietOnNormalCompletion(t *testing.T) {
 	}
 }
 
-// A program that never loads suspends every maxRunAhead ops, so the
+// A program suspends every maxRunAhead ops, loads included, so the
 // engine, not the program, sets the pace: the queue of ops issued but
 // not yet executed never exceeds the bound, and every op still executes
 // in program order.
 func TestProgramStreamRunAheadBounded(t *testing.T) {
 	const n = 10 * maxRunAhead
+	issued := 0
 	s := NewProgramStream(0, CoreRand(1, 0), func(ctx *Ctx) {
-		for i := 0; i < n; i++ {
+		for i := 0; i < n; i += 2 {
 			ctx.Store(8, 1+mem.Word(i))
+			ctx.Load(8)
+			issued += 2
 		}
 	}).(*coroStream)
+	s.exec = spinExec{}
 	got := 0
 	for {
 		op, ok := s.Next()
-		if len(s.queue) > maxRunAhead {
-			t.Fatalf("after %d ops: %d queued ops, bound is %d", got, len(s.queue), maxRunAhead)
+		if issued-got > maxRunAhead {
+			t.Fatalf("after %d ops: program ran %d ops ahead, bound is %d", got, issued-got, maxRunAhead)
 		}
 		if !ok {
 			break
 		}
-		if op.Kind != OpStore || op.Data != 1+mem.Word(got) {
-			t.Fatalf("op %d = %+v, want store of %d", got, op, got+1)
+		want := Op{Kind: OpStore, Addr: 8, Data: 1 + mem.Word(got)}
+		if got%2 == 1 {
+			want = Op{Kind: OpLoad, Addr: 8}
+		}
+		if op != want {
+			t.Fatalf("op %d = %+v, want %+v", got, op, want)
+		}
+		r := Result{Latency: 1}
+		if op.Kind == OpLoad {
+			r.Value = mem.Word(got) // the store just before it
 		}
 		got++
-		s.Deliver(Result{Latency: 1})
+		s.Deliver(r)
 	}
 	if got != n {
 		t.Errorf("stream delivered %d ops, want %d", got, n)

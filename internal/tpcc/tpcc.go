@@ -267,28 +267,22 @@ func (t *TPCC) stockLevel(acc pmds.Accessor, w *warehouse, rng *rand.Rand) {
 // transaction loop runs as a program on the engine's coroutine transport.
 func (t *TPCC) Stream(core, txns int, rng *rand.Rand) sim.OpStream {
 	w := t.whs[core]
-	return sim.NewProgramStream(core, rng, func(ctx *sim.Ctx) {
-		for i := 0; i < txns; i++ {
-			ctx.TxBegin()
-			for j := 0; j < t.OpsPerTx(); j++ {
-				if !t.mix {
-					t.newOrder(ctx, core, w, ctx.Rand)
-					continue
-				}
-				switch p := ctx.Rand.Intn(100); {
-				case p < 45:
-					t.newOrder(ctx, core, w, ctx.Rand)
-				case p < 88:
-					t.payment(ctx, w, ctx.Rand)
-				case p < 92:
-					t.orderStatus(ctx, w, ctx.Rand)
-				case p < 96:
-					t.delivery(ctx, w, ctx.Rand)
-				default:
-					t.stockLevel(ctx, w, ctx.Rand)
-				}
-			}
-			ctx.TxEnd()
+	return t.TxLoop(core, txns, rng, func(ctx *sim.Ctx, _, _ int) {
+		if !t.mix {
+			t.newOrder(ctx, core, w, ctx.Rand)
+			return
+		}
+		switch p := ctx.Rand.Intn(100); {
+		case p < 45:
+			t.newOrder(ctx, core, w, ctx.Rand)
+		case p < 88:
+			t.payment(ctx, w, ctx.Rand)
+		case p < 92:
+			t.orderStatus(ctx, w, ctx.Rand)
+		case p < 96:
+			t.delivery(ctx, w, ctx.Rand)
+		default:
+			t.stockLevel(ctx, w, ctx.Rand)
 		}
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"silo/internal/mem"
 	"silo/internal/sim"
 )
 
@@ -112,3 +113,5 @@ func (e *countingExec) Exec(core int, op sim.Op, now sim.Cycle) sim.Result {
 	e.n++
 	return sim.Result{Latency: 1}
 }
+
+func (e *countingExec) Peek(int, mem.Addr) mem.Word { return 0 }

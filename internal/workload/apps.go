@@ -60,18 +60,12 @@ func (w *YCSBWL) Setup(direct pmds.Accessor, heap *pmheap.Heap, cores int, rng *
 func (w *YCSBWL) Stream(core, txns int, rng *rand.Rand) sim.OpStream {
 	h := w.tables[core]
 	ks := w.keysByCo[core]
-	return sim.NewProgramStream(core, rng, func(ctx *sim.Ctx) {
-		for i := 0; i < txns; i++ {
-			ctx.TxBegin()
-			for j := 0; j < w.OpsPerTx(); j++ {
-				k := ks[ctx.Rand.Intn(len(ks))]
-				if ctx.Rand.Intn(100) < w.readPct {
-					h.Get(ctx, k)
-				} else {
-					h.UpdateValue(ctx, k, mem.Word(i))
-				}
-			}
-			ctx.TxEnd()
+	return w.TxLoop(core, txns, rng, func(ctx *sim.Ctx, i, _ int) {
+		k := ks[ctx.Rand.Intn(len(ks))]
+		if ctx.Rand.Intn(100) < w.readPct {
+			h.Get(ctx, k)
+		} else {
+			h.UpdateValue(ctx, k, mem.Word(i))
 		}
 	})
 }
@@ -111,24 +105,18 @@ func (w *TATPWL) Setup(direct pmds.Accessor, heap *pmheap.Heap, cores int, rng *
 // Stream implements Workload.
 func (w *TATPWL) Stream(core, txns int, rng *rand.Rand) sim.OpStream {
 	base := w.tables[core]
-	return sim.NewProgramStream(core, rng, func(ctx *sim.Ctx) {
-		for i := 0; i < txns; i++ {
-			ctx.TxBegin()
-			for j := 0; j < w.OpsPerTx(); j++ {
-				row := base + mem.Addr(ctx.Rand.Intn(w.subscribers)*mem.LineSize)
-				if ctx.Rand.Intn(100) < 80 {
-					// GET_SUBSCRIBER_DATA: read the row.
-					for f := 0; f < 4; f++ {
-						ctx.Load(row + mem.Addr(f*8))
-					}
-				} else {
-					// UPDATE_LOCATION: read s_id, write vlr_location + flags.
-					ctx.Load(row)
-					ctx.Store(row+24, mem.Word(ctx.Rand.Intn(1<<16)))
-					ctx.Store(row+16, mem.Word(i)&0xFF)
-				}
+	return w.TxLoop(core, txns, rng, func(ctx *sim.Ctx, i, _ int) {
+		row := base + mem.Addr(ctx.Rand.Intn(w.subscribers)*mem.LineSize)
+		if ctx.Rand.Intn(100) < 80 {
+			// GET_SUBSCRIBER_DATA: read the row.
+			for f := 0; f < 4; f++ {
+				ctx.Load(row + mem.Addr(f*8))
 			}
-			ctx.TxEnd()
+		} else {
+			// UPDATE_LOCATION: read s_id, write vlr_location + flags.
+			ctx.Load(row)
+			ctx.Store(row+24, mem.Word(ctx.Rand.Intn(1<<16)))
+			ctx.Store(row+16, mem.Word(i)&0xFF)
 		}
 	})
 }
@@ -168,22 +156,16 @@ func (w *BankWL) Stream(core, txns int, rng *rand.Rand) sim.OpStream {
 	base := w.tables[core]
 	audit := w.auditPos[core]
 	auditLen := mem.Addr(4096 * mem.LineSize)
-	return sim.NewProgramStream(core, rng, func(ctx *sim.Ctx) {
-		for i := 0; i < txns; i++ {
-			ctx.TxBegin()
-			for j := 0; j < w.OpsPerTx(); j++ {
-				from := mem.Addr(ctx.Rand.Intn(w.accounts) * 8)
-				to := mem.Addr(ctx.Rand.Intn(w.accounts) * 8)
-				amt := mem.Word(ctx.Rand.Intn(100)) + 1
-				bf := ctx.Load(base + from)
-				bt := ctx.Load(base + to)
-				ctx.Store(base+from, bf-amt)
-				ctx.Store(base+to, bt+amt)
-				slot := audit + (mem.Addr(i*w.OpsPerTx()+j)*16)%auditLen
-				ctx.Store(slot, mem.Word(from)<<32|mem.Word(to))
-				ctx.Store(slot+8, amt)
-			}
-			ctx.TxEnd()
-		}
+	return w.TxLoop(core, txns, rng, func(ctx *sim.Ctx, i, j int) {
+		from := mem.Addr(ctx.Rand.Intn(w.accounts) * 8)
+		to := mem.Addr(ctx.Rand.Intn(w.accounts) * 8)
+		amt := mem.Word(ctx.Rand.Intn(100)) + 1
+		bf := ctx.Load(base + from)
+		bt := ctx.Load(base + to)
+		ctx.Store(base+from, bf-amt)
+		ctx.Store(base+to, bt+amt)
+		slot := audit + (mem.Addr(i*w.OpsPerTx()+j)*16)%auditLen
+		ctx.Store(slot, mem.Word(from)<<32|mem.Word(to))
+		ctx.Store(slot+8, amt)
 	})
 }

@@ -43,21 +43,15 @@ func (w *BPtreeWL) Setup(direct pmds.Accessor, heap *pmheap.Heap, cores int, rng
 // Stream implements Workload.
 func (w *BPtreeWL) Stream(core, txns int, rng *rand.Rand) sim.OpStream {
 	t := w.trees[core]
-	return sim.NewProgramStream(core, rng, func(ctx *sim.Ctx) {
-		for i := 0; i < txns; i++ {
-			ctx.TxBegin()
-			for j := 0; j < w.OpsPerTx(); j++ {
-				k := mem.Word(ctx.Rand.Intn(w.keyRange)) + 1
-				switch p := ctx.Rand.Intn(100); {
-				case p < 70:
-					t.Insert(ctx, k, k*2)
-				case p < 85:
-					t.Delete(ctx, k)
-				default:
-					t.Scan(ctx, k, 8, func(mem.Word, mem.Word) {})
-				}
-			}
-			ctx.TxEnd()
+	return w.TxLoop(core, txns, rng, func(ctx *sim.Ctx, _, _ int) {
+		k := mem.Word(ctx.Rand.Intn(w.keyRange)) + 1
+		switch p := ctx.Rand.Intn(100); {
+		case p < 70:
+			t.Insert(ctx, k, k*2)
+		case p < 85:
+			t.Delete(ctx, k)
+		default:
+			t.Scan(ctx, k, 8, func(mem.Word, mem.Word) {})
 		}
 	})
 }
@@ -95,21 +89,15 @@ func (w *LevelHashWL) Setup(direct pmds.Accessor, heap *pmheap.Heap, cores int, 
 // below the movement ceiling so inserts stay one-movement-bounded.
 func (w *LevelHashWL) Stream(core, txns int, rng *rand.Rand) sim.OpStream {
 	h := w.tables[core]
-	return sim.NewProgramStream(core, rng, func(ctx *sim.Ctx) {
-		for i := 0; i < txns; i++ {
-			ctx.TxBegin()
-			for j := 0; j < w.OpsPerTx(); j++ {
-				k := mem.Word(ctx.Rand.Int63n(w.keySpan)) + 1
-				switch p := ctx.Rand.Intn(100); {
-				case p < 45:
-					h.Insert(ctx, k, mem.Word(i))
-				case p < 80:
-					h.Delete(ctx, k)
-				default:
-					h.Get(ctx, k)
-				}
-			}
-			ctx.TxEnd()
+	return w.TxLoop(core, txns, rng, func(ctx *sim.Ctx, i, _ int) {
+		k := mem.Word(ctx.Rand.Int63n(w.keySpan)) + 1
+		switch p := ctx.Rand.Intn(100); {
+		case p < 45:
+			h.Insert(ctx, k, mem.Word(i))
+		case p < 80:
+			h.Delete(ctx, k)
+		default:
+			h.Get(ctx, k)
 		}
 	})
 }

@@ -30,108 +30,14 @@ func (w *ArrayWL) Setup(direct pmds.Accessor, heap *pmheap.Heap, cores int, rng 
 	}
 }
 
-// Stream implements Workload as a hand-written state machine: the swap's
-// sixteen loads and sixteen stores are scheduled directly, with no
-// program frame at all (measurably cheaper than the coroutine; see
-// EXPERIMENTS "Hand-written machines vs coroutine"). The op and
-// random-draw order is that of the loop "TxBegin; per swap draw a then b
-// and arr.Swap(a, b); TxEnd": per swap, interleave L a_w/L b_w for
-// w=0..7, then S a_w/S b_w.
+// Stream implements Workload.
 func (w *ArrayWL) Stream(core, txns int, rng *rand.Rand) sim.OpStream {
-	return &arrayStream{arr: w.arrs[core], n: w.n, ops: w.OpsPerTx(), txns: txns, rng: rng}
-}
-
-const (
-	arrPhaseBegin = iota
-	arrPhaseLoad
-	arrPhaseStore
-	arrPhaseEnd
-)
-
-type arrayStream struct {
-	arr  *pmds.Array
-	n    int
-	ops  int // swaps per transaction
-	txns int
-	rng  *rand.Rand
-
-	i, j   int // transaction index, swap index within it
-	a, b   int // current swap's element indices
-	w      int // word index within the swap (0..ElemWords-1)
-	side   int // 0 = element a, 1 = element b
-	phase  int
-	ea, eb [pmds.ElemWords]mem.Word // loaded element contents
-	done   bool
-}
-
-func (s *arrayStream) Next() (sim.Op, bool) {
-	if s.done || s.i >= s.txns {
-		return sim.Op{}, false
-	}
-	switch s.phase {
-	case arrPhaseBegin:
-		return sim.Op{Kind: sim.OpTxBegin}, true
-	case arrPhaseLoad:
-		if s.side == 0 {
-			return sim.Op{Kind: sim.OpLoad, Addr: s.arr.Elem(s.a, s.w)}, true
-		}
-		return sim.Op{Kind: sim.OpLoad, Addr: s.arr.Elem(s.b, s.w)}, true
-	case arrPhaseStore:
-		if s.side == 0 {
-			return sim.Op{Kind: sim.OpStore, Addr: s.arr.Elem(s.a, s.w), Data: s.eb[s.w]}, true
-		}
-		return sim.Op{Kind: sim.OpStore, Addr: s.arr.Elem(s.b, s.w), Data: s.ea[s.w]}, true
-	default:
-		return sim.Op{Kind: sim.OpTxEnd}, true
-	}
-}
-
-func (s *arrayStream) Deliver(r sim.Result) {
-	if r.Latency < 0 {
-		s.done = true
-		return
-	}
-	switch s.phase {
-	case arrPhaseBegin:
-		s.startSwap()
-	case arrPhaseLoad:
-		if s.side == 0 {
-			s.ea[s.w] = r.Value
-			s.side = 1
-			return
-		}
-		s.eb[s.w] = r.Value
-		s.side = 0
-		if s.w++; s.w == pmds.ElemWords {
-			s.w, s.phase = 0, arrPhaseStore
-		}
-	case arrPhaseStore:
-		if s.side == 0 {
-			s.side = 1
-			return
-		}
-		s.side = 0
-		if s.w++; s.w < pmds.ElemWords {
-			return
-		}
-		if s.j++; s.j < s.ops {
-			s.startSwap()
-		} else {
-			s.phase = arrPhaseEnd
-		}
-	default: // TxEnd
-		s.i++
-		s.j = 0
-		s.phase = arrPhaseBegin
-	}
-}
-
-// startSwap draws the next swap's element pair (a, then b) and arms the
-// load phase.
-func (s *arrayStream) startSwap() {
-	s.a = s.rng.Intn(s.n)
-	s.b = s.rng.Intn(s.n)
-	s.w, s.side, s.phase = 0, 0, arrPhaseLoad
+	arr := w.arrs[core]
+	return w.TxLoop(core, txns, rng, func(ctx *sim.Ctx, _, _ int) {
+		a := ctx.Rand.Intn(w.n)
+		b := ctx.Rand.Intn(w.n)
+		arr.Swap(ctx, a, b)
+	})
 }
 
 // BtreeWL randomly inserts keys into a per-core B-tree.
@@ -164,9 +70,10 @@ func (w *BtreeWL) Setup(direct pmds.Accessor, heap *pmheap.Heap, cores int, rng 
 }
 
 // Stream implements Workload natively: the tree's insert state machine
-// (pmds.BTree.InsertStream) drives the engine with no coroutine at all —
-// about twice as fast as running BTree.Insert in a loop on the
-// coroutine, which is the form it must match op for op.
+// (pmds.BTree.InsertStream) drives the engine with no coroutine at all.
+// Running BTree.Insert in a TxLoop instead — the form the machine must
+// match op for op — is ≈ 27 % slower on btree-silo even with loads
+// answered at issue (EXPERIMENTS "Hand-written machines vs coroutine").
 func (w *BtreeWL) Stream(core, txns int, rng *rand.Rand) sim.OpStream {
 	return w.trees[core].InsertStream(rng, txns, w.OpsPerTx(), w.keyRange)
 }
@@ -202,14 +109,8 @@ func (w *HashWL) Setup(direct pmds.Accessor, heap *pmheap.Heap, cores int, rng *
 // Stream implements Workload.
 func (w *HashWL) Stream(core, txns int, rng *rand.Rand) sim.OpStream {
 	h := w.tables[core]
-	return sim.NewProgramStream(core, rng, func(ctx *sim.Ctx) {
-		for i := 0; i < txns; i++ {
-			ctx.TxBegin()
-			for j := 0; j < w.OpsPerTx(); j++ {
-				h.Put(ctx, mem.Word(ctx.Rand.Int63n(1<<40))+1, mem.Word(i))
-			}
-			ctx.TxEnd()
-		}
+	return w.TxLoop(core, txns, rng, func(ctx *sim.Ctx, i, _ int) {
+		h.Put(ctx, mem.Word(ctx.Rand.Int63n(1<<40))+1, mem.Word(i))
 	})
 }
 
@@ -244,15 +145,9 @@ func (w *QueueWL) Setup(direct pmds.Accessor, heap *pmheap.Heap, cores int, rng 
 // Stream implements Workload.
 func (w *QueueWL) Stream(core, txns int, rng *rand.Rand) sim.OpStream {
 	q := w.queues[core]
-	return sim.NewProgramStream(core, rng, func(ctx *sim.Ctx) {
-		for i := 0; i < txns; i++ {
-			ctx.TxBegin()
-			for j := 0; j < w.OpsPerTx(); j++ {
-				q.Enqueue(ctx, mem.Word(ctx.Rand.Int63()))
-				q.Dequeue(ctx)
-			}
-			ctx.TxEnd()
-		}
+	return w.TxLoop(core, txns, rng, func(ctx *sim.Ctx, _, _ int) {
+		q.Enqueue(ctx, mem.Word(ctx.Rand.Int63()))
+		q.Dequeue(ctx)
 	})
 }
 
@@ -288,15 +183,9 @@ func (w *RBtreeWL) Setup(direct pmds.Accessor, heap *pmheap.Heap, cores int, rng
 // Stream implements Workload.
 func (w *RBtreeWL) Stream(core, txns int, rng *rand.Rand) sim.OpStream {
 	t := w.trees[core]
-	return sim.NewProgramStream(core, rng, func(ctx *sim.Ctx) {
-		for i := 0; i < txns; i++ {
-			ctx.TxBegin()
-			for j := 0; j < w.OpsPerTx(); j++ {
-				k := mem.Word(ctx.Rand.Intn(w.keyRange)) + 1
-				t.Insert(ctx, k, k*3)
-			}
-			ctx.TxEnd()
-		}
+	return w.TxLoop(core, txns, rng, func(ctx *sim.Ctx, _, _ int) {
+		k := mem.Word(ctx.Rand.Intn(w.keyRange)) + 1
+		t.Insert(ctx, k, k*3)
 	})
 }
 
@@ -329,15 +218,9 @@ func (w *RtreeWL) Setup(direct pmds.Accessor, heap *pmheap.Heap, cores int, rng 
 // Stream implements Workload.
 func (w *RtreeWL) Stream(core, txns int, rng *rand.Rand) sim.OpStream {
 	t := w.trees[core]
-	return sim.NewProgramStream(core, rng, func(ctx *sim.Ctx) {
-		for i := 0; i < txns; i++ {
-			ctx.TxBegin()
-			for j := 0; j < w.OpsPerTx(); j++ {
-				k := mem.Word(ctx.Rand.Intn(1 << w.keyBits))
-				t.Insert(ctx, k, k+7)
-			}
-			ctx.TxEnd()
-		}
+	return w.TxLoop(core, txns, rng, func(ctx *sim.Ctx, _, _ int) {
+		k := mem.Word(ctx.Rand.Intn(1 << w.keyBits))
+		t.Insert(ctx, k, k+7)
 	})
 }
 
@@ -370,14 +253,8 @@ func (w *CtrieWL) Setup(direct pmds.Accessor, heap *pmheap.Heap, cores int, rng 
 // Stream implements Workload.
 func (w *CtrieWL) Stream(core, txns int, rng *rand.Rand) sim.OpStream {
 	t := w.tries[core]
-	return sim.NewProgramStream(core, rng, func(ctx *sim.Ctx) {
-		for i := 0; i < txns; i++ {
-			ctx.TxBegin()
-			for j := 0; j < w.OpsPerTx(); j++ {
-				k := mem.Word(ctx.Rand.Int63n(w.keyRange)) + 1
-				t.Insert(ctx, k, k^0xFF)
-			}
-			ctx.TxEnd()
-		}
+	return w.TxLoop(core, txns, rng, func(ctx *sim.Ctx, _, _ int) {
+		k := mem.Word(ctx.Rand.Int63n(w.keyRange)) + 1
+		t.Insert(ctx, k, k^0xFF)
 	})
 }

@@ -44,21 +44,15 @@ func (w *HashMixWL) Setup(direct pmds.Accessor, heap *pmheap.Heap, cores int, rn
 // Stream implements Workload.
 func (w *HashMixWL) Stream(core, txns int, rng *rand.Rand) sim.OpStream {
 	h := w.tables[core]
-	return sim.NewProgramStream(core, rng, func(ctx *sim.Ctx) {
-		for i := 0; i < txns; i++ {
-			ctx.TxBegin()
-			for j := 0; j < w.OpsPerTx(); j++ {
-				k := mem.Word(ctx.Rand.Int63n(w.keySpan)) + 1
-				switch p := ctx.Rand.Intn(100); {
-				case p < 50:
-					h.Put(ctx, k, mem.Word(i))
-				case p < 80:
-					h.Delete(ctx, k)
-				default:
-					h.Get(ctx, k)
-				}
-			}
-			ctx.TxEnd()
+	return w.TxLoop(core, txns, rng, func(ctx *sim.Ctx, i, _ int) {
+		k := mem.Word(ctx.Rand.Int63n(w.keySpan)) + 1
+		switch p := ctx.Rand.Intn(100); {
+		case p < 50:
+			h.Put(ctx, k, mem.Word(i))
+		case p < 80:
+			h.Delete(ctx, k)
+		default:
+			h.Get(ctx, k)
 		}
 	})
 }
@@ -96,18 +90,12 @@ func (w *RBtreeMixWL) Setup(direct pmds.Accessor, heap *pmheap.Heap, cores int, 
 // Stream implements Workload.
 func (w *RBtreeMixWL) Stream(core, txns int, rng *rand.Rand) sim.OpStream {
 	t := w.trees[core]
-	return sim.NewProgramStream(core, rng, func(ctx *sim.Ctx) {
-		for i := 0; i < txns; i++ {
-			ctx.TxBegin()
-			for j := 0; j < w.OpsPerTx(); j++ {
-				k := mem.Word(ctx.Rand.Intn(w.keyRange)) + 1
-				if ctx.Rand.Intn(100) < 60 {
-					t.Insert(ctx, k, mem.Word(i))
-				} else {
-					t.Delete(ctx, k)
-				}
-			}
-			ctx.TxEnd()
+	return w.TxLoop(core, txns, rng, func(ctx *sim.Ctx, i, _ int) {
+		k := mem.Word(ctx.Rand.Intn(w.keyRange)) + 1
+		if ctx.Rand.Intn(100) < 60 {
+			t.Insert(ctx, k, mem.Word(i))
+		} else {
+			t.Delete(ctx, k)
 		}
 	})
 }

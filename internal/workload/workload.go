@@ -28,10 +28,10 @@ import (
 // the write set of every transaction by repeating the workload's
 // operation — the mechanism behind the Fig. 14 large-transaction sweep.
 //
-// Most workloads write Stream as a transaction loop over a sim.Ctx run
-// by sim.NewProgramStream; Array and Btree, the two whose hand-written
-// state machines measurably beat that form, implement sim.OpStream
-// directly and are tested op for op against their loops.
+// Workloads write Stream as a program over a sim.Ctx run by
+// sim.NewProgramStream, most through TxShape.TxLoop. Only Btree, whose
+// hand-written state machine measurably beats its loop, implements
+// sim.OpStream directly; it is tested op for op against the loop.
 type Workload interface {
 	Name() string
 	Setup(direct pmds.Accessor, heap *pmheap.Heap, cores int, rng *rand.Rand)
@@ -52,6 +52,20 @@ func (s *TxShape) OpsPerTx() int {
 		return 1
 	}
 	return s.ops
+}
+
+// TxLoop returns the program stream of txns transactions, each of
+// OpsPerTx calls of op(ctx, i, j) — operation j of transaction i.
+func (s *TxShape) TxLoop(core, txns int, rng *rand.Rand, op func(ctx *sim.Ctx, i, j int)) sim.OpStream {
+	return sim.NewProgramStream(core, rng, func(ctx *sim.Ctx) {
+		for i := 0; i < txns; i++ {
+			ctx.TxBegin()
+			for j := 0; j < s.OpsPerTx(); j++ {
+				op(ctx, i, j)
+			}
+			ctx.TxEnd()
+		}
+	})
 }
 
 // Direct returns an untimed accessor writing straight to the PM device —
