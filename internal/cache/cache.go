@@ -13,6 +13,7 @@ import (
 	"sync"
 
 	"silo/internal/mem"
+	"silo/internal/pool"
 	"silo/internal/sim"
 	"silo/internal/telemetry"
 )
@@ -113,7 +114,14 @@ type cacheArrays struct {
 // arrPools recycles cacheArrays by way count. Short-lived machines (the
 // torture fleet builds thousands per sweep) otherwise spend more time
 // building fresh arrays than simulating.
-var arrPools sync.Map // way count -> *sync.Pool
+var arrPools sync.Map // way count -> *arrPool
+
+// arrPool is the free list of one way count. Its new arrays are never
+// filled: their tags are the shared all-invalid array.
+type arrPool struct {
+	invalid []mem.Addr
+	free    pool.List[cacheArrays]
+}
 
 func getArrays(n int) *cacheArrays {
 	p, ok := arrPools.Load(n)
@@ -124,15 +132,13 @@ func getArrays(n int) *cacheArrays {
 		// reset skips a cache that has none of its own.
 		invalid := make([]mem.Addr, n)
 		fillInvalid(invalid)
-		p, _ = arrPools.LoadOrStore(n, newArrPool(invalid))
+		p, _ = arrPools.LoadOrStore(n, &arrPool{invalid: invalid})
 	}
-	return p.(*sync.Pool).Get().(*cacheArrays)
-}
-
-// newArrPool returns a pool whose new arrays are never filled, their
-// tags the shared all-invalid array.
-func newArrPool(invalid []mem.Addr) *sync.Pool {
-	return &sync.Pool{New: func() any { return &cacheArrays{tags: invalid} }}
+	ap := p.(*arrPool)
+	if a := ap.free.Get(); a != nil {
+		return a
+	}
+	return &cacheArrays{tags: ap.invalid}
 }
 
 // alloc builds the per-way arrays of a cache with n ways in all,
@@ -181,7 +187,7 @@ func (c *Cache) Release() {
 	c.reset()
 	*c.pooled = c.cacheArrays
 	if p, ok := arrPools.Load(c.sets * c.ways); ok {
-		p.(*sync.Pool).Put(c.pooled)
+		p.(*arrPool).free.Put(c.pooled)
 	}
 	c.pooled, c.cacheArrays = nil, cacheArrays{}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"silo/internal/fault"
+	"silo/internal/pm"
 	"silo/internal/sim"
 )
 
@@ -226,3 +227,36 @@ func BenchmarkClusterSteadyState(b *testing.B) {
 }
 
 var _ = sim.Cycle(0)
+
+// A node owns its PM device: every incarnation's machine runs over the
+// same device, and releasing a machine (at each crash and when the
+// cluster drains) never hands it to the machine pools, which would reset
+// the media the next incarnation recovers from.
+func TestClusterNodeKeepsDeviceAcrossIncarnations(t *testing.T) {
+	c, err := New(crashConfig(7, "Silo"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	devs := make([]*pm.Device, len(c.nodes))
+	for i, n := range c.nodes {
+		if n.m.Device() != n.dev {
+			t.Fatalf("node %d: machine runs over %p, node owns %p", i, n.m.Device(), n.dev)
+		}
+		devs[i] = n.dev
+	}
+	res := c.Drive()
+	if res.Err != nil || res.Crashes == 0 {
+		t.Fatalf("run: err=%v crashes=%d; the test needs a crash", res.Err, res.Crashes)
+	}
+	for i, n := range c.nodes {
+		if n.dev != devs[i] || n.m.Device() != devs[i] {
+			t.Fatalf("node %d (incarnation %d) changed device", i, n.incarn)
+		}
+		if n.dev.Stats() == (pm.Stats{}) {
+			t.Fatalf("node %d: device was reset after its last machine was released", i)
+		}
+	}
+	if c.nodes[1].incarn == 0 {
+		t.Fatal("crashed node 1 never rebooted")
+	}
+}

@@ -109,29 +109,30 @@ func (c *Cluster) machinePlan(id, incarn int) *fault.Plan {
 	return &p
 }
 
-// bootNode builds node id's next machine incarnation. On first boot the
-// device is created fresh; on reboot the surviving device is power-
-// cycled and reused, so media contents (data and logs) carry across the
-// crash while caches and logging hardware come up cold.
+// bootNode builds node id's next machine incarnation. The node owns its
+// device: on first boot it is created here, on reboot the surviving
+// device is power-cycled and reused, so media contents (data and logs)
+// carry across the crash while caches and logging hardware come up
+// cold. Passing it as Config.Device keeps it out of the machine pools
+// when an incarnation is released.
 func (c *Cluster) bootNode(n *node) error {
 	factory, err := harness.DesignFactory(c.cfg.Design, c.designOpts)
 	if err != nil {
 		return err
 	}
-	cfg := machine.Config{
+	if n.dev == nil {
+		n.dev = pm.New(pm.DefaultConfig())
+	} else {
+		n.dev.PowerCycle()
+	}
+	n.m = machine.New(machine.Config{
 		Cores:        1,
-		PM:           pm.DefaultConfig(),
 		Cache:        cache.DefaultHierarchyConfig(),
 		Design:       factory,
 		Fault:        c.machinePlan(n.id, n.incarn),
 		DisableAudit: c.cfg.DisableAudit,
-	}
-	if n.dev != nil {
-		n.dev.PowerCycle()
-		cfg.Device = n.dev
-	}
-	n.m = machine.New(cfg)
-	n.dev = n.m.Device()
+		Device:       n.dev,
+	})
 	n.eng = n.m.Engine(c.cfg.Seed ^ int64(n.id)*1_000_003 ^ int64(n.incarn)<<40)
 	n.busy = false
 	n.inflight = nil

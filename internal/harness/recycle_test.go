@@ -27,6 +27,13 @@ func (l *eventLog) Event(e telemetry.Event) { l.events = append(l.events, e) }
 // hierarchy (sparsely invalidated) and a crashed, recovered media table
 // are what go back to the pools. This is the contract that lets fleet
 // workers recycle simulation state across arbitrary campaign sequences.
+//
+// Machines built without a Recycler pool their parts in the package
+// pools, shared by every subtest running in parallel here. Two such
+// runs back to back, each after a crashed campaign that also released
+// into those pools, must match the fresh run too. The fresh run itself
+// takes its parts from a new, empty Recycler, so it never sees a reused
+// part.
 func TestRecycledMachineMatchesFresh(t *testing.T) {
 	run := func(t *testing.T, design, wl string, rec *machine.Recycler) ([]telemetry.Event, interface{}) {
 		t.Helper()
@@ -37,7 +44,7 @@ func TestRecycledMachineMatchesFresh(t *testing.T) {
 			Telemetry: telemetry.NewRecorder(log),
 		})
 		if err != nil {
-			t.Fatalf("%s/%s recycled=%v: %v", design, wl, rec != nil, err)
+			t.Fatalf("%s/%s: %v", design, wl, err)
 		}
 		return log.events, r
 	}
@@ -47,12 +54,11 @@ func TestRecycledMachineMatchesFresh(t *testing.T) {
 			design, wl := design, wl
 			t.Run(design+"/"+wl, func(t *testing.T) {
 				t.Parallel()
-				freshEv, fresh := run(t, design, wl, nil)
+				freshEv, fresh := run(t, design, wl, machine.NewRecycler())
 
-				// Pollute the recycler with a crashed campaign of a different
+				// Pollute the pools with a crashed campaign of a different
 				// design and workload, then build the machine under test from
-				// its pools.
-				rec := machine.NewRecycler()
+				// them.
 				otherDesign, otherWl := "Silo", "Hash"
 				if design == otherDesign {
 					otherDesign = "Base"
@@ -60,27 +66,42 @@ func TestRecycledMachineMatchesFresh(t *testing.T) {
 				if wl == otherWl {
 					otherWl = "Array"
 				}
-				out := RunCampaign(Campaign{
-					Spec: Spec{Design: otherDesign, Workload: otherWl, Cores: 2, Txns: 24, Seed: 7,
-						Recycle: rec},
-					Plan: fault.Plan{Trigger: fault.TriggerOp, AtOp: 120},
-				})
-				if out.Failed() || !out.MidRun {
-					t.Fatalf("polluting campaign %s/%s: failed=%v err=%v midrun=%v",
-						otherDesign, otherWl, out.Failed(), out.Err, out.MidRun)
-				}
-				reusedEv, reused := run(t, design, wl, rec)
-
-				if fresh != reused {
-					t.Errorf("run records diverge:\nfresh:   %+v\nrecycled: %+v", fresh, reused)
-				}
-				if len(freshEv) != len(reusedEv) {
-					t.Fatalf("event streams diverge: %d fresh events vs %d recycled", len(freshEv), len(reusedEv))
-				}
-				for i := range freshEv {
-					if freshEv[i] != reusedEv[i] {
-						t.Fatalf("event %d diverges:\nfresh:   %v\nrecycled: %v", i, freshEv[i], reusedEv[i])
+				pollute := func(rec *machine.Recycler) {
+					t.Helper()
+					out := RunCampaign(Campaign{
+						Spec: Spec{Design: otherDesign, Workload: otherWl, Cores: 2, Txns: 24, Seed: 7,
+							Recycle: rec},
+						Plan: fault.Plan{Trigger: fault.TriggerOp, AtOp: 120},
+					})
+					if out.Failed() || !out.MidRun {
+						t.Fatalf("polluting campaign %s/%s: failed=%v err=%v midrun=%v",
+							otherDesign, otherWl, out.Failed(), out.Err, out.MidRun)
 					}
+				}
+				same := func(how string, ev []telemetry.Event, r interface{}) {
+					t.Helper()
+					if fresh != r {
+						t.Errorf("run records diverge:\nfresh:   %+v\n%s: %+v", fresh, how, r)
+					}
+					if len(freshEv) != len(ev) {
+						t.Fatalf("event streams diverge: %d fresh events vs %d %s", len(freshEv), len(ev), how)
+					}
+					for i := range freshEv {
+						if freshEv[i] != ev[i] {
+							t.Fatalf("event %d diverges:\nfresh:   %v\n%s: %v", i, freshEv[i], how, ev[i])
+						}
+					}
+				}
+
+				rec := machine.NewRecycler()
+				pollute(rec)
+				ev, r := run(t, design, wl, rec)
+				same("recycled", ev, r)
+
+				for i := 0; i < 2; i++ {
+					pollute(nil)
+					ev, r := run(t, design, wl, nil)
+					same("package-pooled", ev, r)
 				}
 			})
 		}

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -255,10 +254,8 @@ func IsInfra(err error) bool {
 // the machine's golden committed shadow and returns the mismatches in
 // address order.
 func VerifyRecovery(m *machine.Machine) []string {
-	words := m.WrittenWords()
-	slices.Sort(words)
 	var bad []string
-	for _, a := range words {
+	for _, a := range m.WrittenWords() {
 		want, ok := m.GoldenCommitted(a)
 		if !ok {
 			continue

@@ -69,15 +69,18 @@ type Config struct {
 	// media contents and wear survive the power cycle while caches and
 	// logging hardware come up cold. Callers should Device.PowerCycle()
 	// first so stale queue timing from the previous incarnation cannot
-	// leak into the new clock. PM (the config) is ignored when set.
+	// leak into the new clock. PM (the config) is ignored when set. A
+	// Device passed in is never pooled: it stays the caller's across
+	// Release, so a reboot chain must build its device itself (pm.New)
+	// rather than keep Machine.Device of a machine it released.
 	Device *pm.Device
 
-	// Recycle, when non-nil, sources the machine's heavy structures (PM
-	// device tables, golden-shadow table, pending-write tables) from the
-	// pool and returns them on Release — the fleet's cross-campaign
-	// reset-in-place reuse. A reused machine is observationally identical
-	// to a fresh one. A Device passed in explicitly is never recycled; it
-	// belongs to the caller's reboot chain.
+	// Recycle is the pool the machine's heavy structures (PM device
+	// tables, golden-shadow index, pending-write tables) come from and
+	// return to on Release. Nil means the package's free lists (package
+	// pool); a fleet worker passes its own Recycler for cross-campaign
+	// reset-in-place reuse. Either way a reused machine is
+	// observationally identical to a fresh one.
 	Recycle *Recycler
 }
 
@@ -90,7 +93,8 @@ type Machine struct {
 	design logging.Design
 	engine *sim.Engine
 
-	ownsDev bool // device built here (not a caller's reboot device)
+	ownsDev  bool // device built here (not a caller's reboot device)
+	released bool // Release ran; a second one must not pool parts twice
 
 	aud       *audit.Auditor
 	bufDesign audit.BufferedDesign // non-nil when design is buffer-based (Silo)
@@ -100,7 +104,7 @@ type Machine struct {
 
 	inTx    []bool
 	pending []*txWrites  // per-core uncommitted writes (golden)
-	shadow  *shadowTable // golden committed/baseline/unsafe state per word
+	shadow  *shadowIndex // golden committed/baseline/unsafe state per word
 
 	plan          *fault.Plan
 	crashPending  bool  // event trigger matched; crash at the next op
@@ -140,28 +144,18 @@ func New(cfg Config) *Machine {
 	dev := cfg.Device
 	ownsDev := dev == nil
 	if dev == nil {
-		if cfg.Recycle != nil {
-			dev = cfg.Recycle.device(cfg.PM)
-		} else {
-			dev = pm.New(cfg.PM)
-		}
+		dev = cfg.Recycle.device(cfg.PM)
 	}
 	m := &Machine{
 		cfg:     cfg,
 		dev:     dev,
 		ownsDev: ownsDev,
 		inTx:    make([]bool, cfg.Cores),
+		shadow:  cfg.Recycle.shadow(),
+		pending: make([]*txWrites, cfg.Cores),
 	}
-	if cfg.Recycle != nil {
-		m.shadow = cfg.Recycle.shadow()
-		for i := 0; i < cfg.Cores; i++ {
-			m.pending = append(m.pending, cfg.Recycle.txWrites())
-		}
-	} else {
-		m.shadow = newShadowTable()
-		for i := 0; i < cfg.Cores; i++ {
-			m.pending = append(m.pending, newTxWrites())
-		}
+	for i := range m.pending {
+		m.pending[i] = cfg.Recycle.txWrites()
 	}
 	m.txBeganAt = make([]sim.Cycle, cfg.Cores)
 	m.hier = cache.NewHierarchy(cfg.Cores, cfg.Cache, m.fill, m.writeback)
@@ -266,19 +260,21 @@ func (m *Machine) Commits() int64 { return m.commits }
 func (m *Machine) Crashed() bool { return m.engine != nil && m.engine.Crashed() }
 
 // Release returns the machine's pooled resources for reuse by the next
-// machine: always the cache hierarchy's per-way arrays and line records,
-// and — when the machine was built with a Recycler — the PM device
-// tables, the golden-shadow table, and the pending-write tables too
-// (reset in place, not reallocated). The machine must not be used
-// afterwards. Callers that drop a machine without Release just fall back
-// to the garbage collector.
+// machine: the cache hierarchy's per-way arrays and line records, and —
+// to the machine's Recycler, or the package pools when it has none — the
+// PM device it built, the golden-shadow index and the pending-write
+// tables, reset in place. Release is the last use of the machine and of
+// everything it exposes, its Device included: a pooled device is reset
+// and handed to the next machine. A Device passed in through Config
+// stays the caller's. A second Release does nothing. Callers that drop a
+// machine without Release just fall back to the garbage collector.
 func (m *Machine) Release() {
-	m.hier.Release()
-	r := m.cfg.Recycle
-	if r == nil {
+	if m.released {
 		return
 	}
-	m.cfg.Recycle = nil // idempotent: a second Release must not double-pool
+	m.released = true
+	m.hier.Release()
+	r := m.cfg.Recycle
 	if m.ownsDev {
 		r.putDevice(m.dev)
 	}
@@ -363,15 +359,9 @@ func (m *Machine) Exec(core int, op sim.Op, now sim.Cycle) sim.Result {
 			m.aud.CheckLogBuffer(core, m.bufDesign.LogBuffer(core), m.bufDesign.MergeEnabled(), op.Addr)
 		}
 		if m.inTx[core] {
-			e, ref := m.shadow.getOrInsert(op.Addr)
-			if e.flags&shadowHasBaseline == 0 {
-				e.baseline = old
-				e.flags |= shadowHasBaseline
-			}
-			m.pending[core].put(op.Addr, op.Data, ref)
+			m.pending[core].put(op.Addr, op.Data, m.shadow.recordTx(op.Addr, old))
 		} else {
-			e, _ := m.shadow.getOrInsert(op.Addr)
-			e.flags |= shadowUnsafe
+			m.shadow.taint(op.Addr)
 		}
 		return sim.Result{Latency: lat + extra}
 	case sim.OpTxBegin:
@@ -404,7 +394,7 @@ func (m *Machine) Exec(core int, op sim.Op, now sim.Cycle) sim.Result {
 				// update or cacheline eviction). Words also written
 				// outside transactions are unverifiable and skipped.
 				for _, kv := range m.pending[core].entries {
-					if m.shadow.at(kv.ref).flags&shadowUnsafe == 0 {
+					if l, w := m.shadow.at(kv.ref); l.flags[w]&shadowUnsafe == 0 {
 						m.aud.CheckCommitDurability(core, kv.addr, kv.val, m.dev.PeekWord(kv.addr))
 					}
 				}
@@ -415,9 +405,7 @@ func (m *Machine) Exec(core int, op sim.Op, now sim.Cycle) sim.Result {
 			}
 		}
 		for _, kv := range m.pending[core].entries {
-			e := m.shadow.at(kv.ref)
-			e.committed = kv.val
-			e.flags |= shadowHasCommitted
+			m.shadow.promote(kv.ref, kv.val)
 		}
 		m.pending[core].reset()
 		if m.plan != nil && m.plan.Trigger == fault.TriggerCommit && m.commits >= m.plan.AfterCommits {
@@ -460,7 +448,7 @@ func (m *Machine) InjectCrash(now sim.Cycle) {
 	// the caches may additionally overwrite a word with a value some core
 	// had stored (the dirty-line flush); nothing else is legal. The
 	// snapshot runs parallel to words, so the audit checks (and names the
-	// first violating word) in the same deterministic order every run.
+	// first violating word) in ascending address order every run.
 	var words []mem.Addr
 	var before []mem.Word
 	var allowed [][]mem.Word
@@ -475,12 +463,12 @@ func (m *Machine) InjectCrash(now sim.Cycle) {
 		if persistCaches {
 			allowed = make([][]mem.Word, len(words))
 			for i, a := range words {
-				if e := m.shadow.get(a); e != nil {
-					if e.flags&shadowHasBaseline != 0 {
-						allowed[i] = append(allowed[i], e.baseline)
+				if l, w := m.shadow.get(a); l != nil {
+					if l.flags[w]&shadowHasBaseline != 0 {
+						allowed[i] = append(allowed[i], l.baseline[w])
 					}
-					if e.flags&shadowHasCommitted != 0 {
-						allowed[i] = append(allowed[i], e.committed)
+					if l.flags[w]&shadowHasCommitted != 0 {
+						allowed[i] = append(allowed[i], l.committed[w])
 					}
 				}
 				for c := range m.pending {
@@ -562,29 +550,24 @@ func (m *Machine) InjectCrash(now sim.Cycle) {
 // ok is false for words the verifier must skip (never written in a
 // transaction, or tainted by non-transactional stores).
 func (m *Machine) GoldenCommitted(addr mem.Addr) (mem.Word, bool) {
-	e := m.shadow.get(addr)
-	if e == nil || e.flags&shadowUnsafe != 0 {
+	l, w := m.shadow.get(addr)
+	if l == nil || l.flags[w]&shadowUnsafe != 0 {
 		return 0, false
 	}
-	if e.flags&shadowHasCommitted != 0 {
-		return e.committed, true
+	if l.flags[w]&shadowHasCommitted != 0 {
+		return l.committed[w], true
 	}
-	if e.flags&shadowHasBaseline != 0 {
-		return e.baseline, true
+	if l.flags[w]&shadowHasBaseline != 0 {
+		return l.baseline[w], true
 	}
 	return 0, false
 }
 
-// WrittenWords returns every word address that participated in any
-// transaction (committed or not), for recovery verification sweeps.
+// WrittenWords returns, in ascending address order, every word address
+// that participated in any transaction (committed or not) and was never
+// stored outside one, for recovery verification sweeps.
 func (m *Machine) WrittenWords() []mem.Addr {
-	out := make([]mem.Addr, 0, m.shadow.n)
-	for ref := int32(1); ref <= int32(m.shadow.n); ref++ {
-		if e := m.shadow.at(ref); e.flags&(shadowHasBaseline|shadowUnsafe) == shadowHasBaseline {
-			out = append(out, e.addr)
-		}
-	}
-	return out
+	return m.shadow.written()
 }
 
 // CommitHist returns the distribution of commit-time stalls.

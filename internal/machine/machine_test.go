@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"slices"
 	"testing"
 
 	"silo/internal/baseline"
@@ -225,5 +226,60 @@ func TestWritebackRoutesThroughDesign(t *testing.T) {
 	// Evicted data must be durable in PM.
 	if got := m.Device().PeekWord(0x1000); got != 1 {
 		t.Errorf("evicted word = %d", got)
+	}
+}
+
+// Release pools each part once: a second Release adds nothing to a
+// Recycler, and on the package pools it cannot make two later machines
+// share a device, shadow or pending table. A Device passed in through
+// Config is never pooled.
+func TestDoubleReleasePoolsOnce(t *testing.T) {
+	store := func(m *Machine) {
+		m.Exec(0, sim.Op{Kind: sim.OpTxBegin}, 0)
+		m.Exec(0, sim.Op{Kind: sim.OpStore, Addr: 0x4000, Data: 1}, 1)
+		m.Exec(0, sim.Op{Kind: sim.OpTxEnd}, 2)
+	}
+	cfg := Config{Cores: 2, PM: pm.DefaultConfig(), Cache: cache.DefaultHierarchyConfig(), Design: core.Factory(core.Options{})}
+
+	r := NewRecycler()
+	rc := cfg
+	rc.Recycle = r
+	m := New(rc)
+	store(m)
+	m.Release()
+	m.Release()
+	if len(r.devices) != 1 || len(r.shadows) != 1 || len(r.writes) != 2 {
+		t.Fatalf("after two Releases the recycler holds %d devices, %d shadows, %d pending tables; want 1, 1, 2",
+			len(r.devices), len(r.shadows), len(r.writes))
+	}
+
+	dev := pm.New(pm.DefaultConfig())
+	rc.Device = dev
+	m = New(rc)
+	store(m)
+	m.Release()
+	if len(r.devices) != 1 || r.devices[0] == dev || m.Device() != dev {
+		t.Fatal("a caller's device was pooled or replaced")
+	}
+
+	m = New(cfg)
+	store(m)
+	m.Release()
+	m.Release()
+	// The collector may reclaim an idle part, so only a part handed out
+	// twice is a failure.
+	d1, d2 := devicePool.Get(), devicePool.Get()
+	s1, s2 := shadowPool.Get(), shadowPool.Get()
+	if (d1 != nil && d1 == d2) || (s1 != nil && s1 == s2) {
+		t.Fatal("a second Release pooled a part twice")
+	}
+	var w []*txWrites
+	for i := 0; i < 4; i++ {
+		if p := writesPool.Get(); p != nil {
+			if slices.Contains(w, p) {
+				t.Fatal("a second Release pooled a pending table twice")
+			}
+			w = append(w, p)
+		}
 	}
 }

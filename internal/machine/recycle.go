@@ -4,15 +4,20 @@ import (
 	"sync"
 
 	"silo/internal/pm"
+	"silo/internal/pool"
 )
 
 // Recycler pools the heavy per-machine structures — the PM device's
-// media/buffer tables, the golden-shadow table, and the per-core pending
+// media/buffer tables, the golden-shadow index, and the per-core pending
 // write tables — across machine lifetimes, so a fleet worker running
 // thousands of short campaigns stops paying the table-regrowth and GC
-// cost of building each machine from scratch. (Cache per-way arrays and
-// line records are pooled globally by package cache, under the same rule
-// below.)
+// cost of building each machine from scratch. A nil *Recycler is valid
+// and means the package's free lists (package pool), so every machine
+// pools its parts on Release; the collector reclaims parts left idle. A
+// fleet worker keeps its own Recycler, which measured faster than
+// sync.Pools for the fleet (EXPERIMENTS, "Per-op bookkeeping"). (Cache
+// per-way arrays and line records are pooled by package cache, under
+// the same rule below.)
 //
 // A pooled part is clean when returned, not when taken: the put path
 // resets it to a state observationally identical to a freshly
@@ -31,30 +36,57 @@ import (
 type Recycler struct {
 	mu      sync.Mutex
 	devices []*pm.Device
-	shadows []*shadowTable
+	shadows []*shadowIndex
 	writes  []*txWrites
 }
 
 // NewRecycler returns an empty recycler.
 func NewRecycler() *Recycler { return &Recycler{} }
 
+// The pools a nil *Recycler stands for.
+var (
+	devicePool pool.List[pm.Device]   // Reset
+	shadowPool pool.List[shadowIndex] // reset
+	writesPool pool.List[txWrites]    // reset
+)
+
 // Caps keep one outsized campaign from pinning unbounded memory: a part
 // whose retained footprint exceeds the cap is dropped to the GC on
-// release, and pool depth is bounded for cluster campaigns that release
-// many machines at once.
+// release, and a Recycler's pool depth is bounded for cluster campaigns
+// that release many machines at once.
 const (
 	recycleMaxPartBytes = 32 << 20
 	recycleMaxPool      = 64
 )
 
-func (r *Recycler) device(cfg pm.Config) *pm.Device {
-	r.mu.Lock()
-	var d *pm.Device
-	if n := len(r.devices); n > 0 {
-		d = r.devices[n-1]
-		r.devices = r.devices[:n-1]
+// pop takes the newest part off a Recycler stack, or returns the zero
+// value when it is empty.
+func pop[T any](mu *sync.Mutex, stack *[]T) (v T) {
+	mu.Lock()
+	if n := len(*stack); n > 0 {
+		v = (*stack)[n-1]
+		*stack = (*stack)[:n-1]
 	}
-	r.mu.Unlock()
+	mu.Unlock()
+	return v
+}
+
+// push returns a reset part to a Recycler stack unless it is full.
+func push[T any](mu *sync.Mutex, stack *[]T, v T) {
+	mu.Lock()
+	if len(*stack) < recycleMaxPool {
+		*stack = append(*stack, v)
+	}
+	mu.Unlock()
+}
+
+func (r *Recycler) device(cfg pm.Config) *pm.Device {
+	var d *pm.Device
+	if r == nil {
+		d = devicePool.Get()
+	} else {
+		d = pop(&r.mu, &r.devices)
+	}
 	if d == nil {
 		return pm.New(cfg)
 	}
@@ -67,47 +99,45 @@ func (r *Recycler) putDevice(d *pm.Device) {
 		return
 	}
 	d.Reset()
-	r.mu.Lock()
-	if len(r.devices) < recycleMaxPool {
-		r.devices = append(r.devices, d)
+	if r == nil {
+		devicePool.Put(d)
+	} else {
+		push(&r.mu, &r.devices, d)
 	}
-	r.mu.Unlock()
 }
 
-func (r *Recycler) shadow() *shadowTable {
-	r.mu.Lock()
-	var t *shadowTable
-	if n := len(r.shadows); n > 0 {
-		t = r.shadows[n-1]
-		r.shadows = r.shadows[:n-1]
+func (r *Recycler) shadow() *shadowIndex {
+	var t *shadowIndex
+	if r == nil {
+		t = shadowPool.Get()
+	} else {
+		t = pop(&r.mu, &r.shadows)
 	}
-	r.mu.Unlock()
 	if t == nil {
-		return newShadowTable()
+		return newShadowIndex()
 	}
 	return t
 }
 
-func (r *Recycler) putShadow(t *shadowTable) {
+func (r *Recycler) putShadow(t *shadowIndex) {
 	if t.memFootprint() > recycleMaxPartBytes {
 		return
 	}
 	t.reset()
-	r.mu.Lock()
-	if len(r.shadows) < recycleMaxPool {
-		r.shadows = append(r.shadows, t)
+	if r == nil {
+		shadowPool.Put(t)
+	} else {
+		push(&r.mu, &r.shadows, t)
 	}
-	r.mu.Unlock()
 }
 
 func (r *Recycler) txWrites() *txWrites {
-	r.mu.Lock()
 	var t *txWrites
-	if n := len(r.writes); n > 0 {
-		t = r.writes[n-1]
-		r.writes = r.writes[:n-1]
+	if r == nil {
+		t = writesPool.Get()
+	} else {
+		t = pop(&r.mu, &r.writes)
 	}
-	r.mu.Unlock()
 	if t == nil {
 		return newTxWrites()
 	}
@@ -116,9 +146,9 @@ func (r *Recycler) txWrites() *txWrites {
 
 func (r *Recycler) putTxWrites(t *txWrites) {
 	t.reset()
-	r.mu.Lock()
-	if len(r.writes) < recycleMaxPool {
-		r.writes = append(r.writes, t)
+	if r == nil {
+		writesPool.Put(t)
+	} else {
+		push(&r.mu, &r.writes, t)
 	}
-	r.mu.Unlock()
 }

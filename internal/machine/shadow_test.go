@@ -2,101 +2,261 @@ package machine
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"silo/internal/mem"
+	"silo/internal/pmheap"
 )
 
-// The golden-shadow table keeps entries in fixed pages: growth rehashes
-// only the slot array, so entry pointers and refs survive it, iteration
-// follows insertion order, and a reset table reuses its pages but hands
-// out zeroed entries.
-func TestShadowTablePaged(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	tab := newShadowTable()
-	ref := map[mem.Addr]mem.Word{} // addr -> committed, the reference model
-	refs := map[mem.Addr]int32{}
-	var order []mem.Addr
-	randAddr := func() mem.Addr { return mem.Addr(rng.Int63n(1<<26)) * mem.WordSize }
+// shadowWord is the reference model's record of one word.
+type shadowWord struct {
+	flags               uint8
+	committed, baseline mem.Word
+}
 
-	first := randAddr()
-	p, pref := tab.getOrInsert(first)
-	p.committed = 1
-	ref[first], refs[first], order = 1, pref, append(order, first)
-	slots0 := len(tab.slots)
-
-	// Several pages and at least two slot grows.
-	for tab.n < 4*shadowPageSize+37 {
-		addr := randAddr()
-		if rng.Intn(4) == 0 {
-			addr = order[rng.Intn(len(order))] // re-probe an existing word
+// shadowAddrs draws word addresses the way runs write them: dense runs
+// inside several per-core arenas (crossing 4 MB chunk boundaries), plus
+// the words just below and above LogBase.
+func shadowAddrs(rng *rand.Rand) func() mem.Addr {
+	layout := mem.DefaultLayout()
+	heap := pmheap.New(layout, 4)
+	var bases []mem.Addr
+	for i := 0; i < 4; i++ {
+		bases = append(bases, heap.Alloc(i, mem.WordSize, mem.WordSize)) // the arena's first word
+	}
+	return func() mem.Addr {
+		if rng.Intn(10) == 0 {
+			return layout.LogBase - 4096 + mem.Addr(rng.Intn(1024))*mem.WordSize
 		}
-		e, r := tab.getOrInsert(addr)
-		if old, ok := refs[addr]; ok {
-			if r != old {
-				t.Fatalf("ref of %v changed from %d to %d", addr, old, r)
+		base := bases[rng.Intn(len(bases))]
+		return base + mem.Addr(rng.Intn(3<<20))*mem.WordSize // 24 MB: six chunks
+	}
+}
+
+// The radix golden shadow must behave as a map from word address to
+// (flags, committed, baseline): lookups, inserts and the WrittenWords
+// sweep agree with a Go map across several arenas and chunks; refs and
+// leaf pointers survive every later insert; reset unbinds exactly the
+// leaves the run bound, keeping their storage, and a reused leaf hands
+// out words with zero flags although its arrays still hold stale values.
+func TestShadowIndexMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	next := shadowAddrs(rng)
+	tab := newShadowIndex()
+
+	type bound struct {
+		leaf *shadowLeaf
+		w    int
+		ref  int32
+	}
+	for run := 0; run < 3; run++ {
+		model := map[mem.Addr]*shadowWord{}
+		refs := map[mem.Addr]bound{}
+		for op := 0; op < 40000; op++ {
+			addr := next()
+			l, w, ref := tab.getOrInsert(addr)
+			m := model[addr]
+			if m == nil {
+				if l.flags[w] != 0 {
+					t.Fatalf("run %d: new word %v has flags %#x, want 0", run, addr, l.flags[w])
+				}
+				m = &shadowWord{}
+				model[addr] = m
+				refs[addr] = bound{l, w, ref}
+			} else if b := refs[addr]; b != (bound{l, w, ref}) {
+				t.Fatalf("run %d: %v moved from %+v to %+v", run, addr, b, bound{l, w, ref})
 			}
-		} else {
-			if *e != (shadowEntry{addr: addr}) {
-				t.Fatalf("new entry for %v not fresh: %+v", addr, *e)
+			if gl, gw := tab.at(ref); gl != l || gw != w || l.base+mem.Addr(w)*mem.WordSize != addr {
+				t.Fatalf("run %d: ref %d of %v does not resolve to its word", run, ref, addr)
 			}
-			refs[addr] = r
-			order = append(order, addr)
+			switch rng.Intn(4) {
+			case 0: // non-transactional store
+				l.flags[w] |= shadowUnsafe
+				m.flags |= shadowUnsafe
+			case 1: // commit promotion
+				v := mem.Word(rng.Uint64())
+				l.committed[w], m.committed = v, v
+				l.flags[w] |= shadowHasCommitted
+				m.flags |= shadowHasCommitted
+			default: // transactional store: first one records the baseline
+				if l.flags[w]&shadowHasBaseline == 0 {
+					v := mem.Word(rng.Uint64())
+					l.baseline[w], m.baseline = v, v
+					l.flags[w] |= shadowHasBaseline
+					m.flags |= shadowHasBaseline
+				}
+			}
 		}
-		if tab.at(r) != e {
-			t.Fatalf("at(%d) does not resolve to the entry getOrInsert returned", r)
+
+		// Every earlier ref and leaf pointer still resolves, and lookups
+		// agree with the model in both directions.
+		for addr, m := range model {
+			b := refs[addr]
+			if l, w := tab.at(b.ref); l != b.leaf || w != b.w {
+				t.Fatalf("run %d: ref of %v no longer resolves to its leaf", run, addr)
+			}
+			l, w := tab.get(addr)
+			if l != b.leaf || w != b.w {
+				t.Fatalf("run %d: get(%v) = leaf %p word %d, want %p word %d", run, addr, l, w, b.leaf, b.w)
+			}
+			if l.flags[w] != m.flags ||
+				(m.flags&shadowHasCommitted != 0 && l.committed[w] != m.committed) ||
+				(m.flags&shadowHasBaseline != 0 && l.baseline[w] != m.baseline) {
+				t.Fatalf("run %d: %v holds flags %#x committed %#x baseline %#x, model %+v",
+					run, addr, l.flags[w], l.committed[w], l.baseline[w], *m)
+			}
 		}
-		e.committed++
-		e.flags |= shadowHasCommitted
-		ref[addr] = e.committed
+		for i := 0; i < 20000; i++ {
+			if addr := next(); model[addr] == nil {
+				if l, _ := tab.get(addr); l != nil {
+					t.Fatalf("run %d: get(%v) found a word never inserted", run, addr)
+				}
+			}
+		}
+
+		// The sweep is ascending, complete, and skips tainted words.
+		var want []mem.Addr
+		for addr, m := range model {
+			if m.flags&(shadowHasBaseline|shadowUnsafe) == shadowHasBaseline {
+				want = append(want, addr)
+			}
+		}
+		slices.Sort(want)
+		if got := tab.written(); !slices.Equal(got, want) {
+			t.Fatalf("run %d: written returned %d addresses, model wants %d (ascending: %v)",
+				run, len(got), len(want), slices.IsSorted(got))
+		}
+
+		// reset unbinds exactly the bound leaves and keeps every part.
+		top, mids, leaves := len(tab.top), tab.mids, slices.Clone(tab.leaves)
+		if tab.n < 1000 || mids < 12 {
+			t.Fatalf("run %d: only %d leaves in %d chunks; the test wants many of both", run, tab.n, mids)
+		}
+		tab.reset()
+		if tab.n != 0 || len(tab.top) != top || tab.mids != mids || !slices.Equal(tab.leaves, leaves) {
+			t.Fatalf("run %d: reset dropped or rebuilt storage", run)
+		}
+		for c, mid := range tab.top {
+			if mid != nil && *mid != (shadowMid{}) {
+				t.Fatalf("run %d: chunk %d still maps a leaf after reset", run, c)
+			}
+		}
+		stale := 0
+		for _, l := range tab.leaves {
+			if l.used != 0 {
+				t.Fatalf("run %d: leaf %v keeps used bits after reset", run, l.base)
+			}
+			if l.flags != [shadowLeafWords]uint8{} {
+				stale++
+			}
+		}
+		if stale == 0 {
+			t.Fatalf("run %d: reset cleared leaf flags; it should touch only used bits and mid slots", run)
+		}
+		for addr := range model {
+			if l, _ := tab.get(addr); l != nil {
+				t.Fatalf("run %d: %v still resolves after reset", run, addr)
+			}
+		}
 	}
-	if len(tab.slots) < 4*slots0 || len(tab.pages) != 5 {
-		t.Fatalf("want >= 2 grows and 5 pages, got %d slots (from %d), %d pages", len(tab.slots), slots0, len(tab.pages))
+}
+
+// memFootprint counts the top level, the mids and the leaves, so a
+// shadow spread over many chunks is dropped at the recycler's part cap
+// instead of pinned, and a small one is pooled.
+func TestShadowIndexFootprint(t *testing.T) {
+	if s := unsafe.Sizeof(shadowLeaf{}); s != 1104 {
+		t.Fatalf("shadowLeaf is %d B, want 1104", s)
+	}
+	if s := unsafe.Sizeof(shadowMid{}); s != 32<<10 {
+		t.Fatalf("shadowMid is %d B, want 32 KB", s)
+	}
+	tab := newShadowIndex()
+	for c := 0; c < 16; c++ {
+		for w := 0; w < 3*shadowLeafWords; w++ {
+			tab.getOrInsert(mem.Addr(c)<<shadowChunkShift + mem.Addr(w)*mem.WordSize)
+		}
+	}
+	want := cap(tab.top)*8 + 16*(32<<10) + cap(tab.leaves)*8 + 48*1104
+	if tab.mids != 16 || len(tab.leaves) != 48 || tab.memFootprint() != want {
+		t.Fatalf("%d mids, %d leaves, footprint %d; want 16, 48, %d", tab.mids, len(tab.leaves), tab.memFootprint(), want)
+	}
+	r := NewRecycler()
+	r.putShadow(tab)
+	if len(r.shadows) != 1 {
+		t.Fatal("a small shadow was not pooled")
 	}
 
-	// The pointer and ref taken before every grow still alias the entry.
-	if tab.get(first) != p || tab.at(pref) != p {
-		t.Fatal("entry pointer or ref taken before grow no longer resolves to the entry")
+	big := newShadowIndex()
+	for c := 0; big.memFootprint() <= recycleMaxPartBytes; c++ {
+		big.getOrInsert(mem.Addr(c) << shadowChunkShift)
 	}
-	p.committed += 100
-	ref[first] += 100
-	if got := tab.get(first).committed; got != ref[first] {
-		t.Fatalf("write through old pointer not visible: %d, want %d", got, ref[first])
+	r.putShadow(big)
+	if len(r.shadows) != 1 {
+		t.Fatalf("a %d B shadow was pooled past the %d B part cap", big.memFootprint(), recycleMaxPartBytes)
 	}
+}
 
-	// Lookups agree with the map; iteration runs in insertion order.
-	if tab.n != len(ref) {
-		t.Fatalf("n %d, reference holds %d", tab.n, len(ref))
+// shadowTx runs one transaction's golden-shadow work the way Exec does:
+// per store the baseline capture and the pending put, at commit the
+// promotion through the pending refs and the per-transaction reset.
+func shadowTx(tab *shadowIndex, pend *txWrites, addrs []mem.Addr, v mem.Word) {
+	for _, a := range addrs {
+		pend.put(a, v, tab.recordTx(a, v-1))
 	}
-	for addr, c := range ref {
-		if e := tab.get(addr); e == nil || e.committed != c || e.addr != addr {
-			t.Fatalf("get(%v) = %+v, want committed %d", addr, e, c)
-		}
+	for _, kv := range pend.entries {
+		tab.promote(kv.ref, kv.val)
 	}
-	for i := 0; i < 1000; i++ {
-		if addr := randAddr(); tab.get(addr) != nil && refs[addr] == 0 {
-			t.Fatalf("get(%v) found a word never inserted", addr)
-		}
-	}
-	for i, addr := range order {
-		if got := tab.at(int32(i + 1)).addr; got != addr {
-			t.Fatalf("ref %d holds %v, want insertion-order %v", i+1, got, addr)
-		}
-	}
+	pend.reset()
+}
 
-	// After reset every lookup misses and reinserted entries are zeroed,
-	// although the reused pages still hold the previous run's values.
-	page0 := tab.pages[0]
-	tab.reset()
-	if tab.n != 0 || tab.get(first) != nil {
-		t.Fatal("reset table still resolves words")
-	}
-	for i := len(order) - 1; i >= len(order)-2*shadowPageSize; i-- {
-		if e, _ := tab.getOrInsert(order[i]); *e != (shadowEntry{addr: order[i]}) {
-			t.Fatalf("reinserted %v after reset is not zeroed: %+v", order[i], *e)
+// shadowWriteSet is a 64-word write set in bound leaves: 16 consecutive
+// words in each of four per-core arenas, as isolated threads write.
+func shadowWriteSet() []mem.Addr {
+	heap := pmheap.New(mem.DefaultLayout(), 4)
+	var addrs []mem.Addr
+	for arena := 0; arena < 4; arena++ {
+		base := heap.AllocLines(arena, 2)
+		for w := 0; w < 16; w++ {
+			addrs = append(addrs, base+mem.Addr(w)*mem.WordSize)
 		}
 	}
-	if tab.pages[0] != page0 || len(tab.pages) != 5 {
-		t.Fatal("reset dropped pages instead of reusing them")
+	return addrs
+}
+
+// Once its leaves are bound, a transaction's shadow work — baseline
+// capture, pending tracking, commit promotion — allocates nothing.
+func TestShadowSteadyStateZeroAlloc(t *testing.T) {
+	tab, pend, addrs := newShadowIndex(), newTxWrites(), shadowWriteSet()
+	v := mem.Word(1)
+	for ; v < 8; v++ {
+		shadowTx(tab, pend, addrs, v) // bind leaves, grow the pending table
+	}
+	if allocs := testing.AllocsPerRun(200, func() { v++; shadowTx(tab, pend, addrs, v) }); allocs != 0 {
+		t.Fatalf("steady-state shadow transaction allocates %v times, want 0", allocs)
+	}
+	for _, a := range addrs {
+		if l, w := tab.get(a); l == nil || l.committed[w] != v || l.baseline[w] != 0 {
+			t.Fatalf("%v: shadow does not hold committed %d over baseline 0", a, v)
+		}
+	}
+}
+
+// BenchmarkShadowStore times one 64-store transaction's golden-shadow
+// work in bound leaves: 64 baseline checks and pending puts, then 64
+// commit promotions.
+func BenchmarkShadowStore(b *testing.B) {
+	tab, pend, addrs := newShadowIndex(), newTxWrites(), shadowWriteSet()
+	v := mem.Word(1)
+	for ; v < 8; v++ {
+		shadowTx(tab, pend, addrs, v)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		v++
+		shadowTx(tab, pend, addrs, v)
 	}
 }

@@ -7,7 +7,10 @@
 // repeatedly executes the next operation of the core with the smallest
 // local time, so runs are deterministic for a given seed and shared-queue
 // contention is causal: reservations on shared resources are made in
-// nondecreasing global time. The steady-state path performs zero channel
+// nondecreasing global time. The pick is a branch-free scan over a dense
+// array of per-core due times (a core's local time while it holds a
+// fetched op, the maximum Cycle once its stream is done); ties go to the
+// lowest core index. The steady-state path performs zero channel
 // operations and zero heap allocations per op.
 //
 // A workload written as a plain Go function (a Program issuing operations
@@ -21,6 +24,7 @@ package sim
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"sync/atomic"
 
@@ -153,13 +157,11 @@ func (c *Ctx) Compute(n Cycle) {
 	}
 }
 
-// slot is the engine's per-core scheduling state: the fetched-but-not-yet
-// executed operation, if any.
-type slot struct {
-	op   Op
-	ok   bool
-	done bool
-}
+// retired is the due time of a core whose stream is exhausted. Core
+// clocks start at zero and only move forward by nonnegative latencies,
+// so a live core's due time is always in [0, retired) and the difference
+// of two due times never overflows.
+const retired = Cycle(math.MaxInt64)
 
 // Engine drives the per-core op streams against the executor.
 type Engine struct {
@@ -181,10 +183,12 @@ type Engine struct {
 	watchdog      Cycle
 	watchdogFired bool
 
-	// Cooperative scheduler state (Bind/Step).
+	// Cooperative scheduler state (Bind/Step): each core's fetched but
+	// not yet executed op, and the time it is due — coreTime[i] while
+	// core i holds an op, retired once its stream is exhausted.
 	streams []OpStream
-	slots   []slot
-	live    int
+	ops     []Op
+	due     []Cycle
 
 	// Stats populated by the run.
 	coreTime  []Cycle
@@ -270,8 +274,8 @@ func (e *Engine) Bind(streams []OpStream) {
 		panic("sim: len(streams) must equal core count")
 	}
 	e.streams = streams
-	e.slots = make([]slot, e.cores)
-	e.live = e.cores
+	e.ops = make([]Op, e.cores)
+	e.due = make([]Cycle, e.cores)
 	for i, s := range streams {
 		if cs, ok := s.(*coroStream); ok {
 			cs.exec = e.exec
@@ -280,63 +284,70 @@ func (e *Engine) Bind(streams []OpStream) {
 	}
 }
 
-// fetch pulls core i's next operation into its slot, retiring the stream
-// when it is exhausted.
+// fetch pulls core i's next operation, due at the core's local time,
+// retiring the core when its stream is exhausted.
 func (e *Engine) fetch(i int) {
 	op, more := e.streams[i].Next()
 	if !more {
-		e.slots[i].done = true
-		e.live--
+		e.due[i] = retired
 		return
 	}
-	e.slots[i].op, e.slots[i].ok = op, true
+	e.ops[i], e.due[i] = op, e.coreTime[i]
 }
 
 // Step makes one scheduling decision: it picks the live core with the
 // smallest local time and executes (or crash-unwinds) that one fetched
-// operation, then refetches that core's next op — every slot always
+// operation, then refetches that core's next op — every live core always
 // holds a pending op (prefetched by Bind), so the min-time choice stays
 // well defined with one stream pull per step. It returns false when
 // every stream is exhausted. The steady-state path performs no channel
 // operations and no heap allocations.
 func (e *Engine) Step() bool {
-	if e.live <= 0 {
+	best, bt := e.pick()
+	if bt == retired {
 		return false
 	}
-	// Pick the live core with the smallest local time.
-	slots, coreTime := e.slots, e.coreTime
-	best := -1
-	var bt Cycle
-	for i := range slots {
-		if !slots[i].ok {
-			continue
-		}
-		if best == -1 || coreTime[i] < bt {
-			best, bt = i, coreTime[i]
-		}
-	}
-	if best == -1 {
-		return false
-	}
-	s := &slots[best]
-	s.ok = false
+	op := e.ops[best]
 
 	// Slow path: a crash happened, is scheduled, or a watchdog is armed.
 	// All three arming points set e.special, so the common op pays one
 	// branch here before it executes.
 	res := Result{Latency: -1}
 	if !e.special || !e.crashNow(bt) {
-		res = e.exec.Exec(best, s.op, bt)
+		res = e.exec.Exec(best, op, bt)
 	}
 	// A negative latency (a crash, here or executor-injected) unwinds
 	// the stream without advancing time.
 	if res.Latency >= 0 {
-		e.opsByKind[s.op.Kind]++
-		coreTime[best] = bt + res.Latency
+		e.opsByKind[op.Kind]++
+		e.coreTime[best] = bt + res.Latency
 	}
 	e.streams[best].Deliver(res)
 	e.fetch(best)
 	return true
+}
+
+// pick returns the core with the smallest due time and that time; ties
+// go to the lowest index, and bt is retired when every core is. The scan
+// is branch-free: which core is due next is unpredictable, so a compare
+// and jump per core mispredicts often, and Go does not turn the plain
+// if into a conditional move. d cannot overflow because due times lie
+// in [0, retired] (see retired); its sign bit, smeared into the mask m,
+// selects the strictly earlier core. An engine not yet bound has no
+// core due.
+func (e *Engine) pick() (best int, bt Cycle) {
+	due := e.due
+	if len(due) == 0 {
+		return 0, retired
+	}
+	bt = due[0]
+	for i := 1; i < len(due); i++ {
+		d := due[i] - bt
+		m := d >> 63
+		bt += d & m
+		best ^= (best ^ i) & int(m)
+	}
+	return best, bt
 }
 
 // crashNow reports whether the op due at time t must receive the crash
@@ -376,7 +387,7 @@ type stopper interface{ Stop() }
 // internally.
 func (e *Engine) Finish() {
 	for i, s := range e.streams {
-		if st, ok := s.(stopper); ok && !e.slots[i].done {
+		if st, ok := s.(stopper); ok && e.due[i] != retired {
 			st.Stop()
 		}
 	}

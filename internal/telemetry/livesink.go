@@ -1,6 +1,9 @@
 package telemetry
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // LiveSink is a bounded, drop-counting Sink for live consumers — the
 // bridge between the engine goroutine and silo-serve's SSE streams.
@@ -20,8 +23,8 @@ type LiveSink struct {
 	buf    []Event
 	seq    uint64 // events ever written; next write lands at buf[seq%cap]
 	closed bool
-	subs   map[*LiveSub]struct{}
-	drops  uint64 // total events dropped across all subscribers
+	subs   []*LiveSub // in subscription order; Event walks it per event
+	drops  uint64     // total events dropped across all subscribers
 }
 
 // DefaultLiveCapacity is the ring size when NewLiveSink is given 0.
@@ -36,10 +39,7 @@ func NewLiveSink(capacity int) *LiveSink {
 	if capacity < 16 {
 		capacity = 16
 	}
-	return &LiveSink{
-		buf:  make([]Event, capacity),
-		subs: make(map[*LiveSub]struct{}),
-	}
+	return &LiveSink{buf: make([]Event, capacity)}
 }
 
 // Event implements Sink. It is called on the engine goroutine and must
@@ -49,13 +49,18 @@ func (s *LiveSink) Event(e Event) {
 	s.mu.Lock()
 	s.buf[s.seq%uint64(len(s.buf))] = e
 	s.seq++
-	for sub := range s.subs {
+	s.wakeAll()
+	s.mu.Unlock()
+}
+
+// wakeAll posts a non-blocking wakeup to every subscriber; s.mu is held.
+func (s *LiveSink) wakeAll() {
+	for _, sub := range s.subs {
 		select {
 		case sub.ready <- struct{}{}:
 		default:
 		}
 	}
-	s.mu.Unlock()
 }
 
 // Close marks the stream finished and wakes every subscriber. Events
@@ -65,12 +70,7 @@ func (s *LiveSink) Event(e Event) {
 func (s *LiveSink) Close() {
 	s.mu.Lock()
 	s.closed = true
-	for sub := range s.subs {
-		select {
-		case sub.ready <- struct{}{}:
-		default:
-		}
-	}
+	s.wakeAll()
 	s.mu.Unlock()
 }
 
@@ -100,7 +100,7 @@ func (s *LiveSink) Subscribe() *LiveSub {
 	if n := uint64(len(s.buf)); s.seq > n {
 		sub.next = s.seq - n
 	}
-	s.subs[sub] = struct{}{}
+	s.subs = append(s.subs, sub)
 	if s.seq > sub.next || s.closed {
 		sub.ready <- struct{}{}
 	}
@@ -154,10 +154,12 @@ func (sub *LiveSub) Drops() uint64 {
 	return sub.drops
 }
 
-// Cancel unregisters the subscriber.
+// Cancel unregisters the subscriber. A second Cancel does nothing.
 func (sub *LiveSub) Cancel() {
 	s := sub.sink
 	s.mu.Lock()
-	delete(s.subs, sub)
+	if i := slices.Index(s.subs, sub); i >= 0 {
+		s.subs = slices.Delete(s.subs, i, i+1)
+	}
 	s.mu.Unlock()
 }

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"slices"
 	"sync"
 	"testing"
 )
@@ -178,4 +179,79 @@ func BenchmarkLiveSinkEvent(b *testing.B) {
 			s.Event(e)
 		}
 	})
+}
+
+// Event fans out to every subscriber while one of them unsubscribes
+// mid-stream from its own goroutine: the others still read every event
+// in order, the cancelled one stops being woken and leaves the
+// subscriber list, and a second Cancel is harmless.
+func TestLiveSinkFanOutWithMidStreamCancel(t *testing.T) {
+	const events, readers, quitter = 5000, 4, 1
+	s := NewLiveSink(8192) // holds the whole stream: no reader is lapped
+	subs := make([]*LiveSub, readers)
+	for i := range subs {
+		subs[i] = s.Subscribe()
+	}
+	seen := make([][]int64, readers)
+	var wg sync.WaitGroup
+	for i, sub := range subs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out := make([]Event, 64)
+			for {
+				n, _, open := sub.Poll(out)
+				for _, e := range out[:n] {
+					seen[i] = append(seen[i], e.A)
+					if i == quitter && e.A == events/3 {
+						sub.Cancel()
+						return
+					}
+				}
+				if !open {
+					return
+				}
+				if n < len(out) {
+					<-sub.Ready() // drained: wait for the next wakeup
+				}
+			}
+		}()
+	}
+	for i := 0; i < events; i++ {
+		s.Event(Event{Kind: KTxCommit, A: int64(i)})
+	}
+	s.Close()
+	wg.Wait()
+
+	for i, got := range seen {
+		want := events
+		if i == quitter {
+			want = events/3 + 1
+		}
+		if len(got) != want {
+			t.Fatalf("reader %d saw %d events, want %d", i, len(got), want)
+		}
+		for k, a := range got {
+			if a != int64(k) {
+				t.Fatalf("reader %d event %d is %d, want %d", i, k, a, k)
+			}
+		}
+	}
+	if s.Drops() != 0 {
+		t.Fatalf("%d events dropped from a ring that holds the stream", s.Drops())
+	}
+	subs[quitter].Cancel()
+	s.mu.Lock()
+	left := slices.Clone(s.subs)
+	s.mu.Unlock()
+	if len(left) != readers-1 || slices.Contains(left, subs[quitter]) {
+		t.Fatalf("after cancel the sink holds %d subscribers (quitter present: %v), want %d without it",
+			len(left), slices.Contains(left, subs[quitter]), readers-1)
+	}
+	for _, sub := range subs {
+		sub.Cancel()
+	}
+	if len(s.subs) != 0 {
+		t.Fatalf("%d subscribers left after every Cancel", len(s.subs))
+	}
 }
