@@ -7,23 +7,29 @@ import (
 	"silo/internal/sim"
 )
 
-// BenchmarkCacheAccess times one Load through a default (Table II)
+// BenchmarkCacheAccess times one access through a default (Table II)
 // one-core hierarchy, served by the named level. Each case cycles
 // through a working set sized so every access misses the levels above
 // the target and hits it (LRU evicts a cyclic set larger than a level):
 // one line for L1Hit, 128 KB for L2Hit, 2 MB for L3Hit and 16 MB for
-// Miss, which fills from a zero-latency backing store. The lower-level
-// cases include the demotion chain each fill sets off.
+// Miss and DirtyMiss, which fill from a zero-latency backing store. The
+// lower-level cases include the chain of records each fill hands down a
+// level. All cases but DirtyMiss are loads, so every LLC victim is
+// clean and its record is freed at once; DirtyMiss stores, so every LLC
+// victim is dirty and leaves through the write-back callback before its
+// record is freed.
 func BenchmarkCacheAccess(b *testing.B) {
 	for _, tc := range []struct {
 		name  string
 		lines int
+		store bool
 		level func(h *Hierarchy) *int64
 	}{
-		{"L1Hit", 1, func(h *Hierarchy) *int64 { return &h.l1[0].Hits }},
-		{"L2Hit", 128 << 10 / mem.LineSize, func(h *Hierarchy) *int64 { return &h.l2[0].Hits }},
-		{"L3Hit", 2 << 20 / mem.LineSize, func(h *Hierarchy) *int64 { return &h.l3.Hits }},
-		{"Miss", 16 << 20 / mem.LineSize, func(h *Hierarchy) *int64 { return &h.l3.Misses }},
+		{"L1Hit", 1, false, func(h *Hierarchy) *int64 { return &h.l1[0].Hits }},
+		{"L2Hit", 128 << 10 / mem.LineSize, false, func(h *Hierarchy) *int64 { return &h.l2[0].Hits }},
+		{"L3Hit", 2 << 20 / mem.LineSize, false, func(h *Hierarchy) *int64 { return &h.l3.Hits }},
+		{"Miss", 16 << 20 / mem.LineSize, false, func(h *Hierarchy) *int64 { return &h.l3.Misses }},
+		{"DirtyMiss", 16 << 20 / mem.LineSize, true, func(h *Hierarchy) *int64 { return &h.l3.Misses }},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			q := &quietBackend{}
@@ -31,26 +37,38 @@ func BenchmarkCacheAccess(b *testing.B) {
 			defer h.Release()
 			var now sim.Cycle
 			i := 0
-			load := func() {
+			access := func() {
 				now++
-				h.Load(0, mem.Addr(i*mem.LineSize), now)
+				addr := mem.Addr(i * mem.LineSize)
+				if tc.store {
+					h.Store(0, addr, mem.Word(now), now)
+				} else {
+					h.Load(0, addr, now)
+				}
 				if i++; i == tc.lines {
 					i = 0
 				}
 			}
 			for w := 0; w < 2*tc.lines; w++ {
-				load() // bind every way the working set reaches
+				access() // warm the arena and every way the working set reaches
 			}
 			served := tc.level(h)
-			start := *served
+			start, wbs := *served, q.writebacks
 			b.ReportAllocs()
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
-				load()
+				access()
 			}
 			b.StopTimer()
 			if got := *served - start; got != int64(b.N) {
 				b.Fatalf("%d of %d accesses served by the target level", got, b.N)
+			}
+			want := 0 // a load leaves every line clean
+			if tc.store {
+				want = b.N
+			}
+			if got := q.writebacks - wbs; got != want {
+				b.Fatalf("%d write-backs in %d accesses, want %d", got, b.N, want)
 			}
 		})
 	}

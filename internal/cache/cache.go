@@ -42,17 +42,14 @@ func DefaultHierarchyConfig() HierarchyConfig {
 	}
 }
 
-// line is one way's record: the data and dirty flag of the line the way
-// holds. The address is the way's tag, so the record does not repeat it.
+// line is one resident line's record: its data and dirty flag. The
+// address is the tag of the way holding it, so the record does not repeat it.
 type line struct {
 	data  [mem.LineSize]byte // held inline: no per-fill allocation
 	dirty bool
 }
 
-// Line records live in fixed pages of linePageSize records (~16 KB). A
-// way is bound to a record the first time it is filled and keeps it for
-// good, so a cache allocates record storage only for the ways a run
-// actually fills — a TPCC run touches a few thousand of the L3's 128 k.
+// Line records live in fixed pages of linePageSize records (~16 KB).
 const (
 	linePageBits = 8
 	linePageSize = 1 << linePageBits
@@ -66,8 +63,9 @@ const invalidTag = ^mem.Addr(0)
 // the LRU stamps and the record refs are three parallel arrays, so a
 // lookup scans one contiguous run of tags and a victim scan reads only
 // tags and stamps. The tag array is the sole validity record — a way's
-// stamp and record are only read while its tag is valid — so whole-cache
-// invalidation touches 8 bytes per line and leaves records bound. A
+// stamp and ref are only read while its tag is valid — so whole-cache
+// invalidation touches 8 bytes per line. A way holds only its line's ref;
+// the record belongs to the Hierarchy's arena and moves with the line. A
 // level builds its arrays on its first fill, so a cache never filled
 // (the L3 of most runs shorter than its capacity) costs nothing; until
 // then it scans a shared all-invalid tag array and every lookup misses.
@@ -94,21 +92,18 @@ type Cache struct {
 // scattered stores by then).
 const sparseResetDiv = 8
 
-// cacheArrays is one level's per-way state and record pages, recycled
-// together. Until the level's first fill only tags is set, to the shared
-// all-invalid array. Because validity lives solely in the tag array,
-// recycled stamps and records may carry stale contents — they are
-// unreachable until an insert overwrites them — and every way keeps the
-// record it was bound to. A pooled cacheArrays is clean when returned,
+// cacheArrays is one level's per-way state, recycled by way count. Until
+// the level's first fill only tags is set, to the shared all-invalid
+// array. Because validity lives solely in the tag array, recycled stamps
+// and refs may carry stale contents — they are unreachable until an
+// insert overwrites them. A pooled cacheArrays is clean when returned,
 // not when taken: Release resets the tags (and empties the list) before
 // the put, so NewCache takes it as is.
 type cacheArrays struct {
 	tags   []mem.Addr // line address per way, or invalidTag for an empty way
 	lru    []int64    // last-use stamp per way; stale unless tag valid
-	refs   []int32    // record per way: index + 1 into pages; 0 = never filled
-	pages  []*[linePageSize]line
-	bound  int32   // records bound: refs 1..bound
-	filled []int32 // ways filled since the last reset; len == cap means sweep
+	refs   []int32    // the line's record in the hierarchy's arena; stale unless tag valid
+	filled []int32    // ways filled since the last reset; len == cap means sweep
 }
 
 // arrPools recycles cacheArrays by way count. Short-lived machines (the
@@ -145,7 +140,6 @@ func getArrays(n int) *cacheArrays {
 // replacing the shared all-invalid tags.
 func (a *cacheArrays) alloc(n int) {
 	a.tags, a.lru, a.refs = make([]mem.Addr, n), make([]int64, n), make([]int32, n)
-	a.pages = make([]*[linePageSize]line, 0, (n+linePageSize-1)/linePageSize)
 	a.filled = make([]int32, 0, n/sparseResetDiv)
 	fillInvalid(a.tags)
 }
@@ -177,9 +171,8 @@ func NewCache(cfg Config) *Cache {
 		cacheArrays: *a, pooled: a}
 }
 
-// Release resets the cache and returns its arrays, records still bound,
-// to the pool, so pooled arrays are always clean. The cache must not be
-// used afterwards.
+// Release resets the cache and returns its arrays to the pool, so pooled
+// arrays are always clean. The cache must not be used afterwards.
 func (c *Cache) Release() {
 	if c.pooled == nil {
 		return
@@ -228,30 +221,9 @@ func (c *Cache) find(la mem.Addr) int {
 	return -1
 }
 
-// rec returns way w's record. The way must hold a valid line.
-func (c *Cache) rec(w int) *line {
-	r := c.refs[w] - 1
-	return &c.pages[r>>linePageBits][r&(linePageSize-1)]
-}
-
-// lookup returns the record of the way holding addr's line, or nil.
-func (c *Cache) lookup(addr mem.Addr) *line {
-	if w := c.find(addr.Line()); w >= 0 {
-		return c.rec(w)
-	}
-	return nil
-}
-
-// Evicted describes a line pushed out of a cache level.
-type Evicted struct {
-	Addr  mem.Addr
-	Data  [mem.LineSize]byte
-	Dirty bool
-}
-
-// insert places data for la, returning the resident line and the victim
-// if a valid line was displaced.
-func (c *Cache) insert(la mem.Addr, data *[mem.LineSize]byte, dirty bool) (*line, Evicted, bool) {
+// insert places la's line, whose record is ref, and returns the victim's
+// address and ref; the address is invalidTag if no line was displaced.
+func (c *Cache) insert(la mem.Addr, ref int32) (mem.Addr, int32) {
 	if c.lru == nil {
 		c.alloc(c.sets * c.ways)
 	}
@@ -269,52 +241,74 @@ func (c *Cache) insert(la mem.Addr, data *[mem.LineSize]byte, dirty bool) (*line
 		}
 	}
 	w := base + vi
-	had := tags[vi] != invalidTag
-	if !had {
-		if c.refs[w] == 0 {
-			c.bind(w)
-		}
-		if len(c.filled) < cap(c.filled) {
-			c.filled = append(c.filled, int32(w))
-		}
-	}
-	l := c.rec(w)
-	var ev Evicted
-	if had {
-		ev = Evicted{Addr: tags[vi], Data: l.data, Dirty: l.dirty}
+	va, vr := tags[vi], c.refs[w]
+	if va == invalidTag && len(c.filled) < cap(c.filled) {
+		c.filled = append(c.filled, int32(w))
 	}
 	c.tick++
-	l.data, l.dirty = *data, dirty
 	lru[vi] = c.tick
 	tags[vi] = la
-	return l, ev, had
+	c.refs[w] = ref
+	return va, vr
 }
 
-// bind gives way w, never filled before, the next free record, adding a
-// page when the last one is full.
-func (c *Cache) bind(w int) {
-	if c.bound&(linePageSize-1) == 0 {
-		c.pages = append(c.pages, new([linePageSize]line))
-	}
-	c.bound++
-	c.refs[w] = c.bound
-}
-
-// remove invalidates la's way and returns its record, or nil if la is
-// not cached. The record stays bound to the way, so it reads back
-// unchanged until the next insert into this cache.
-func (c *Cache) remove(la mem.Addr) *line {
+// remove invalidates la's way and returns its line's ref, or 0 if la is
+// not cached. The record now belongs to the caller.
+func (c *Cache) remove(la mem.Addr) int32 {
 	w := c.find(la)
 	if w < 0 {
-		return nil
+		return 0
 	}
 	c.tags[w] = invalidTag
-	return c.rec(w)
+	return c.refs[w]
 }
 
-// FillFn reads a line's bytes from memory at time now, returning data and
-// latency (which may include interference from queued writes).
-type FillFn func(la mem.Addr, now sim.Cycle) ([mem.LineSize]byte, sim.Cycle)
+// arena holds a hierarchy's line records: the hierarchy is exclusive, so
+// each resident line has one, which moves with it between levels. A ref
+// is index + 1 into the pages. Each ref issued since the last reset is
+// held by one valid way, in flight on the miss path, or free. Issuing
+// rewrites a record whole, so a free record's data is dead: its first
+// bytes link the next free ref, and the free list needs no storage.
+type arena struct {
+	pages []*[linePageSize]line
+	bound int32 // refs issued since the last reset: 1..bound
+	free  int32 // newest free ref, or 0 when the list is empty
+}
+
+// arenaPool recycles arenas across hierarchies, as arrPools does arrays.
+var arenaPool pool.List[arena]
+
+func (a *arena) rec(ref int32) *line {
+	r := ref - 1
+	return &a.pages[r>>linePageBits][r&(linePageSize-1)]
+}
+
+// alloc issues a record: the newest free ref, else the next one never
+// issued, adding a page when all paged records are issued.
+func (a *arena) alloc() int32 {
+	if r := a.free; r != 0 {
+		a.free = int32(binary.LittleEndian.Uint32(a.rec(r).data[:4]))
+		return r
+	}
+	if int(a.bound)>>linePageBits == len(a.pages) {
+		a.pages = append(a.pages, new([linePageSize]line))
+	}
+	a.bound++
+	return a.bound
+}
+
+// release puts ref, which no way holds any more, on the free list.
+func (a *arena) release(ref int32) {
+	binary.LittleEndian.PutUint32(a.rec(ref).data[:4], uint32(a.free))
+	a.free = ref
+}
+
+// reset takes back every record at once; the pages stay for reuse.
+func (a *arena) reset() { a.bound, a.free = 0, 0 }
+
+// FillFn reads a line from memory at time now into the whole of dst and
+// returns the latency (which may include interference from queued writes).
+type FillFn func(la mem.Addr, now sim.Cycle, dst *[mem.LineSize]byte) sim.Cycle
 
 // WritebackFn delivers a dirty line evicted from the LLC to the memory
 // controller at time now.
@@ -325,6 +319,8 @@ type Hierarchy struct {
 	cfg       HierarchyConfig
 	l1, l2    []*Cache
 	l3        *Cache
+	arena     // the record of every resident line, at any level
+	pooled    *arena
 	fill      FillFn
 	writeback WritebackFn
 	tel       *telemetry.Recorder
@@ -337,7 +333,11 @@ func (h *Hierarchy) SetTelemetry(r *telemetry.Recorder) { h.tel = r }
 
 // NewHierarchy builds per-core L1/L2 and a shared L3.
 func NewHierarchy(cores int, cfg HierarchyConfig, fill FillFn, writeback WritebackFn) *Hierarchy {
-	h := &Hierarchy{cfg: cfg, l3: NewCache(cfg.L3), fill: fill, writeback: writeback}
+	a := arenaPool.Get()
+	if a == nil {
+		a = new(arena)
+	}
+	h := &Hierarchy{cfg: cfg, l3: NewCache(cfg.L3), arena: *a, pooled: a, fill: fill, writeback: writeback}
 	for i := 0; i < cores; i++ {
 		h.l1 = append(h.l1, NewCache(cfg.L1))
 		h.l2 = append(h.l2, NewCache(cfg.L2))
@@ -364,66 +364,49 @@ func (h *Hierarchy) access(core int, addr mem.Addr, now sim.Cycle) (*line, sim.C
 		l1.Hits++
 		l1.tick++
 		l1.lru[w] = l1.tick
-		return l1.rec(w), h.cfg.L1.Latency
+		return h.rec(l1.refs[w]), h.cfg.L1.Latency
 	}
 	return h.miss(core, la, now)
 }
 
-// miss fills la into core's L1 from L2, L3 or memory.
+// miss moves la's record into core's L1 from L2 or L3, or fills a new one
+// from memory in place. Each displaced line moves down one level, clean
+// ones too (victim caching); a dirty LLC victim leaves through the
+// write-back callback, and its record is freed once the callback returns.
 func (h *Hierarchy) miss(core int, la mem.Addr, now sim.Cycle) (*line, sim.Cycle) {
 	l1, l2 := h.l1[core], h.l2[core]
 	l1.Misses++
 
-	var data [mem.LineSize]byte
-	var dirty bool
 	lat := h.cfg.L1.Latency + h.cfg.L2.Latency
-	if l := l2.remove(la); l != nil { // promote exclusively into L1
+	ref := l2.remove(la) // promote exclusively into L1
+	if ref != 0 {
 		l2.Hits++
-		data, dirty = l.data, l.dirty
 	} else {
 		l2.Misses++
 		lat += h.cfg.L3.Latency
-		if l := h.l3.remove(la); l != nil {
+		if ref = h.l3.remove(la); ref != 0 {
 			h.l3.Hits++
-			data, dirty = l.data, l.dirty
 		} else {
 			h.l3.Misses++
-			var fillLat sim.Cycle
-			data, fillLat = h.fill(la, now)
-			lat += fillLat
+			ref = h.alloc()
+			l := h.rec(ref)
+			l.dirty = false
+			lat += h.fill(la, now, &l.data)
 		}
 	}
-	res, ev, had := l1.insert(la, &data, dirty)
-	if had {
-		h.demote(1, core, ev, now)
-		// A same-set demotion chain cannot displace la from L1: the only
-		// L1 write after insert is the demote's recursion into L2/L3.
+	va, vr := l1.insert(la, ref)
+	for lvl := 1; lvl < 3 && va != invalidTag; lvl++ {
+		va, vr = h.level(lvl, core).insert(va, vr)
 	}
-	return res, lat
-}
-
-// demote pushes an evicted line down one level (L1→L2→L3→MC). Clean lines
-// are demoted too (victim caching); dirty LLC victims leave the hierarchy
-// through the writeback callback.
-func (h *Hierarchy) demote(fromLevel int, core int, ev Evicted, now sim.Cycle) {
-	switch fromLevel {
-	case 1:
-		_, ev2, had := h.l2[core].insert(ev.Addr, &ev.Data, ev.Dirty)
-		if had {
-			h.demote(2, core, ev2, now)
-		}
-	case 2:
-		_, ev3, had := h.l3.insert(ev.Addr, &ev.Data, ev.Dirty)
-		if had {
-			h.demote(3, core, ev3, now)
-		}
-	case 3:
-		if ev.Dirty {
+	if va != invalidTag {
+		if l := h.rec(vr); l.dirty {
 			h.Writebacks++
-			h.tel.LLCEvict(now, ev.Addr)
-			h.writeback(now, ev.Addr, ev.Data)
+			h.tel.LLCEvict(now, va)
+			h.writeback(now, va, l.data)
 		}
+		h.release(vr)
 	}
+	return h.rec(ref), lat
 }
 
 // Load reads the word at addr through core's caches.
@@ -447,11 +430,19 @@ func (h *Hierarchy) Store(core int, addr mem.Addr, v mem.Word, now sim.Cycle) (o
 // effects (no LRU update, no timing).
 func (h *Hierarchy) PeekWord(core int, addr mem.Addr) (mem.Word, bool) {
 	for lvl := 0; lvl < 3; lvl++ {
-		if l := h.level(lvl, core).lookup(addr); l != nil {
+		if l := h.lookup(h.level(lvl, core), addr); l != nil {
 			return wordAt(&l.data, addr), true
 		}
 	}
 	return 0, false
+}
+
+// lookup returns the record of c's way holding addr's line, or nil.
+func (h *Hierarchy) lookup(c *Cache, addr mem.Addr) *line {
+	if w := c.find(addr.Line()); w >= 0 {
+		return h.rec(c.refs[w])
+	}
+	return nil
 }
 
 // level returns core's cache at L1/L2/L3 (0/1/2) — the iteration order of
@@ -476,7 +467,7 @@ func (h *Hierarchy) CleanLine(core int, la mem.Addr) ([mem.LineSize]byte, bool) 
 	var data [mem.LineSize]byte
 	found, wasDirty := false, false
 	for lvl := 0; lvl < 3; lvl++ {
-		if l := h.level(lvl, core).lookup(la); l != nil {
+		if l := h.lookup(h.level(lvl, core), la); l != nil {
 			if !found {
 				data = l.data
 				found = true
@@ -495,7 +486,7 @@ func (h *Hierarchy) CleanLine(core int, la mem.Addr) ([mem.LineSize]byte, bool) 
 func (h *Hierarchy) DirtyLine(core int, la mem.Addr) ([mem.LineSize]byte, bool) {
 	la = la.Line()
 	for lvl := 0; lvl < 3; lvl++ {
-		if l := h.level(lvl, core).lookup(la); l != nil && l.dirty {
+		if l := h.lookup(h.level(lvl, core), la); l != nil && l.dirty {
 			return l.data, true
 		}
 	}
@@ -512,7 +503,7 @@ func (h *Hierarchy) ForceWriteBackAll(now sim.Cycle) int {
 			if tag == invalidTag {
 				continue
 			}
-			if l := c.rec(w); l.dirty {
+			if l := h.rec(c.refs[w]); l.dirty {
 				h.Writebacks++
 				h.writeback(now, tag, l.data)
 				l.dirty = false
@@ -528,25 +519,32 @@ func (h *Hierarchy) ForceWriteBackAll(now sim.Cycle) int {
 	return n
 }
 
-// InvalidateAll drops every line — the volatile caches at a crash.
-// Only the filled tags are reset; the stale stamps and line records stay
-// bound to their ways, unreachable while the tags are invalid.
+// InvalidateAll drops every line — the volatile caches at a crash. It
+// resets only the filled tags and takes back every record at once; stale
+// stamps, refs and records are unreachable while the tags are invalid.
 func (h *Hierarchy) InvalidateAll() {
 	for i := range h.l1 {
 		h.l1[i].reset()
 		h.l2[i].reset()
 	}
 	h.l3.reset()
+	h.arena.reset()
 }
 
-// Release returns every level's arrays to the pool for the next machine.
-// The hierarchy must not be used afterwards.
+// Release returns every level's arrays and the record arena to their
+// pools for the next machine. The hierarchy must not be used afterwards.
 func (h *Hierarchy) Release() {
 	for i := range h.l1 {
 		h.l1[i].Release()
 		h.l2[i].Release()
 	}
 	h.l3.Release()
+	if h.pooled != nil {
+		h.arena.reset()
+		*h.pooled = h.arena
+		arenaPool.Put(h.pooled)
+		h.pooled, h.arena = nil, arena{}
+	}
 }
 
 func wordAt(d *[mem.LineSize]byte, addr mem.Addr) mem.Word {

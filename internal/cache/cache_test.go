@@ -12,27 +12,26 @@ import (
 type testBackend struct {
 	words      map[mem.Addr]mem.Word
 	fills      int
-	writebacks []Evicted
+	writebacks []mem.Addr
 }
 
 func newBackend() *testBackend {
 	return &testBackend{words: make(map[mem.Addr]mem.Word)}
 }
 
-func (b *testBackend) fill(la mem.Addr, now sim.Cycle) ([mem.LineSize]byte, sim.Cycle) {
+func (b *testBackend) fill(la mem.Addr, now sim.Cycle, line *[mem.LineSize]byte) sim.Cycle {
 	b.fills++
-	var line [mem.LineSize]byte
 	for w := 0; w < mem.WordsPerLine; w++ {
 		v := b.words[la+mem.Addr(w*mem.WordSize)]
 		for i := 0; i < 8; i++ {
 			line[w*8+i] = byte(v >> (8 * i))
 		}
 	}
-	return line, 100
+	return 100
 }
 
 func (b *testBackend) writeback(now sim.Cycle, la mem.Addr, data [mem.LineSize]byte) {
-	b.writebacks = append(b.writebacks, Evicted{Addr: la, Data: data, Dirty: true})
+	b.writebacks = append(b.writebacks, la)
 	for w := 0; w < mem.WordsPerLine; w++ {
 		var v mem.Word
 		for i := 7; i >= 0; i-- {
@@ -343,8 +342,9 @@ func allInvalid(tags []mem.Addr) bool {
 // the same random inserts and removes, with crashes (reset) in between
 // and trips through the pool (Release, then NewCache): their tag arrays
 // must agree after every step, every reset must leave all tags invalid,
-// and lookups must match. Phases alternate between light use (the filled
-// list stays short) and heavy use well past the fallback fraction.
+// and victims, removed refs and lookups must match. Phases alternate
+// between light use (the filled list stays short) and heavy use well
+// past the fallback fraction.
 func TestSparseResetMatchesFullSweep(t *testing.T) {
 	cfg := Config{Name: "prop", Size: 64 << 10, Ways: 4, Latency: 1} // 1024 ways, fallback at 128 fills
 	rng := rand.New(rand.NewSource(5))
@@ -354,7 +354,6 @@ func TestSparseResetMatchesFullSweep(t *testing.T) {
 		fillInvalid(ref.tags)
 		ref.filled = ref.filled[:0]
 	}
-	var data [mem.LineSize]byte
 	resets, fallbacks := 0, 0
 	for phase := 0; phase < 60; phase++ {
 		fills := 1 + rng.Intn(40)
@@ -365,22 +364,24 @@ func TestSparseResetMatchesFullSweep(t *testing.T) {
 		for op := 0; op < fills; op++ {
 			la := mem.Addr(rng.Intn(span) * mem.LineSize)
 			if rng.Intn(4) == 0 {
-				ok1 := c.remove(la) != nil
-				ok2 := ref.remove(la) != nil
-				if ok1 != ok2 {
-					t.Fatalf("phase %d: remove(%v) = %v, reference %v", phase, la, ok1, ok2)
+				r1, r2 := c.remove(la), ref.remove(la)
+				if r1 != r2 {
+					t.Fatalf("phase %d: remove(%v) = ref %d, reference %d", phase, la, r1, r2)
 				}
 				continue
 			}
-			data[0] = byte(op)
-			c.insert(la, &data, op&1 == 0)
-			ref.insert(la, &data, op&1 == 0)
+			r := int32(phase<<16 + op + 1)
+			va1, vr1 := c.insert(la, r)
+			va2, vr2 := ref.insert(la, r)
+			if va1 != va2 || (va1 != invalidTag && vr1 != vr2) {
+				t.Fatalf("phase %d: insert(%v) displaced %v ref %d, reference %v ref %d", phase, la, va1, vr1, va2, vr2)
+			}
 		}
 		for i := 0; i < 64; i++ {
 			la := mem.Addr(rng.Intn(span) * mem.LineSize)
-			l1, l2 := c.lookup(la), ref.lookup(la)
-			if (l1 == nil) != (l2 == nil) || (l1 != nil && (l1.data != l2.data || l1.dirty != l2.dirty)) {
-				t.Fatalf("phase %d: lookup(%v) diverges from the reference", phase, la)
+			w1, w2 := c.find(la), ref.find(la)
+			if w1 != w2 || (w1 >= 0 && c.refs[w1] != ref.refs[w2]) {
+				t.Fatalf("phase %d: find(%v) diverges from the reference", phase, la)
 			}
 		}
 		if len(c.filled) == cap(c.filled) {

@@ -46,10 +46,9 @@ func TestSiloProtocolExhaustive(t *testing.T) {
 			L3: cache.Config{Name: "L3", Size: 2048, Ways: 2, Latency: 28},
 		}
 		var s *Silo
-		fill := func(la mem.Addr, now sim.Cycle) ([mem.LineSize]byte, sim.Cycle) {
-			var line [mem.LineSize]byte
-			copy(line[:], dev.Peek(la, mem.LineSize))
-			return line, 100
+		fill := func(la mem.Addr, now sim.Cycle, dst *[mem.LineSize]byte) sim.Cycle {
+			copy(dst[:], dev.Peek(la, mem.LineSize))
+			return 100
 		}
 		wb := func(now sim.Cycle, la mem.Addr, data [mem.LineSize]byte) {
 			s.CachelineEvicted(now, la, data)

@@ -260,10 +260,10 @@ func (m *Machine) Commits() int64 { return m.commits }
 func (m *Machine) Crashed() bool { return m.engine != nil && m.engine.Crashed() }
 
 // Release returns the machine's pooled resources for reuse by the next
-// machine: the cache hierarchy's per-way arrays and line records, and —
-// to the machine's Recycler, or the package pools when it has none — the
-// PM device it built, the golden-shadow index and the pending-write
-// tables, reset in place. Release is the last use of the machine and of
+// machine: the cache hierarchy's per-way arrays and its record arena,
+// and — to the machine's Recycler, or the package pools when it has
+// none — the PM device it built, the golden-shadow index and the
+// pending-write tables, reset in place. Release is the last use of the machine and of
 // everything it exposes, its Device included: a pooled device is reset
 // and handed to the next machine. A Device passed in through Config
 // stays the caller's. A second Release does nothing. Callers that drop a
@@ -292,15 +292,16 @@ func (m *Machine) Now() sim.Cycle {
 	return m.engine.Now()
 }
 
-func (m *Machine) fill(la mem.Addr, now sim.Cycle) ([mem.LineSize]byte, sim.Cycle) {
+// fill reads la's line straight into the cache's record: from the
+// design's MC buffer when it holds the line, else from the device.
+func (m *Machine) fill(la mem.Addr, now sim.Cycle, dst *[mem.LineSize]byte) sim.Cycle {
 	if m.mcReader != nil {
 		if data, hit := m.mcReader.MCBuffered(la); hit {
-			return data, m.cfg.MCReadL
+			*dst = data
+			return m.cfg.MCReadL
 		}
 	}
-	var line [mem.LineSize]byte
-	lat := m.dev.ReadInto(now, la, line[:])
-	return line, lat
+	return m.dev.ReadInto(now, la, dst[:])
 }
 
 // Peek implements sim.Executor: the word core's load of addr would read

@@ -182,10 +182,9 @@ func TestVerifyWord(t *testing.T) {
 // durable and Tx2's partial updates are revoked.
 func TestFig10Scenario(t *testing.T) {
 	dev := pm.New(pm.DefaultConfig())
-	fill := func(la mem.Addr, now sim.Cycle) ([mem.LineSize]byte, sim.Cycle) {
-		var line [mem.LineSize]byte
-		copy(line[:], dev.Peek(la, mem.LineSize))
-		return line, 100
+	fill := func(la mem.Addr, now sim.Cycle, dst *[mem.LineSize]byte) sim.Cycle {
+		copy(dst[:], dev.Peek(la, mem.LineSize))
+		return 100
 	}
 	wb := func(now sim.Cycle, la mem.Addr, data [mem.LineSize]byte) { dev.Write(now, la, data[:]) }
 	env := &logging.Env{
