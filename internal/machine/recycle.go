@@ -46,7 +46,7 @@ func NewRecycler() *Recycler { return &Recycler{} }
 // The pools a nil *Recycler stands for.
 var (
 	devicePool pool.List[pm.Device]   // Reset
-	shadowPool pool.List[shadowIndex] // reset
+	shadowPool pool.List[shadowIndex] // Reset
 	writesPool pool.List[txWrites]    // reset
 )
 
@@ -120,10 +120,10 @@ func (r *Recycler) shadow() *shadowIndex {
 }
 
 func (r *Recycler) putShadow(t *shadowIndex) {
-	if t.memFootprint() > recycleMaxPartBytes {
+	if t.MemFootprint() > recycleMaxPartBytes {
 		return
 	}
-	t.reset()
+	t.Reset()
 	if r == nil {
 		shadowPool.Put(t)
 	} else {

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"math/bits"
 	"slices"
-	"unsafe"
 
 	"silo/internal/mem"
 )
@@ -14,15 +13,10 @@ import (
 // tracking, commit promotion), so the Go maps it used to live in showed
 // up as a steady slice of the whole-simulation profile.
 //
-// The golden shadow is a two-level radix index by word address. Threads
-// are isolated (§III-A) and pmheap gives each core its own bump arena,
-// so the words a run writes form dense runs of addresses and a leaf of
-// 64 consecutive words fills well: no hashing, no probing, no growth
-// that moves an entry. The per-core pending-write tables stay hashed:
-// they hold one transaction's write set and are cleared per commit.
-
-// shadowFibMul is 2^64 / phi, the multiplicative-hash constant.
-const shadowFibMul = 0x9E3779B97F4A7C15
+// The golden shadow is a mem.Radix of 64-word leaves: the words a run
+// writes form dense runs of addresses, so a leaf fills well. The
+// per-core pending-write tables stay hashed: they hold one transaction's
+// write set and are cleared per commit.
 
 const (
 	shadowHasCommitted = 1 << iota
@@ -30,44 +24,30 @@ const (
 	shadowUnsafe
 )
 
-// Radix geometry (constants, not knobs): a leaf covers 64 words (512 B),
-// a mid covers one 4 MB chunk with 8 192 leaf refs, and the top level,
-// indexed by addr>>22, grows on demand to the highest chunk written (at
-// most 4 096 entries for the 16 GB layout).
-const (
-	shadowLeafWords  = 64
-	shadowLeafShift  = 9 // log2 of the bytes a leaf covers
-	shadowChunkShift = 22
-	shadowMidSize    = 1 << (shadowChunkShift - shadowLeafShift)
-)
+const shadowLeafWords = mem.RadixLeafBytes / mem.WordSize
 
-// shadowLeaf is the golden durability record of 64 consecutive words:
-// per word the last committed value, the pre-first-write baseline, and
-// flags saying which of them exist and whether a non-transactional store
-// tainted the word. used marks the words this run inserted; a word's
-// values mean something only while its used bit and the matching flag
-// are set, so a reused leaf needs no clearing beyond used. 1 104 B.
+// shadowLeaf is the golden durability record of one 512 B block's 64
+// words: per word the last committed value, the pre-first-write
+// baseline, and flags saying which of them exist and whether a
+// non-transactional store tainted the word. used marks the words this
+// run inserted; a word's values mean something only while its used bit
+// and the matching flag are set, so a reused leaf needs no clearing
+// beyond used. 1 096 B.
 type shadowLeaf struct {
-	base      mem.Addr // address of word 0
 	used      uint64
 	flags     [shadowLeafWords]uint8
 	committed [shadowLeafWords]mem.Word
 	baseline  [shadowLeafWords]mem.Word
 }
 
-// shadowMid maps the leaves of one 4 MB chunk: leaf index + 1, 0 = none.
-type shadowMid [shadowMidSize]int32
-
-// shadowIndex indexes the golden shadow by word address. Leaves are
-// allocated one at a time and never move, so a leaf pointer and a word
-// ref (leaf index·64 + word + 1) stay valid until reset. Pending writes
+// shadowIndex indexes the golden shadow by word address. A word ref
+// (leaf index·64 + word + 1) stays valid until Reset. Pending writes
 // carry their ref, so commit promotion and the Log-as-Data audit index
-// the word without walking the radix levels again.
+// the word without walking the radix levels again. A reset index is
+// observationally a fresh one: a fresh leaf's used bits and a new word's
+// flags are cleared on insert, and written is capacity-blind.
 type shadowIndex struct {
-	top    []*shadowMid
-	mids   int           // non-nil entries of top, for memFootprint
-	leaves []*shadowLeaf // leaves[:n] are bound this run; the rest wait for reuse
-	n      int
+	mem.Radix[shadowLeaf]
 }
 
 func newShadowIndex() *shadowIndex { return &shadowIndex{} }
@@ -75,21 +55,17 @@ func newShadowIndex() *shadowIndex { return &shadowIndex{} }
 // at returns the leaf and word index for ref.
 func (t *shadowIndex) at(ref int32) (*shadowLeaf, int) {
 	i := ref - 1
-	return t.leaves[i/shadowLeafWords], int(i % shadowLeafWords)
+	return t.Leaf(i/shadowLeafWords + 1), int(i % shadowLeafWords)
 }
 
 // get returns the leaf and word index holding addr, or a nil leaf when
 // the word was never inserted.
 func (t *shadowIndex) get(addr mem.Addr) (*shadowLeaf, int) {
-	c := uint64(addr) >> shadowChunkShift
-	if c >= uint64(len(t.top)) || t.top[c] == nil {
-		return nil, 0
-	}
-	li := t.top[c][uint64(addr)>>shadowLeafShift%shadowMidSize]
+	li := t.Lookup(addr)
 	if li == 0 {
 		return nil, 0
 	}
-	l, w := t.leaves[li-1], wordOf(addr)
+	l, w := t.Leaf(li), wordOf(addr)
 	if l.used&(1<<w) == 0 {
 		return nil, 0
 	}
@@ -99,15 +75,11 @@ func (t *shadowIndex) get(addr mem.Addr) (*shadowLeaf, int) {
 // getOrInsert returns the leaf, word index and ref of addr, inserting
 // the word with zero flags if absent.
 func (t *shadowIndex) getOrInsert(addr mem.Addr) (*shadowLeaf, int, int32) {
-	c := uint64(addr) >> shadowChunkShift
-	var li int32
-	if c < uint64(len(t.top)) && t.top[c] != nil {
-		li = t.top[c][uint64(addr)>>shadowLeafShift%shadowMidSize]
+	li, fresh := t.Bind(addr)
+	l, w := t.Leaf(li), wordOf(addr)
+	if fresh {
+		l.used = 0
 	}
-	if li == 0 {
-		li = t.bind(addr)
-	}
-	l, w := t.leaves[li-1], wordOf(addr)
 	if bit := uint64(1) << w; l.used&bit == 0 {
 		l.used |= bit
 		l.flags[w] = 0
@@ -143,70 +115,27 @@ func (t *shadowIndex) promote(ref int32, val mem.Word) {
 
 func wordOf(addr mem.Addr) int { return int(addr>>mem.WordShift) % shadowLeafWords }
 
-// bind binds a leaf to the 512 B block holding addr — growing the top
-// level and building the chunk's mid if needed — and returns its index
-// + 1. A leaf left over from an earlier run is reused before a new one
-// is allocated.
-func (t *shadowIndex) bind(addr mem.Addr) int32 {
-	c := uint64(addr) >> shadowChunkShift
-	if c >= uint64(len(t.top)) {
-		t.top = append(t.top, make([]*shadowMid, c+1-uint64(len(t.top)))...)
-	}
-	mid := t.top[c]
-	if mid == nil {
-		mid = new(shadowMid)
-		t.top[c] = mid
-		t.mids++
-	}
-	if t.n == len(t.leaves) {
-		t.leaves = append(t.leaves, new(shadowLeaf))
-	}
-	t.leaves[t.n].base = addr &^ (1<<shadowLeafShift - 1)
-	t.n++
-	li := int32(t.n)
-	mid[uint64(addr)>>shadowLeafShift%shadowMidSize] = li
-	return li
-}
-
 // written returns, in ascending address order, every word a transaction
 // wrote and no non-transactional store tainted. It sorts the bound
-// leaves (a copy, so refs stay valid), not the words.
+// leaves, not the words.
 func (t *shadowIndex) written() []mem.Addr {
-	leaves := slices.Clone(t.leaves[:t.n])
-	slices.SortFunc(leaves, func(a, b *shadowLeaf) int { return cmp.Compare(a.base, b.base) })
+	refs := make([]int32, t.Len())
 	n := 0
-	for _, l := range leaves {
-		n += bits.OnesCount64(l.used)
+	for i := range refs {
+		refs[i] = int32(i + 1)
+		n += bits.OnesCount64(t.Leaf(refs[i]).used)
 	}
+	slices.SortFunc(refs, func(a, b int32) int { return cmp.Compare(t.Base(a), t.Base(b)) })
 	out := make([]mem.Addr, 0, n)
-	for _, l := range leaves {
+	for _, ref := range refs {
+		l, base := t.Leaf(ref), t.Base(ref)
 		for u := l.used; u != 0; u &= u - 1 {
 			if w := bits.TrailingZeros64(u); l.flags[w]&(shadowHasBaseline|shadowUnsafe) == shadowHasBaseline {
-				out = append(out, l.base+mem.Addr(w)*mem.WordSize)
+				out = append(out, base+mem.Addr(w)*mem.WordSize)
 			}
 		}
 	}
 	return out
-}
-
-// reset empties the index for an unrelated new run: it clears the used
-// bitmap and the mid slot of each leaf this run bound, and nothing else,
-// so it costs what the run touched. The top level, the mids and the
-// leaves are kept. Observationally identical to a fresh index: lookups
-// miss, inserted words start with zero flags, and written is
-// capacity-blind.
-func (t *shadowIndex) reset() {
-	for _, l := range t.leaves[:t.n] {
-		t.top[uint64(l.base)>>shadowChunkShift][uint64(l.base)>>shadowLeafShift%shadowMidSize] = 0
-		l.used = 0
-	}
-	t.n = 0
-}
-
-// memFootprint approximates retained bytes for the recycler's size cap.
-func (t *shadowIndex) memFootprint() int {
-	return cap(t.top)*8 + t.mids*int(unsafe.Sizeof(shadowMid{})) +
-		cap(t.leaves)*8 + len(t.leaves)*int(unsafe.Sizeof(shadowLeaf{}))
 }
 
 // txKV is one pending (uncommitted) write: word address, newest value,
@@ -232,7 +161,7 @@ func newTxWrites() *txWrites {
 }
 
 func (t *txWrites) home(addr mem.Addr) int {
-	return int((uint64(addr)*shadowFibMul)>>32) & t.mask
+	return int((uint64(addr)*mem.FibMul)>>32) & t.mask
 }
 
 // put records addr := val, overwriting any earlier write of addr in this

@@ -35,12 +35,12 @@ func shadowAddrs(rng *rand.Rand) func() mem.Addr {
 	}
 }
 
-// The radix golden shadow must behave as a map from word address to
-// (flags, committed, baseline): lookups, inserts and the WrittenWords
-// sweep agree with a Go map across several arenas and chunks; refs and
-// leaf pointers survive every later insert; reset unbinds exactly the
-// leaves the run bound, keeping their storage, and a reused leaf hands
-// out words with zero flags although its arrays still hold stale values.
+// The golden shadow must behave as a map from word address to (flags,
+// committed, baseline): lookups, inserts and the WrittenWords sweep
+// agree with a Go map across several arenas and chunks; refs survive
+// every later insert; after reset every word misses, and a reused leaf
+// hands out words with zero flags although its arrays still hold stale
+// values. mem's TestRadixMatchesMap holds the index itself to a map.
 func TestShadowIndexMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	next := shadowAddrs(rng)
@@ -68,7 +68,8 @@ func TestShadowIndexMatchesMap(t *testing.T) {
 			} else if b := refs[addr]; b != (bound{l, w, ref}) {
 				t.Fatalf("run %d: %v moved from %+v to %+v", run, addr, b, bound{l, w, ref})
 			}
-			if gl, gw := tab.at(ref); gl != l || gw != w || l.base+mem.Addr(w)*mem.WordSize != addr {
+			li := (ref-1)/shadowLeafWords + 1
+			if gl, gw := tab.at(ref); gl != l || gw != w || tab.Base(li)+mem.Addr(w)*mem.WordSize != addr {
 				t.Fatalf("run %d: ref %d of %v does not resolve to its word", run, ref, addr)
 			}
 			switch rng.Intn(4) {
@@ -90,8 +91,8 @@ func TestShadowIndexMatchesMap(t *testing.T) {
 			}
 		}
 
-		// Every earlier ref and leaf pointer still resolves, and lookups
-		// agree with the model in both directions.
+		// Every earlier ref still resolves, and lookups agree with the
+		// model in both directions.
 		for addr, m := range model {
 			b := refs[addr]
 			if l, w := tab.at(b.ref); l != b.leaf || w != b.w {
@@ -129,59 +130,45 @@ func TestShadowIndexMatchesMap(t *testing.T) {
 				run, len(got), len(want), slices.IsSorted(got))
 		}
 
-		// reset unbinds exactly the bound leaves and keeps every part.
-		top, mids, leaves := len(tab.top), tab.mids, slices.Clone(tab.leaves)
-		if tab.n < 1000 || mids < 12 {
-			t.Fatalf("run %d: only %d leaves in %d chunks; the test wants many of both", run, tab.n, mids)
-		}
-		tab.reset()
-		if tab.n != 0 || len(tab.top) != top || tab.mids != mids || !slices.Equal(tab.leaves, leaves) {
-			t.Fatalf("run %d: reset dropped or rebuilt storage", run)
-		}
-		for c, mid := range tab.top {
-			if mid != nil && *mid != (shadowMid{}) {
-				t.Fatalf("run %d: chunk %d still maps a leaf after reset", run, c)
-			}
-		}
+		// reset touches neither the flags nor the values: the next run's
+		// first insert into a reused leaf must zero a word's flags.
+		n := tab.Len()
+		tab.Reset()
 		stale := 0
-		for _, l := range tab.leaves {
-			if l.used != 0 {
-				t.Fatalf("run %d: leaf %v keeps used bits after reset", run, l.base)
-			}
-			if l.flags != [shadowLeafWords]uint8{} {
+		for ref := int32(1); ref <= int32(n); ref++ {
+			if tab.Leaf(ref).flags != [shadowLeafWords]uint8{} {
 				stale++
 			}
 		}
 		if stale == 0 {
-			t.Fatalf("run %d: reset cleared leaf flags; it should touch only used bits and mid slots", run)
+			t.Fatalf("run %d: reset cleared leaf flags; a reused word's zero flags would go untested", run)
 		}
 		for addr := range model {
 			if l, _ := tab.get(addr); l != nil {
 				t.Fatalf("run %d: %v still resolves after reset", run, addr)
 			}
 		}
+		if got := tab.written(); len(got) != 0 {
+			t.Fatalf("run %d: written after reset returned %d addresses", run, len(got))
+		}
 	}
 }
 
-// memFootprint counts the top level, the mids and the leaves, so a
-// shadow spread over many chunks is dropped at the recycler's part cap
-// instead of pinned, and a small one is pooled.
+// A shadow spread over many chunks is dropped at the recycler's part cap
+// instead of pinned, and a small one is pooled. mem's TestRadixFootprint
+// holds the footprint count itself.
 func TestShadowIndexFootprint(t *testing.T) {
-	if s := unsafe.Sizeof(shadowLeaf{}); s != 1104 {
-		t.Fatalf("shadowLeaf is %d B, want 1104", s)
-	}
-	if s := unsafe.Sizeof(shadowMid{}); s != 32<<10 {
-		t.Fatalf("shadowMid is %d B, want 32 KB", s)
+	if s := unsafe.Sizeof(shadowLeaf{}); s != 1096 {
+		t.Fatalf("shadowLeaf is %d B, want 1096", s)
 	}
 	tab := newShadowIndex()
 	for c := 0; c < 16; c++ {
 		for w := 0; w < 3*shadowLeafWords; w++ {
-			tab.getOrInsert(mem.Addr(c)<<shadowChunkShift + mem.Addr(w)*mem.WordSize)
+			tab.getOrInsert(mem.Addr(c)<<22 + mem.Addr(w)*mem.WordSize)
 		}
 	}
-	want := cap(tab.top)*8 + 16*(32<<10) + cap(tab.leaves)*8 + 48*1104
-	if tab.mids != 16 || len(tab.leaves) != 48 || tab.memFootprint() != want {
-		t.Fatalf("%d mids, %d leaves, footprint %d; want 16, 48, %d", tab.mids, len(tab.leaves), tab.memFootprint(), want)
+	if tab.Len() != 48 || tab.MemFootprint() < 16*(32<<10)+48*1096 {
+		t.Fatalf("%d leaves, footprint %d; want 48 leaves in 16 mids", tab.Len(), tab.MemFootprint())
 	}
 	r := NewRecycler()
 	r.putShadow(tab)
@@ -190,12 +177,12 @@ func TestShadowIndexFootprint(t *testing.T) {
 	}
 
 	big := newShadowIndex()
-	for c := 0; big.memFootprint() <= recycleMaxPartBytes; c++ {
-		big.getOrInsert(mem.Addr(c) << shadowChunkShift)
+	for c := 0; big.MemFootprint() <= recycleMaxPartBytes; c++ {
+		big.getOrInsert(mem.Addr(c) << 22)
 	}
 	r.putShadow(big)
 	if len(r.shadows) != 1 {
-		t.Fatalf("a %d B shadow was pooled past the %d B part cap", big.memFootprint(), recycleMaxPartBytes)
+		t.Fatalf("a %d B shadow was pooled past the %d B part cap", big.MemFootprint(), recycleMaxPartBytes)
 	}
 }
 

@@ -28,6 +28,11 @@ const (
 	WordShift = 3
 )
 
+// FibMul is 2^64 / phi, the multiplicative (Fibonacci) hash constant the
+// small hashed address tables (the on-PM buffer, the per-transaction
+// pending writes) use.
+const FibMul = 0x9E3779B97F4A7C15
+
 // Addr is a 64-bit physical address. Only the low 48 bits are meaningful,
 // matching the 48-bit addr field of the log entry (Fig. 6).
 type Addr uint64

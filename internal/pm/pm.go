@@ -84,11 +84,11 @@ type Stats struct {
 
 // Device is the simulated PM DIMM plus the controller-side WPQs (one per
 // channel). The durable media (64 B lines, with the per-line wear
-// counter inline) and the on-PM buffer live in the flattened
-// open-addressed tables of table.go.
+// counter inline) and the on-PM buffer live in the flattened tables of
+// table.go.
 type Device struct {
 	cfg   Config
-	media *mediaTable
+	media mediaTable
 	buf   *bufTable
 	wpq   []*sim.ServiceQueue
 	tick  int64 // LRU clock for the on-PM buffer
@@ -189,9 +189,8 @@ func New(cfg Config) *Device {
 		cfg.Channels = 1
 	}
 	d := &Device{
-		cfg:   cfg,
-		media: newMediaTable(),
-		buf:   newBufTable(cfg.BufLines, cfg.BufLineSize),
+		cfg: cfg,
+		buf: newBufTable(cfg.BufLines, cfg.BufLineSize),
 	}
 	for i := 0; i < cfg.Channels; i++ {
 		d.wpq = append(d.wpq, sim.NewServiceQueue(cfg.WPQEntries))
@@ -202,12 +201,12 @@ func New(cfg Config) *Device {
 // Reset empties a released device for an unrelated new run: all durable
 // contents, wear counters, statistics, queue timing, energy budget, and
 // telemetry are discarded. Only storage capacity survives — the media
-// table keeps its grown slot array and entry pages, and the on-PM
-// buffer keeps its byte pool — so repopulating a working set costs no
-// grow/rehash/realloc churn. Recyclers reset a device when it is
-// returned, so a pooled device is clean while it waits. (Contrast
-// PowerCycle, which deliberately *preserves* media contents, wear, and
-// statistics across a reboot of the same simulated system.)
+// table keeps its index and entry pages, and the on-PM buffer keeps its
+// byte pool — so repopulating a working set costs no realloc churn.
+// Recyclers reset a device when it is returned, so a pooled device is
+// clean while it waits. (Contrast PowerCycle, which deliberately
+// *preserves* media contents, wear, and statistics across a reboot of
+// the same simulated system.)
 func (d *Device) Reset() {
 	d.media.reset()
 	d.buf.reset()
@@ -570,7 +569,7 @@ func (d *Device) PeekInto(addr mem.Addr, out []byte) {
 
 // PeekWord returns the durable 8-byte word at addr.
 func (d *Device) PeekWord(addr mem.Addr) mem.Word {
-	// Direct word path: one media probe plus a masked buffer overlay —
+	// Direct word path: one media lookup plus a masked buffer overlay —
 	// the commit-durability audit peeks every committed word, so the
 	// general byte loop of PeekInto is too slow here. A word is always
 	// inside one media line and one buffer line (both are 64 B-aligned

@@ -417,3 +417,30 @@ func TestClearCrashEnergy(t *testing.T) {
 		t.Errorf("post-clear allowance = %d, want 100", got)
 	}
 }
+
+// Among equally worn lines WearStats names the first inserted one: the
+// Hotspot table's HottestIn column (data or log) depends on that
+// tie-break, so it must not drift to address order or index order.
+func TestWearStatsTieBreakFirstInserted(t *testing.T) {
+	layout := DefaultConfig().Layout
+	logLine, low, high := layout.LogBase+mem.LineSize, mem.Addr(0x1000), mem.Addr(0x4000_0000)
+	for _, order := range [][]mem.Addr{
+		{logLine, low, high},
+		{high, logLine, low},
+		{low, high, logLine},
+	} {
+		cfg := testConfig()
+		cfg.Coalescing = false
+		d := New(cfg)
+		d.Populate(0x2000, []byte{9}) // inserted before all, never worn
+		for v := byte(1); v <= 3; v++ {
+			for _, line := range order {
+				d.Write(0, line, []byte{v, v, v, v, v, v, v, v})
+			}
+		}
+		w := d.WearStats()
+		if w.LinesTouched != 3 || w.MaxWrites != 3 || w.HottestLine != order[0] {
+			t.Errorf("order %v: %+v, want 3 lines at 3 writes, hottest %v", order, w, order[0])
+		}
+	}
+}

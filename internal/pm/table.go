@@ -6,14 +6,9 @@ import (
 	"silo/internal/mem"
 )
 
-// This file holds the device's flattened hot structures: open-addressed
-// address tables replacing the Go maps that dominated the device's
-// profile. Both tables use multiplicative (Fibonacci) hashing and linear
-// probing; entries carry their data inline, so the lookup that used to be
-// a map access plus a pointer chase is one probe plus one indexed load.
-
-// fibMul is 2^64 / phi, the classic multiplicative-hash constant.
-const fibMul = 0x9E3779B97F4A7C15
+// This file holds the device's flattened hot structures: the media
+// lines behind a mem.Radix, and the on-PM buffer behind an open-addressed
+// table with multiplicative (Fibonacci) hashing and linear probing.
 
 // byteMask expands an 8-bit per-byte mask into the 64-bit word mask with
 // 0xFF at every selected byte lane — the DCW merge operates on whole
@@ -60,38 +55,27 @@ const (
 	mediaPageSize = 1 << mediaPageBits
 )
 
-// mediaSlot is one index slot: the line tag is duplicated here so a probe
-// resolves without a dependent load into the entry storage.
-type mediaSlot struct {
-	line mem.Addr
-	ref  int32 // entry index + 1; 0 = empty
-}
+// mediaLeaf holds the entry ref of each line of one 512 B block: entry
+// index + 1, 0 = none. The entries stay dense in their pages, so a block
+// with one touched line costs 4 B per line of index, not an entry per
+// line.
+type mediaLeaf [mem.RadixLeafBytes / mem.LineSize]int32
 
 // mediaTable indexes paged mediaEntry storage by line address. Lines are
-// never removed, so probing needs no deletion handling. A ref (entry
-// index + 1, assigned in insertion order) and the entry pointer it
-// resolves to stay valid until reset: grow rehashes only the slot array.
+// never removed. A ref (entry index + 1, assigned in insertion order)
+// and the entry pointer it resolves to stay valid until reset.
 //
 // The table remembers the last line it resolved. Workload setup pokes a
 // dataset word by word (a Hash bucket is 9 words of one line), so most
-// lookups repeat the previous line and skip the probe; only reset clears
-// the memo.
+// lookups repeat the previous line and skip the index; only reset
+// clears the memo.
 type mediaTable struct {
-	slots []mediaSlot
-	shift uint // 64 - log2(len(slots))
+	idx   mem.Radix[mediaLeaf]
 	pages []*[mediaPageSize]mediaEntry
 	n     int // entries in use: refs 1..n
 
 	lastLine mem.Addr
 	lastRef  int32 // ref of lastLine; 0 = none
-}
-
-func newMediaTable() *mediaTable {
-	return &mediaTable{slots: make([]mediaSlot, 1024), shift: 64 - 10}
-}
-
-func (t *mediaTable) home(line mem.Addr) int {
-	return int((uint64(line) * fibMul) >> t.shift)
 }
 
 // at returns the entry for ref (1..n).
@@ -100,22 +84,23 @@ func (t *mediaTable) at(ref int32) *mediaEntry {
 	return &t.pages[i>>mediaPageBits][i&(mediaPageSize-1)]
 }
 
+func leafSlot(line mem.Addr) int { return int(line>>mem.LineShift) % len(mediaLeaf{}) }
+
 // get returns the entry for line, or nil.
 func (t *mediaTable) get(line mem.Addr) *mediaEntry {
 	if t.lastRef != 0 && t.lastLine == line {
 		return t.at(t.lastRef)
 	}
-	mask := len(t.slots) - 1
-	for i := t.home(line); ; i = (i + 1) & mask {
-		s := t.slots[i]
-		if s.ref == 0 {
-			return nil
-		}
-		if s.line == line {
-			t.lastLine, t.lastRef = line, s.ref
-			return t.at(s.ref)
-		}
+	li := t.idx.Lookup(line)
+	if li == 0 {
+		return nil
 	}
+	ref := t.idx.Leaf(li)[leafSlot(line)]
+	if ref == 0 {
+		return nil
+	}
+	t.lastLine, t.lastRef = line, ref
+	return t.at(ref)
 }
 
 // getOrInsert returns the entry for line, creating a zeroed one if absent.
@@ -123,63 +108,38 @@ func (t *mediaTable) getOrInsert(line mem.Addr) *mediaEntry {
 	if t.lastRef != 0 && t.lastLine == line {
 		return t.at(t.lastRef)
 	}
-	mask := len(t.slots) - 1
-	i := t.home(line)
-	for t.slots[i].ref != 0 {
-		if t.slots[i].line == line {
-			t.lastLine, t.lastRef = line, t.slots[i].ref
-			return t.at(t.slots[i].ref)
+	li, fresh := t.idx.Bind(line)
+	leaf := t.idx.Leaf(li)
+	if fresh {
+		clear(leaf[:])
+	}
+	ref := &leaf[leafSlot(line)]
+	if *ref == 0 {
+		if t.n>>mediaPageBits == len(t.pages) {
+			t.pages = append(t.pages, new([mediaPageSize]mediaEntry))
 		}
-		i = (i + 1) & mask
+		t.n++
+		*ref = int32(t.n)
+		// Build the entry in place: a page reused after reset holds
+		// stale contents, so every field is written.
+		e := t.at(*ref)
+		e.line, e.wear = line, 0
+		clear(e.data[:])
 	}
-	if 4*t.n >= 3*len(t.slots) {
-		t.grow()
-		mask = len(t.slots) - 1
-		i = t.home(line)
-		for t.slots[i].ref != 0 {
-			i = (i + 1) & mask
-		}
-	}
-	if t.n>>mediaPageBits == len(t.pages) {
-		t.pages = append(t.pages, new([mediaPageSize]mediaEntry))
-	}
-	t.n++
-	ref := int32(t.n)
-	// Build the entry in place: a page reused after reset holds stale
-	// contents, so every field is written.
-	e := t.at(ref)
-	e.line, e.wear = line, 0
-	clear(e.data[:])
-	t.slots[i] = mediaSlot{line: line, ref: ref}
-	t.lastLine, t.lastRef = line, ref
-	return e
+	t.lastLine, t.lastRef = line, *ref
+	return t.at(*ref)
 }
 
-func (t *mediaTable) grow() {
-	t.shift--
-	t.slots = make([]mediaSlot, 2*len(t.slots))
-	mask := len(t.slots) - 1
-	for ref := int32(1); ref <= int32(t.n); ref++ {
-		line := t.at(ref).line
-		i := t.home(line)
-		for t.slots[i].ref != 0 {
-			i = (i + 1) & mask
-		}
-		t.slots[i] = mediaSlot{line: line, ref: ref}
-	}
-}
-
-// reset empties the table for an unrelated new run, keeping the slot
-// array and entry pages at their grown size. A reset table is
-// observationally identical to a fresh one — every lookup misses, every
-// insert starts from zeroed entry contents, and iteration (always refs
-// 1..n, insertion order) sees the same sequence — only the
-// grow/rehash/realloc churn of repopulating from the 1024-slot seed size
-// is gone, which is the dominant per-campaign allocation cost of the
-// torture fleet. Recyclers reset a device's table when it is returned,
-// so a pooled table is clean while it waits.
+// reset empties the table for an unrelated new run, keeping the index
+// and the entry pages. A reset table is observationally identical to a
+// fresh one — every lookup misses, every insert starts from zeroed entry
+// contents, and iteration (always refs 1..n, insertion order) sees the
+// same sequence — only the reallocation of repopulating is gone, which
+// is the dominant per-campaign allocation cost of the torture fleet.
+// Recyclers reset a device's table when it is returned, so a pooled
+// table is clean while it waits.
 func (t *mediaTable) reset() {
-	clear(t.slots)
+	t.idx.Reset()
 	t.n = 0
 	t.lastRef = 0
 }
@@ -187,7 +147,7 @@ func (t *mediaTable) reset() {
 // memFootprint approximates the table's retained bytes, so a recycler
 // can drop a table that one outsized campaign ballooned.
 func (t *mediaTable) memFootprint() int {
-	return cap(t.slots)*16 + len(t.pages)*mediaPageSize*(16+mem.LineSize)
+	return t.idx.MemFootprint() + len(t.pages)*mediaPageSize*(16+mem.LineSize)
 }
 
 // bufLine is one on-PM buffer line in the fixed pool: contents plus a
@@ -313,7 +273,7 @@ func (t *bufTable) touch(idx int32) {
 }
 
 func (t *bufTable) home(base mem.Addr) int {
-	return int((uint64(base)*fibMul)>>32) & t.mask
+	return int((uint64(base)*mem.FibMul)>>32) & t.mask
 }
 
 // get returns the line for base, or nil.

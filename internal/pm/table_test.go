@@ -7,87 +7,97 @@ import (
 	"silo/internal/mem"
 )
 
-// The media table keeps entries in fixed pages: growth rehashes only the
-// slot array, so entry pointers survive it, iteration follows insertion
-// order, and a reset table reuses its pages but hands out zeroed entries.
+// mediaLine is the reference model's record of one media line.
+type mediaLine struct {
+	wear int64
+	data [mem.LineSize]byte
+}
+
+// The media table must behave as a map from line to (bytes, wear), in
+// the data region and in the log region around LogBase, across reset
+// and reuse: entry pointers survive later inserts, iteration (refs
+// 1..n) follows insertion order, and a reset table reuses its pages but
+// hands out zeroed entries.
 func TestMediaTablePaged(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	tab := newMediaTable()
-	ref := map[mem.Addr]int64{} // line -> wear, the reference model
-	var order []mem.Addr
-	randLine := func() mem.Addr { return mem.Addr(rng.Int63n(1<<24)) * mem.LineSize }
-
-	first := randLine()
-	p := tab.getOrInsert(first)
-	p.wear = 1
-	ref[first], order = 1, append(order, first)
-	slots0 := len(tab.slots)
-
-	// Several pages and at least two slot grows.
-	for tab.n < 4*mediaPageSize+37 {
-		line := randLine()
-		if rng.Intn(4) == 0 && len(order) > 0 {
-			line = order[rng.Intn(len(order))] // re-probe an existing line
+	layout := mem.DefaultLayout()
+	randLine := func() mem.Addr {
+		switch rng.Intn(4) {
+		case 0: // the log region and the data just below it
+			return layout.LogBase - 64<<10 + mem.Addr(rng.Intn(2<<10))*mem.LineSize
+		case 1: // sparse lines spread over 1 GB, as Hash touches its buckets
+			return mem.Addr(rng.Int63n(1<<24)) * mem.LineSize
+		default: // a dense arena
+			return 4096 + mem.Addr(rng.Intn(16<<10))*mem.LineSize
 		}
-		e := tab.getOrInsert(line)
-		if _, ok := ref[line]; !ok {
-			if e.wear != 0 || e.line != line {
-				t.Fatalf("new entry for %v not fresh: %+v", line, e.wear)
+	}
+
+	tab := &mediaTable{}
+	var pages []*[mediaPageSize]mediaEntry
+	for run := 0; run < 3; run++ {
+		model := map[mem.Addr]*mediaLine{}
+		ptrs := map[mem.Addr]*mediaEntry{}
+		var order []mem.Addr
+		for op := 0; op < 30000; op++ {
+			line := randLine()
+			if rng.Intn(4) == 0 && len(order) > 0 {
+				line = order[rng.Intn(len(order))] // revisit an existing line
 			}
-			order = append(order, line)
+			var e *mediaEntry
+			if rng.Intn(2) == 0 {
+				if e = tab.get(line); (e != nil) != (model[line] != nil) {
+					t.Fatalf("run %d: get(%v) = %v, model has it %v", run, line, e != nil, model[line] != nil)
+				}
+				if e == nil {
+					continue
+				}
+			} else {
+				e = tab.getOrInsert(line)
+			}
+			m := model[line]
+			if m == nil {
+				if e.line != line || e.wear != 0 || e.data != [mem.LineSize]byte{} {
+					t.Fatalf("run %d: new entry for %v is not zeroed: wear %d data[0] %d", run, line, e.wear, e.data[0])
+				}
+				m = &mediaLine{}
+				model[line], ptrs[line] = m, e
+				order = append(order, line)
+			} else if ptrs[line] != e {
+				t.Fatalf("run %d: entry of %v moved", run, line)
+			}
+			e.wear++
+			e.data[rng.Intn(mem.LineSize)] = byte(rng.Intn(256))
+			m.wear, m.data = e.wear, e.data
 		}
-		e.wear++
-		e.data[0] = byte(e.wear)
-		ref[line] = e.wear
-	}
-	if len(tab.slots) < 4*slots0 || len(tab.pages) != 5 {
-		t.Fatalf("want >= 2 grows and 5 pages, got %d slots (from %d), %d pages", len(tab.slots), slots0, len(tab.pages))
-	}
 
-	// The pointer taken before every grow still aliases the live entry.
-	if tab.get(first) != p {
-		t.Fatal("entry pointer taken before grow no longer resolves to the entry")
-	}
-	p.wear += 100
-	ref[first] += 100
-	if got := tab.get(first).wear; got != ref[first] {
-		t.Fatalf("write through old pointer not visible: wear %d, want %d", got, ref[first])
-	}
+		// Lookups agree with the model; iteration is insertion order.
+		if tab.n != len(model) || tab.n < 3*mediaPageSize {
+			t.Fatalf("run %d: %d entries, model holds %d; the test wants several pages", run, tab.n, len(model))
+		}
+		for line, m := range model {
+			if e := tab.get(line); e != ptrs[line] || e.line != line || e.wear != m.wear || e.data != m.data {
+				t.Fatalf("run %d: get(%v) does not match the model (wear %d)", run, line, m.wear)
+			}
+		}
+		for i, line := range order {
+			if got := tab.at(int32(i + 1)).line; got != line {
+				t.Fatalf("run %d: ref %d holds %v, want insertion-order %v", run, i+1, got, line)
+			}
+		}
 
-	// Lookups agree with the map; iteration runs in insertion order.
-	if tab.n != len(ref) {
-		t.Fatalf("len %d, reference holds %d", tab.n, len(ref))
-	}
-	for line, wear := range ref {
-		if e := tab.get(line); e == nil || e.wear != wear || e.line != line {
-			t.Fatalf("get(%v) = %+v, want wear %d", line, e, wear)
+		// Reset keeps the pages; every line misses afterwards.
+		if run > 0 && (len(tab.pages) < len(pages) || tab.pages[0] != pages[0]) {
+			t.Fatalf("run %d: the table dropped the pages of the run before", run)
 		}
-	}
-	for i := 0; i < 1000; i++ {
-		if line := randLine(); tab.get(line) != nil && ref[line] == 0 {
-			t.Fatalf("get(%v) found a line never inserted", line)
+		pages = append(pages[:0], tab.pages...)
+		tab.reset()
+		if tab.n != 0 {
+			t.Fatalf("run %d: %d entries after reset", run, tab.n)
 		}
-	}
-	for i, line := range order {
-		if got := tab.at(int32(i + 1)).line; got != line {
-			t.Fatalf("ref %d holds %v, want insertion-order %v", i+1, got, line)
+		for line := range model {
+			if tab.get(line) != nil {
+				t.Fatalf("run %d: %v still resolves after reset", run, line)
+			}
 		}
-	}
-
-	// After reset every lookup misses and reinserted entries are zeroed,
-	// although the reused pages still hold the previous run's bytes.
-	page0 := tab.pages[0]
-	tab.reset()
-	if tab.n != 0 || tab.get(first) != nil {
-		t.Fatal("reset table still resolves lines")
-	}
-	for i := len(order) - 1; i >= len(order)-2*mediaPageSize; i-- {
-		e := tab.getOrInsert(order[i])
-		if e.line != order[i] || e.wear != 0 || e.data != [mem.LineSize]byte{} {
-			t.Fatalf("reinserted %v after reset is not zeroed: wear %d data[0] %d", order[i], e.wear, e.data[0])
-		}
-	}
-	if tab.pages[0] != page0 || len(tab.pages) != 5 {
-		t.Fatal("reset dropped pages instead of reusing them")
 	}
 }
