@@ -66,9 +66,11 @@ func TestLiveSinkDoesNotPerturbRun(t *testing.T) {
 
 // BenchmarkRunTelemetry quantifies the serve overhead quoted in
 // EXPERIMENTS.md: a full run with telemetry detached, with a
-// LiveSink-backed recorder attached, and attached with a subscriber
-// that never drains (the worst case — every ring lap drops events, and
-// the engine must still not block).
+// LiveSink-backed recorder attached, attached with one goroutine
+// draining it Poll-then-Ready (silo-serve's SSE loop and the benchmark's
+// tpcc-live shape), and attached with a subscriber that never drains
+// (the worst case — every ring lap drops events, and the engine must
+// still not block).
 func BenchmarkRunTelemetry(b *testing.B) {
 	spec := Spec{Design: "Silo", Workload: "Btree", Cores: 2, Txns: 1000, Seed: 42, DisableAudit: true}
 	b.Run("detached", func(b *testing.B) {
@@ -89,6 +91,42 @@ func BenchmarkRunTelemetry(b *testing.B) {
 			}
 		}
 	})
+	b.Run("livesink-drained", func(b *testing.B) {
+		b.ReportAllocs()
+		var drops, events uint64
+		buf := make([]telemetry.Event, 1024)
+		for i := 0; i < b.N; i++ {
+			sink := telemetry.NewLiveSink(0)
+			sub := sink.Subscribe()
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for {
+					n, _, open := sub.Poll(buf)
+					if !open {
+						return
+					}
+					if n == 0 {
+						<-sub.Ready()
+					}
+				}
+			}()
+			s := spec
+			s.Telemetry = telemetry.NewRecorder(sink)
+			if _, err := Run(s); err != nil {
+				b.Fatal(err)
+			}
+			sink.Close()
+			<-done
+			drops += sub.Drops()
+			events += sink.Seq()
+			sub.Cancel()
+		}
+		if b.N > 0 {
+			b.ReportMetric(float64(drops)/float64(b.N), "dropped/run")
+			b.ReportMetric(float64(events)/float64(b.N), "events/run")
+		}
+	})
 	b.Run("livesink-slow-consumer", func(b *testing.B) {
 		b.ReportAllocs()
 		var drops, events uint64
@@ -100,6 +138,7 @@ func BenchmarkRunTelemetry(b *testing.B) {
 			if _, err := Run(s); err != nil {
 				b.Fatal(err)
 			}
+			sink.Close()
 			buf := make([]telemetry.Event, 1024)
 			_, d, _ := sub.Poll(buf)
 			drops += d

@@ -122,6 +122,17 @@ type Machine struct {
 	txBeganAt  []sim.Cycle     // per-core Tx_begin timestamps
 	commitHist stats.Histogram // commit-stall distribution
 	txHist     stats.Histogram // whole-transaction latency distribution
+
+	// commitMetrics holds the registry instruments every commit feeds,
+	// resolved on the first commit so a run that commits nothing
+	// registers none; zero until then.
+	commitMetrics commitMetrics
+}
+
+// commitMetrics is the per-commit slice of the telemetry registry.
+type commitMetrics struct {
+	stall, latency *stats.Histogram
+	commits        *telemetry.Counter
 }
 
 // New builds the machine. Call Engine() to obtain the sim engine.
@@ -384,9 +395,17 @@ func (m *Machine) Exec(core int, op sim.Op, now sim.Cycle) sim.Result {
 		// stamped with this commit's cycle and sees it in the trail.
 		m.tel.TxCommit(core, now+extra, extra, m.pending[core].len(), txLat)
 		if reg := m.tel.Metrics(); reg != nil {
-			reg.Histogram("commit-stall-cycles").Observe(int64(extra))
-			reg.Histogram("tx-latency-cycles").Observe(int64(txLat))
-			reg.Counter("commits").Inc()
+			cm := &m.commitMetrics
+			if cm.commits == nil {
+				*cm = commitMetrics{
+					stall:   reg.Histogram("commit-stall-cycles"),
+					latency: reg.Histogram("tx-latency-cycles"),
+					commits: reg.Counter("commits"),
+				}
+			}
+			cm.stall.Observe(int64(extra))
+			cm.latency.Observe(int64(txLat))
+			cm.commits.Inc()
 		}
 		if m.aud.Enabled() {
 			if m.bufDesign != nil {

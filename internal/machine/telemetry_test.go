@@ -80,3 +80,46 @@ func BenchmarkExecStoreTelemetryOn(b *testing.B) {
 		store()
 	}
 }
+
+// The per-commit registry instruments are resolved on the first commit:
+// a machine that has not committed registers none of them, and after
+// three commits each of the three has seen exactly three samples.
+func TestCommitMetricsResolvedOnFirstCommit(t *testing.T) {
+	rec := telemetry.NewRecorder(&nullSink{})
+	m := benchMachine(rec)
+	commitMetrics := map[string]string{
+		"commit-stall-cycles": "histogram",
+		"tx-latency-cycles":   "histogram",
+		"commits":             "counter",
+	}
+	now := sim.Cycle(0)
+	m.Exec(0, sim.Op{Kind: sim.OpStore, Addr: 0x4000, Data: 1}, now)
+	m.Exec(0, sim.Op{Kind: sim.OpTxBegin}, now+10)
+	for _, v := range rec.Metrics().Snapshot() {
+		if _, ok := commitMetrics[v.Name]; ok {
+			t.Fatalf("%s registered before the first commit", v.Name)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if i > 0 {
+			now += 10
+			m.Exec(0, sim.Op{Kind: sim.OpTxBegin}, now)
+		}
+		now += 10
+		m.Exec(0, sim.Op{Kind: sim.OpStore, Addr: 0x4000, Data: mem.Word(now)}, now)
+		now += 10
+		now += m.Exec(0, sim.Op{Kind: sim.OpTxEnd}, now).Latency
+	}
+	seen := 0
+	for _, v := range rec.Metrics().Snapshot() {
+		if kind, ok := commitMetrics[v.Name]; ok {
+			seen++
+			if v.Kind != kind || v.Value != 3 {
+				t.Errorf("%s = %s %d, want %s 3", v.Name, v.Kind, v.Value, kind)
+			}
+		}
+	}
+	if seen != len(commitMetrics) {
+		t.Fatalf("snapshot holds %d of the %d commit instruments", seen, len(commitMetrics))
+	}
+}

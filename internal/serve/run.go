@@ -137,7 +137,7 @@ type Info struct {
 	Finished time.Time `json:"finished,omitzero"`
 	Error    string    `json:"error,omitempty"`
 
-	Events  uint64 `json:"events"`  // telemetry events emitted so far
+	Events  uint64 `json:"events"`  // telemetry events published to subscribers so far
 	Dropped uint64 `json:"dropped"` // events dropped across SSE subscribers
 
 	Sim      *stats.Run       `json:"sim,omitempty"`
@@ -294,8 +294,9 @@ func (m *Manager) Started() int64 {
 
 // pacer builds a Tick/pacer callback that sleeps the driving goroutine
 // so simulated time advances at ~cyclesPerSec. Sleeps are capped so
-// crash requests stay responsive.
-func pacer(cyclesPerSec int64) func(now sim.Cycle) {
+// crash requests stay responsive. Before each sleep it flushes sink's
+// pending batch, so subscribers see every event up to the pause.
+func pacer(sink *telemetry.LiveSink, cyclesPerSec int64) func(now sim.Cycle) {
 	start := time.Now()
 	return func(now sim.Cycle) {
 		target := time.Duration(float64(now) / float64(cyclesPerSec) * float64(time.Second))
@@ -303,6 +304,7 @@ func pacer(cyclesPerSec int64) func(now sim.Cycle) {
 			if d > 50*time.Millisecond {
 				d = 50 * time.Millisecond
 			}
+			sink.Flush()
 			time.Sleep(d)
 		}
 	}
@@ -345,7 +347,7 @@ func (m *Manager) Start(p Params) (*Run, error) {
 			return nil, err
 		}
 		if p.CyclesPerSec > 0 {
-			cr.Tick = pacer(p.CyclesPerSec)
+			cr.Tick = pacer(sink, p.CyclesPerSec)
 		}
 		crashed := false
 		run.crashFn = func(int) {
@@ -378,7 +380,7 @@ func (m *Manager) Start(p Params) (*Run, error) {
 			return nil, err
 		}
 		if p.CyclesPerSec > 0 {
-			cl.SetPacer(pacer(p.CyclesPerSec))
+			cl.SetPacer(pacer(sink, p.CyclesPerSec))
 		}
 		crashed := false
 		run.crashFn = func(node int) {
@@ -406,9 +408,11 @@ func (m *Manager) add(r *Run) {
 
 // driveSim executes a controlled single-machine run and, after an
 // injected crash, replays recovery with telemetry attached so the scan
-// and apply phases stream to subscribers.
+// and apply phases stream to subscribers. It flushes the sink once
+// Execute returns, so the crash event streams before recovery replays.
 func (m *Manager) driveSim(run *Run, cr *harness.ControlledRun, rec *telemetry.Recorder, crashed *bool) {
 	res, err := cr.Execute()
+	run.sink.Flush()
 	if err != nil {
 		run.finish(StateFailed, err.Error(), rec.Metrics().Snapshot())
 		return

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"silo/internal/telemetry"
 )
 
 // sseEvent is one parsed frame off an SSE stream.
@@ -104,8 +106,9 @@ func TestServeEndToEndSimCrashRecover(t *testing.T) {
 	}
 
 	kinds := map[string]int{}
-	var finalState string
+	var finalState, firstBatchState string
 	crashSent := false
+	var seen, crashAt, recoveryAt int // stream positions, 1-based; 0 = not yet
 	deadline := time.AfterFunc(30*time.Second, func() { sseResp.Body.Close() })
 	defer deadline.Stop()
 	err = readSSE(sseResp.Body, func(ev sseEvent) bool {
@@ -115,8 +118,22 @@ func TestServeEndToEndSimCrashRecover(t *testing.T) {
 			if err := json.Unmarshal([]byte(ev.data), &events); err != nil {
 				t.Fatalf("batch decode: %v", err)
 			}
+			if firstBatchState == "" {
+				// The run is paced over seconds: its first batch must
+				// stream while it is still running, not at its end.
+				var info Info
+				getJSON(t, fmt.Sprintf("%s/api/runs/%d", ts.URL, id), &info)
+				firstBatchState = info.State
+			}
 			for _, e := range events {
 				kinds[e.Kind]++
+				seen++
+				switch {
+				case e.Kind == "crash" && crashAt == 0:
+					crashAt = seen
+				case strings.HasPrefix(e.Kind, "recovery-") && recoveryAt == 0:
+					recoveryAt = seen
+				}
 			}
 			// Once live telemetry proves the run is underway, pull the plug.
 			if !crashSent && kinds["tx-commit"] > 0 && kinds["wpq-write"] > 0 && kinds["logbuf-occ"] > 0 {
@@ -153,6 +170,12 @@ func TestServeEndToEndSimCrashRecover(t *testing.T) {
 	if finalState != StateRecovered {
 		t.Fatalf("final state = %q, want %q", finalState, StateRecovered)
 	}
+	if firstBatchState != StateRunning {
+		t.Errorf("first batch frame arrived with the run %q, want %q", firstBatchState, StateRunning)
+	}
+	if crashAt == 0 || recoveryAt == 0 || crashAt > recoveryAt {
+		t.Errorf("crash marker at stream position %d, first recovery event at %d; want the crash first", crashAt, recoveryAt)
+	}
 
 	// The finished run shows up in the Prometheus exposition, labeled.
 	mresp, err := http.Get(ts.URL + "/metrics")
@@ -175,6 +198,27 @@ func TestServeEndToEndSimCrashRecover(t *testing.T) {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, metrics)
 		}
+	}
+}
+
+// The pacer publishes the sink's pending batch before it sleeps: a
+// handful of events, fewer than one batch, reach a subscriber during the
+// pause instead of waiting for the batch to fill or the run to end.
+func TestPacerFlushesBeforeSleep(t *testing.T) {
+	sink := telemetry.NewLiveSink(0)
+	sub := sink.Subscribe()
+	defer sub.Cancel()
+	tick := pacer(sink, 1_000_000)
+	for i := 0; i < 3; i++ {
+		sink.Event(telemetry.Event{Kind: telemetry.KTxCommit, A: int64(i)})
+	}
+	out := make([]telemetry.Event, 8)
+	if n, _, _ := sub.Poll(out); n != 0 {
+		t.Fatalf("%d events visible before the pacer ran", n)
+	}
+	tick(10_000) // 10 ms of simulated time ahead of the host: the pacer sleeps
+	if n, _, _ := sub.Poll(out); n != 3 {
+		t.Fatalf("after the pacer's sleep a subscriber sees %d events, want 3", n)
 	}
 }
 

@@ -8,24 +8,40 @@ import (
 // LiveSink is a bounded, drop-counting Sink for live consumers — the
 // bridge between the engine goroutine and silo-serve's SSE streams.
 //
-// Event appends into a fixed-size ring under a mutex and returns: it
-// never blocks on a consumer, never allocates after construction, and
-// holds at most Capacity events. Subscribers read at their own pace
-// through cursors; when the producer laps a cursor the overrun events
-// are *dropped for that subscriber* and counted — slow consumers lose
-// data loudly instead of stalling the simulation.
+// Event appends into a producer-side batch of liveBatch events without
+// taking a lock. The batch's last slot, Flush or Close publishes the
+// batch: one mutex round trip copies it into a fixed-size ring and posts
+// one wakeup per subscriber. After Close every event publishes at once.
+// Event never blocks on a consumer, never allocates after construction,
+// and the ring holds at most Capacity events. Subscribers read published
+// events at their own pace through cursors; when the producer laps a
+// cursor the overrun events are *dropped for that subscriber* and
+// counted — slow consumers lose data loudly instead of stalling the
+// simulation.
+//
+// Event, Flush and Close belong to the engine goroutine, the one Sink
+// already requires every event on; Subscribe, Seq, Drops and the LiveSub
+// methods may run on any goroutine.
 //
 // A LiveSink observes the probe stream without touching simulated state,
 // so a run with a LiveSink attached produces byte-identical stats.Run
 // results to a detached run (see TestLiveSinkDoesNotPerturbRun).
 type LiveSink struct {
+	// Producer side, touched only by the engine goroutine.
+	batch [liveBatch]Event
+	nb    int // events pending in batch
+
 	mu     sync.Mutex
 	buf    []Event
-	seq    uint64 // events ever written; next write lands at buf[seq%cap]
-	closed bool
-	subs   []*LiveSub // in subscription order; Event walks it per event
+	seq    uint64     // events ever published; the next lands at buf[seq%cap]
+	closed bool       // written only by Close, so Event may read it unlocked
+	subs   []*LiveSub // in subscription order; publish wakes each once
 	drops  uint64     // total events dropped across all subscribers
 }
+
+// liveBatch is how many events Event gathers before it publishes them
+// to the ring: one lock and one wakeup per subscriber per batch.
+const liveBatch = 64
 
 // DefaultLiveCapacity is the ring size when NewLiveSink is given 0.
 const DefaultLiveCapacity = 8192
@@ -42,19 +58,41 @@ func NewLiveSink(capacity int) *LiveSink {
 	return &LiveSink{buf: make([]Event, capacity)}
 }
 
-// Event implements Sink. It is called on the engine goroutine and must
-// stay cheap: one mutex round trip, one ring-slot copy, one non-blocking
-// wakeup per subscriber.
+// Event implements Sink. It runs on the engine goroutine and must stay
+// cheap: a copy into the batch, and every liveBatch events (every event
+// once the sink is closed) one publish.
 func (s *LiveSink) Event(e Event) {
+	s.batch[s.nb] = e
+	s.nb++
+	if s.nb == liveBatch || s.closed {
+		s.Flush()
+	}
+}
+
+// Flush publishes the pending batch, if any, to the ring and wakes every
+// subscriber. Like Event it runs on the engine goroutine: silo-serve
+// flushes before each pacing sleep and after the run returns, so a paced
+// dashboard stays live.
+func (s *LiveSink) Flush() {
+	if s.nb == 0 {
+		return
+	}
 	s.mu.Lock()
-	s.buf[s.seq%uint64(len(s.buf))] = e
-	s.seq++
-	s.wakeAll()
+	s.publish()
 	s.mu.Unlock()
 }
 
-// wakeAll posts a non-blocking wakeup to every subscriber; s.mu is held.
-func (s *LiveSink) wakeAll() {
+// publish copies the pending batch into the ring, leaving it as nb
+// single writes would, then posts a non-blocking wakeup to every
+// subscriber; s.mu is held.
+func (s *LiveSink) publish() {
+	b := s.batch[:s.nb]
+	s.nb = 0
+	for len(b) > 0 {
+		k := copy(s.buf[s.seq%uint64(len(s.buf)):], b)
+		s.seq += uint64(k)
+		b = b[k:]
+	}
 	for _, sub := range s.subs {
 		select {
 		case sub.ready <- struct{}{}:
@@ -63,14 +101,16 @@ func (s *LiveSink) wakeAll() {
 	}
 }
 
-// Close marks the stream finished and wakes every subscriber. Events
-// already in the ring stay readable; further Event calls are still safe
-// (crash paths may emit after the server decided the run is over) and
-// remain visible to subscribers that have not drained yet.
+// Close publishes the pending batch, marks the stream finished and
+// wakes every subscriber. It runs on the engine goroutine, like Event.
+// Events already in the ring stay readable; further Event calls are
+// still safe (crash paths may emit after the server decided the run is
+// over), publish at once, and remain visible to subscribers that have
+// not drained yet.
 func (s *LiveSink) Close() {
 	s.mu.Lock()
 	s.closed = true
-	s.wakeAll()
+	s.publish()
 	s.mu.Unlock()
 }
 
@@ -83,7 +123,8 @@ func (s *LiveSink) Drops() uint64 {
 	return s.drops
 }
 
-// Seq returns the total number of events written so far.
+// Seq returns the total number of events published so far. Events still
+// in the producer's batch are not counted until Flush or Close.
 func (s *LiveSink) Seq() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
