@@ -24,6 +24,7 @@ type EADRSW struct {
 	inTx    []bool
 	txid    []uint16
 	logHead []mem.Addr // per-core append cursor inside the thread log area
+	tail    []mem.Word // per-core value of the word holding logHead
 	logSeq  []uint8    // per-core record sequence number (on-media seal)
 	logs    int64
 }
@@ -37,6 +38,7 @@ func NewEADRSW(env *logging.Env) logging.Design {
 		env:    env,
 		inTx:   make([]bool, env.Cores),
 		txid:   make([]uint16, env.Cores),
+		tail:   make([]mem.Word, env.Cores),
 		logSeq: make([]uint8, env.Cores),
 	}
 	for i := 0; i < env.Cores; i++ {
@@ -90,7 +92,10 @@ func (e *EADRSW) TxEnd(core int, now sim.Cycle) sim.Cycle {
 
 // appendCached writes b at the core's log cursor through the caches, one
 // word at a time (read-modify-write at record boundaries, the way a
-// software memcpy into the log behaves), and advances the cursor.
+// software memcpy into the log behaves), and advances the cursor. The
+// log is append-only, so the only word it ever rewrites is the one
+// holding the cursor, whose value tail keeps; a word the cursor enters
+// fresh still holds the device's bytes.
 func (e *EADRSW) appendCached(core int, b []byte, now sim.Cycle) sim.Cycle {
 	addr := e.logHead[core]
 	e.logHead[core] += mem.Addr(len(b))
@@ -98,28 +103,21 @@ func (e *EADRSW) appendCached(core int, b []byte, now sim.Cycle) sim.Cycle {
 	for len(b) > 0 {
 		w := addr.Word()
 		off := int(addr - w)
-		n := mem.WordSize - off
-		if n > len(b) {
-			n = len(b)
+		n := min(mem.WordSize-off, len(b))
+		cur := e.tail[core]
+		if off == 0 {
+			cur = e.env.PM.PeekWord(w)
 		}
 		var wb [mem.WordSize]byte
-		putWordBytes(wb[:], e.currentWord(core, w))
+		putWordBytes(wb[:], cur)
 		copy(wb[off:off+n], b[:n])
-		_, lat := e.env.Cache.Store(core, w, wordFrom(wb[:]), now+stall)
+		e.tail[core] = wordFrom(wb[:])
+		_, lat := e.env.Cache.Store(core, w, e.tail[core], now+stall)
 		stall += lat
 		addr += mem.Addr(n)
 		b = b[n:]
 	}
 	return stall
-}
-
-// currentWord reads the word's present value without timing: from this
-// core's caches if resident (log areas are core-private), else from PM.
-func (e *EADRSW) currentWord(core int, w mem.Addr) mem.Word {
-	if v, ok := e.env.Cache.PeekWord(core, w); ok {
-		return v
-	}
-	return e.env.PM.PeekWord(w)
 }
 
 // CachelineEvicted writes dirty evictions (application data or cached log

@@ -1,9 +1,11 @@
 package baseline
 
 import (
+	"bytes"
 	"testing"
 
 	"silo/internal/logging"
+	"silo/internal/sim"
 )
 
 func TestEADRSWLogsThroughCache(t *testing.T) {
@@ -20,7 +22,7 @@ func TestEADRSWLogsThroughCache(t *testing.T) {
 	}
 	// The record is parseable from the cached log area.
 	base, _ := env.PM.Config().Layout.ThreadLogArea(0, 1)
-	if v, ok := env.Cache.PeekWord(0, base); !ok || v == 0 {
+	if data, dirty := env.Cache.DirtyLine(0, base); !dirty || wordFrom(data[:]) == 0 {
 		t.Error("log record not in cache")
 	}
 }
@@ -78,4 +80,52 @@ func TestEADRSWCachePollution(t *testing.T) {
 	if after-before < 4 {
 		t.Errorf("log composition touched L1 only %d times", after-before)
 	}
+}
+
+// The log cursor's word is rewritten from tail, and a word the cursor
+// enters fresh from the device: after a battery flush the log area
+// holds, byte for byte, what a read-modify-write of every word produces
+// — the appended records in order over the area's earlier bytes. Record
+// boundaries fall mid-word. The second case reboots over a log area that
+// still holds an older, longer run's bytes.
+func TestEADRSWTailWord(t *testing.T) {
+	records := func(seed byte, lens ...int) [][]byte {
+		var out [][]byte
+		for i, n := range lens {
+			r := make([]byte, n)
+			for j := range r {
+				r[j] = seed + byte(16*i+j)
+			}
+			out = append(out, r)
+		}
+		return out
+	}
+	check := func(t *testing.T, env *logging.Env, e *EADRSW, recs [][]byte) {
+		base, _ := env.PM.Config().Layout.ThreadLogArea(0, 1)
+		const area = 256
+		want := env.PM.Peek(base, area)
+		off, now := 0, sim.Cycle(0)
+		for i, r := range recs {
+			copy(want[off:], r)
+			off += len(r)
+			now += e.appendCached(0, r, now)
+			if i == len(recs)/2 {
+				env.Cache.ForceWriteBackAll(now) // cleaned, still cached lines
+			}
+		}
+		env.Cache.ForceWriteBackAll(now)
+		if got := env.PM.Peek(base, area); !bytes.Equal(got, want) {
+			t.Errorf("log area after %d bytes of records:\n got %x\nwant %x", off, got, want)
+		}
+	}
+	t.Run("fresh device", func(t *testing.T) {
+		env, _ := newEnv(1)
+		check(t, env, NewEADRSW(env).(*EADRSW), records(0x10, 3, 26, 7, 13, 1, 9, 30, 5))
+	})
+	t.Run("reboot over an older log", func(t *testing.T) {
+		env, _ := newEnv(1)
+		check(t, env, NewEADRSW(env).(*EADRSW), records(0x80, 11, 40, 29, 17, 50, 6))
+		env.Cache.InvalidateAll()
+		check(t, env, NewEADRSW(env).(*EADRSW), records(0x10, 5, 26, 2, 21, 9))
+	})
 }

@@ -426,17 +426,6 @@ func (h *Hierarchy) Store(core int, addr mem.Addr, v mem.Word, now sim.Cycle) (o
 	return old, lat
 }
 
-// PeekWord returns addr's word if cached anywhere for core, with no side
-// effects (no LRU update, no timing).
-func (h *Hierarchy) PeekWord(core int, addr mem.Addr) (mem.Word, bool) {
-	for lvl := 0; lvl < 3; lvl++ {
-		if l := h.lookup(h.level(lvl, core), addr); l != nil {
-			return wordAt(&l.data, addr), true
-		}
-	}
-	return 0, false
-}
-
 // lookup returns the record of c's way holding addr's line, or nil.
 func (h *Hierarchy) lookup(c *Cache, addr mem.Addr) *line {
 	if w := c.find(addr.Line()); w >= 0 {

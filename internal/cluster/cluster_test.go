@@ -260,3 +260,46 @@ func TestClusterNodeKeepsDeviceAcrossIncarnations(t *testing.T) {
 		t.Fatal("crashed node 1 never rebooted")
 	}
 }
+
+// A node that crashes, reboots and keeps serving answers each key it
+// holds from its golden state: after every event, the rebooted
+// incarnation's Machine.Peek (the value a program's load is checked
+// against) equals the node's applied value, for keys written before the
+// crash (now on the recovered media) and after it (in the new golden
+// shadow) alike, and its executed Gets agree with the same map (no
+// divergence).
+func TestClusterRebootedNodePeeksGolden(t *testing.T) {
+	for _, design := range []string{"Silo", "Base", "FWB"} {
+		t.Run(design, func(t *testing.T) {
+			c, err := New(crashConfig(7, design))
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := c.nodes[1]
+			var peeks int
+			var servedAtReboot int64 = -1
+			c.SetPacer(func(now sim.Cycle) {
+				if n.incarn == 0 || n.state != nodeUp || c.released[n.id] {
+					return
+				}
+				if servedAtReboot < 0 {
+					servedAtReboot = n.served
+				}
+				for k, v := range n.kv {
+					if got := uint64(n.m.Peek(0, c.keyAddr(k))); got != v {
+						t.Fatalf("incarnation %d, cycle %d: peek of key %d = %d, applied %d", n.incarn, now, k, got, v)
+					}
+					peeks++
+				}
+			})
+			res := c.Drive()
+			if res.Err != nil || len(res.Divergences) != 0 {
+				t.Fatalf("run: err=%v divergences=%v", res.Err, res.Divergences)
+			}
+			if servedAtReboot < 0 || n.served == servedAtReboot || peeks == 0 {
+				t.Fatalf("node 1 never served after a reboot (served %d at reboot, %d at end, %d peeks)",
+					servedAtReboot, n.served, peeks)
+			}
+		})
+	}
+}

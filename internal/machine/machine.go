@@ -5,7 +5,6 @@
 package machine
 
 import (
-	"encoding/binary"
 	"math/rand"
 
 	"silo/internal/audit"
@@ -315,18 +314,21 @@ func (m *Machine) fill(la mem.Addr, now sim.Cycle, dst *[mem.LineSize]byte) sim.
 	return m.dev.ReadInto(now, la, dst[:])
 }
 
-// Peek implements sim.Executor: the word core's load of addr would read
-// now, from the sources a load reads — the hierarchy, then (on a miss)
-// the design's MC buffer and the device, as fill does — with no timing,
-// no LRU update and no statistics.
+// Peek implements sim.Executor from the golden state alone, never from
+// the timed machine: core's pending store to addr while it is in a
+// transaction, else the word's last committed or non-transactionally
+// stored value, else the device's media (a word this run never stored).
+// Each core's data is private (§III-A), so this is the value a load of
+// addr by core must execute to, and the program stream's load check
+// holds the timed machine to it at every load.
 func (m *Machine) Peek(core int, addr mem.Addr) mem.Word {
-	if w, ok := m.hier.PeekWord(core, addr); ok {
-		return w
-	}
-	if m.mcReader != nil {
-		if data, hit := m.mcReader.MCBuffered(addr.Line()); hit {
-			return mem.Word(binary.LittleEndian.Uint64(data[addr.Word().LineOffset():]))
+	if m.inTx[core] {
+		if v, ok := m.pending[core].get(addr); ok {
+			return v
 		}
+	}
+	if l, w := m.shadow.get(addr); l != nil && l.flags[w]&(shadowHasCommitted|shadowUnsafe) != 0 {
+		return l.committed[w]
 	}
 	return m.dev.PeekWord(addr)
 }
@@ -373,7 +375,7 @@ func (m *Machine) Exec(core int, op sim.Op, now sim.Cycle) sim.Result {
 		if m.inTx[core] {
 			m.pending[core].put(op.Addr, op.Data, m.shadow.recordTx(op.Addr, old))
 		} else {
-			m.shadow.taint(op.Addr)
+			m.shadow.taint(op.Addr, op.Data)
 		}
 		return sim.Result{Latency: lat + extra}
 	case sim.OpTxBegin:

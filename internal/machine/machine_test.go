@@ -46,7 +46,7 @@ func TestExecLoadStore(t *testing.T) {
 	}
 	m.Exec(0, sim.Op{Kind: sim.OpStore, Addr: 0x1000, Data: 8}, 10)
 	if w := m.Peek(0, 0x1000); w != 8 {
-		t.Errorf("peek from the cache = %d, want 8", w)
+		t.Errorf("peek of the stored word = %d, want 8", w)
 	}
 	r = m.Exec(0, sim.Op{Kind: sim.OpLoad, Addr: 0x1000}, 20)
 	if r.Value != 8 {
@@ -117,7 +117,7 @@ func TestCrashAtOpStopsEngine(t *testing.T) {
 		t.Error("program ran to completion despite crash")
 	}
 	// Caches must be empty (volatile loss).
-	if _, ok := m.Hierarchy().PeekWord(0, 0x100); ok {
+	if _, dirty := m.Hierarchy().DirtyLine(0, 0x100); dirty {
 		t.Error("cache contents survived the crash")
 	}
 }
@@ -151,7 +151,8 @@ func TestCollectStatsGathersEverything(t *testing.T) {
 }
 
 func TestMCReaderFillPath(t *testing.T) {
-	// A line buffered in LAD's MC must satisfy cache fills and Peek.
+	// A line buffered in LAD's MC must satisfy cache fills. Peek answers
+	// from the transaction's pending write, and the fill must agree.
 	m := newMachine(1, baseline.NewLAD)
 	lad := m.Design().(*baseline.LAD)
 	m.Exec(0, sim.Op{Kind: sim.OpTxBegin}, 0)
@@ -161,7 +162,7 @@ func TestMCReaderFillPath(t *testing.T) {
 	lad.CachelineEvicted(2, 0x4000, line)
 	m.Hierarchy().InvalidateAll() // force the next load to fill
 	if w := m.Peek(0, 0x4000); w != 9 {
-		t.Errorf("peek from MC buffer = %d, want 9", w)
+		t.Errorf("peek of the pending write = %d, want 9", w)
 	}
 	r := m.Exec(0, sim.Op{Kind: sim.OpLoad, Addr: 0x4000}, 3)
 	if r.Value != 9 {

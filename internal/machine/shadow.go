@@ -29,10 +29,13 @@ const shadowLeafWords = mem.RadixLeafBytes / mem.WordSize
 // shadowLeaf is the golden durability record of one 512 B block's 64
 // words: per word the last committed value, the pre-first-write
 // baseline, and flags saying which of them exist and whether a
-// non-transactional store tainted the word. used marks the words this
-// run inserted; a word's values mean something only while its used bit
-// and the matching flag are set, so a reused leaf needs no clearing
-// beyond used. 1 096 B.
+// non-transactional store tainted the word. A tainted word's committed
+// value is its newest store, transactional or not: Machine.Peek answers
+// loads from it, while verification (GoldenCommitted, written and
+// InjectCrash's allowed values) skips tainted words, so it never reads
+// that value. used marks the words this run inserted; a word's values
+// mean something only while its used bit and the matching flag are set,
+// so a reused leaf needs no clearing beyond used. 1 096 B.
 type shadowLeaf struct {
 	used      uint64
 	flags     [shadowLeafWords]uint8
@@ -99,10 +102,11 @@ func (t *shadowIndex) recordTx(addr mem.Addr, old mem.Word) int32 {
 	return ref
 }
 
-// taint records a non-transactional store to addr: the word can no
-// longer be verified.
-func (t *shadowIndex) taint(addr mem.Addr) {
+// taint records a non-transactional store of val to addr: the word can
+// no longer be verified, and val is its newest value.
+func (t *shadowIndex) taint(addr mem.Addr, val mem.Word) {
 	l, w, _ := t.getOrInsert(addr)
+	l.committed[w] = val
 	l.flags[w] |= shadowUnsafe
 }
 

@@ -84,9 +84,11 @@ type Result struct {
 // Executor executes operations against the simulated machine (caches,
 // logging hardware, memory controller, PM). Exec is called with
 // operations in nondecreasing `now` order across all cores. Peek returns
-// the word a load of addr by core would read if executed now, with no
-// side effects and no timing; program streams answer loads with it at
-// issue time.
+// the word a load of addr by core must read if executed now, with no
+// side effects and no timing, from the golden state rather than the
+// timed machine: core's pending store to the word, else its last
+// committed or stored value, else the device. Program streams answer
+// loads with it at issue time and hold each executed load to it.
 type Executor interface {
 	Exec(core int, op Op, now Cycle) Result
 	Peek(core int, addr mem.Addr) mem.Word

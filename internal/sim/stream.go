@@ -16,15 +16,17 @@ import (
 // A program never suspends for a load. Each core's data is private to it
 // (§III-A isolation; pmheap gives every core its own arena), so a load's
 // value cannot depend on timing, and issue answers it at once: from the
-// newest store to that word still queued, else from Executor.Peek. Every
-// op is queued, and the program suspends only when maxRunAhead ops are
-// queued or when it returns. The engine drains the queue in program
-// order, one scheduling decision per op, so ops execute at the times and
-// in the order a suspend-per-op transport gives them, with the same rand
-// draws. Deliver checks each executed load against the value the program
-// was given and panics with a *LoadMismatchError on a difference. A
-// crash unwinds the frame up to maxRunAhead ops later on the host;
-// queued ops past the crash never reach the executor.
+// newest store to that word still queued, else from Executor.Peek, the
+// golden state of every op already executed. Every op is queued, and the
+// program suspends only when maxRunAhead ops are queued or when it
+// returns. The engine drains the queue in program order, one scheduling
+// decision per op, so ops execute at the times and in the order a
+// suspend-per-op transport gives them, with the same rand draws. Deliver
+// checks each executed load against the value the program was given, so
+// every load is an oracle of the timed machine against the golden
+// state, and panics with a *LoadMismatchError on a difference. A crash
+// unwinds the frame up to maxRunAhead ops later on the host; queued ops
+// past the crash never reach the executor.
 func NewProgramStream(core int, rng *rand.Rand, p Program) OpStream {
 	s := &coroStream{core: core}
 	ctx := &Ctx{core: core, issue: s.issue, Rand: rng}
@@ -49,9 +51,10 @@ func NewProgramStream(core int, rng *rand.Rand, p Program) OpStream {
 const maxRunAhead = 64
 
 // LoadMismatchError is the panic value of a program stream whose load
-// executed to a different value than the program was given at issue: a
-// word shared between cores, or an Executor.Peek that disagrees with
-// Exec.
+// executed to a different value than the program was given at issue from
+// the golden state: the timed machine lost or misplaced a store (a dirty
+// line dropped without a write-back, a fill from stale media), or the
+// word is shared between cores.
 type LoadMismatchError struct {
 	Core      int
 	Addr      mem.Addr
