@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 
 	"silo/internal/mem"
@@ -18,28 +19,52 @@ import (
 // clean and its record is freed at once; DirtyMiss stores, so every LLC
 // victim is dirty and leaves through the write-back callback before its
 // record is freed.
+//
+// Two cases stress the recency word. L1HitRoundRobin cycles through the
+// 8 lines of one L1 set, so no hit is on the set's most recent way: each
+// one misses the probe, scans the tags and moves the LRU way to the
+// front. L2HitRandom visits L2Hit's working set in a seeded random
+// order, so which L1 set each access lands in, and so each L1 victim,
+// depends on the data.
 func BenchmarkCacheAccess(b *testing.B) {
+	l1Sets := DefaultHierarchyConfig().L1.Size / (mem.LineSize * DefaultHierarchyConfig().L1.Ways)
 	for _, tc := range []struct {
-		name  string
-		lines int
-		store bool
-		level func(h *Hierarchy) *int64
+		name   string
+		lines  int
+		stride int  // bytes between working-set lines; 0 means mem.LineSize
+		random bool // visit the working set in a seeded random order
+		store  bool
+		level  func(h *Hierarchy) *int64
 	}{
-		{"L1Hit", 1, false, func(h *Hierarchy) *int64 { return &h.l1[0].Hits }},
-		{"L2Hit", 128 << 10 / mem.LineSize, false, func(h *Hierarchy) *int64 { return &h.l2[0].Hits }},
-		{"L3Hit", 2 << 20 / mem.LineSize, false, func(h *Hierarchy) *int64 { return &h.l3.Hits }},
-		{"Miss", 16 << 20 / mem.LineSize, false, func(h *Hierarchy) *int64 { return &h.l3.Misses }},
-		{"DirtyMiss", 16 << 20 / mem.LineSize, true, func(h *Hierarchy) *int64 { return &h.l3.Misses }},
+		{"L1Hit", 1, 0, false, false, func(h *Hierarchy) *int64 { return &h.l1[0].Hits }},
+		{"L1HitRoundRobin", 8, l1Sets * mem.LineSize, false, false, func(h *Hierarchy) *int64 { return &h.l1[0].Hits }},
+		{"L2Hit", 128 << 10 / mem.LineSize, 0, false, false, func(h *Hierarchy) *int64 { return &h.l2[0].Hits }},
+		{"L2HitRandom", 128 << 10 / mem.LineSize, 0, true, false, func(h *Hierarchy) *int64 { return &h.l2[0].Hits }},
+		{"L3Hit", 2 << 20 / mem.LineSize, 0, false, false, func(h *Hierarchy) *int64 { return &h.l3.Hits }},
+		{"Miss", 16 << 20 / mem.LineSize, 0, false, false, func(h *Hierarchy) *int64 { return &h.l3.Misses }},
+		{"DirtyMiss", 16 << 20 / mem.LineSize, 0, false, true, func(h *Hierarchy) *int64 { return &h.l3.Misses }},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			q := &quietBackend{}
 			h := NewHierarchy(1, DefaultHierarchyConfig(), q.fill, q.writeback)
 			defer h.Release()
+			stride := tc.stride
+			if stride == 0 {
+				stride = mem.LineSize
+			}
+			var perm []int
+			if tc.random {
+				perm = rand.New(rand.NewSource(1)).Perm(tc.lines)
+			}
 			var now sim.Cycle
 			i := 0
 			access := func() {
 				now++
-				addr := mem.Addr(i * mem.LineSize)
+				j := i
+				if perm != nil {
+					j = perm[i]
+				}
+				addr := mem.Addr(j * stride)
 				if tc.store {
 					h.Store(0, addr, mem.Word(now), now)
 				} else {

@@ -298,9 +298,10 @@ func emptyPools() {
 // A fresh default 8-core hierarchy allocates no per-way state: each
 // level builds its arrays on its first fill, and the arena issues one
 // record per resident line after that. Eager line records cost 16.25 MB
-// here; eager per-way arrays alone would cost 3.4 MB. The first
-// hierarchy of a geometry in a process also builds the shared
-// all-invalid tag arrays (1 MB for the L3), once.
+// here; eager per-way arrays and recency words alone would cost 2.1 MB.
+// The first hierarchy of a geometry in a process also builds the shared
+// all-invalid tag arrays (1 MB for the L3) and all-zero recency arrays
+// (64 KB for the L3), once.
 func TestFreshHierarchyAllocatesNoWayState(t *testing.T) {
 	q := &quietBackend{}
 	build := func() (*Hierarchy, uint64) {
@@ -327,7 +328,7 @@ func TestFreshHierarchyAllocatesNoWayState(t *testing.T) {
 		c    *Cache
 		want bool
 	}{{h.l1[0], true}, {h.l1[1], false}, {h.l2[0], false}, {h.l3, false}} {
-		if got := tc.c.lru != nil; got != tc.want {
+		if got := tc.c.refs != nil; got != tc.want {
 			t.Fatalf("%s arrays built = %v after one load on core 0, want %v", tc.c.cfg.Name, got, tc.want)
 		}
 	}

@@ -10,6 +10,8 @@ package cache
 
 import (
 	"encoding/binary"
+	"fmt"
+	"math/bits"
 	"sync"
 
 	"silo/internal/mem"
@@ -59,16 +61,22 @@ const (
 // so no real line address can collide with it.
 const invalidTag = ^mem.Addr(0)
 
-// Cache is one set-associative level. Per-way state is dense: the tags,
-// the LRU stamps and the record refs are three parallel arrays, so a
-// lookup scans one contiguous run of tags and a victim scan reads only
-// tags and stamps. The tag array is the sole validity record — a way's
-// stamp and ref are only read while its tag is valid — so whole-cache
-// invalidation touches 8 bytes per line. A way holds only its line's ref;
-// the record belongs to the Hierarchy's arena and moves with the line. A
-// level builds its arrays on its first fill, so a cache never filled
-// (the L3 of most runs shorter than its capacity) costs nothing; until
-// then it scans a shared all-invalid tag array and every lookup misses.
+// maxWays is the highest associativity a level may have: a set's
+// recency word holds one 4-bit way index per way.
+const maxWays = 16
+
+// Cache is one set-associative level. Per-way state is dense: the tags
+// and the record refs are two parallel arrays, so a lookup scans one
+// contiguous run of tags. Recency is one word per set (see order), so
+// an L1 hit on the set's most recent way needs no bookkeeping and the
+// LRU victim of a full set is read in O(1). The tag array is the sole
+// validity record — a way's ref is only read while its tag is valid — so
+// whole-cache invalidation touches 8 bytes per line. A way holds only
+// its line's ref; the record belongs to the Hierarchy's arena and moves
+// with the line. A level builds its arrays on its first fill, so a cache
+// never filled (the L3 of most runs shorter than its capacity) costs
+// nothing; until then it reads shared all-invalid tags and all-zero
+// recency words, and every lookup misses.
 //
 // Invalidation is sparse: insert notes every way it moves from invalid
 // to valid, and reset clears only those ways. A torture-fleet campaign
@@ -81,7 +89,6 @@ type Cache struct {
 	ways    int
 	cacheArrays
 	pooled *cacheArrays
-	tick   int64
 
 	Hits, Misses int64
 }
@@ -92,56 +99,76 @@ type Cache struct {
 // scattered stores by then).
 const sparseResetDiv = 8
 
-// cacheArrays is one level's per-way state, recycled by way count. Until
-// the level's first fill only tags is set, to the shared all-invalid
-// array. Because validity lives solely in the tag array, recycled stamps
-// and refs may carry stale contents — they are unreachable until an
-// insert overwrites them. A pooled cacheArrays is clean when returned,
-// not when taken: Release resets the tags (and empties the list) before
-// the put, so NewCache takes it as is.
+// cacheArrays is one level's state, recycled by geometry: two per-way
+// arrays (12 B per way) and one recency word per set (8 B per set).
+// Until the level's first fill only tags and order are set, to the
+// shared never-filled arrays. Because validity lives solely in the tag
+// array, recycled refs may carry stale contents — they are unreachable
+// until an insert overwrites them. A recycled set's order is stale too,
+// but it is always a permutation of the set's ways, and insert takes any
+// invalid way before the LRU one, so a set only reads its order for a
+// victim once every way was filled, and so moved to the front, since the
+// last reset. A pooled cacheArrays is clean when returned, not when
+// taken: Release resets the tags (and empties the list) before the put,
+// so NewCache takes it as is.
 type cacheArrays struct {
-	tags   []mem.Addr // line address per way, or invalidTag for an empty way
-	lru    []int64    // last-use stamp per way; stale unless tag valid
-	refs   []int32    // the line's record in the hierarchy's arena; stale unless tag valid
-	filled []int32    // ways filled since the last reset; len == cap means sweep
+	tags []mem.Addr // line address per way, or invalidTag for an empty way
+	refs []int32    // the line's record in the hierarchy's arena; stale unless tag valid
+	// order is each set's recency word: its way indices, 4 bits each,
+	// most recent in the low nibble and LRU in nibble ways-1.
+	order  []uint64
+	filled []int32 // ways filled since the last reset; len == cap means sweep
 }
 
-// arrPools recycles cacheArrays by way count. Short-lived machines (the
+// geometry keys the array pools: a cache's arrays fit only caches of the
+// same set and way counts.
+type geometry struct{ sets, ways int }
+
+// arrPools recycles cacheArrays by geometry. Short-lived machines (the
 // torture fleet builds thousands per sweep) otherwise spend more time
 // building fresh arrays than simulating.
-var arrPools sync.Map // way count -> *arrPool
+var arrPools sync.Map // geometry -> *arrPool
 
-// arrPool is the free list of one way count. Its new arrays are never
-// filled: their tags are the shared all-invalid array.
+// arrPool is the free list of one geometry. Its new arrays are never
+// filled: their tags and order are the shared never-filled arrays.
 type arrPool struct {
-	invalid []mem.Addr
+	invalid []mem.Addr // one per way, all invalidTag
+	order   []uint64   // one per set, all zero
 	free    pool.List[cacheArrays]
 }
 
-func getArrays(n int) *cacheArrays {
-	p, ok := arrPools.Load(n)
+func getArrays(g geometry) *cacheArrays {
+	p, ok := arrPools.Load(g)
 	if !ok {
 		// Never-filled caches of this geometry share one all-invalid tag
-		// array, so a lookup scans it like any other and misses. It is
-		// never written: alloc replaces it before the first fill, and
-		// reset skips a cache that has none of its own.
-		invalid := make([]mem.Addr, n)
+		// array and one all-zero order array, so a lookup probes and
+		// scans them like any other and misses. They are never written:
+		// alloc replaces both before the first fill, and reset skips a
+		// cache that has none of its own.
+		invalid := make([]mem.Addr, g.sets*g.ways)
 		fillInvalid(invalid)
-		p, _ = arrPools.LoadOrStore(n, &arrPool{invalid: invalid})
+		p, _ = arrPools.LoadOrStore(g, &arrPool{invalid: invalid, order: make([]uint64, g.sets)})
 	}
 	ap := p.(*arrPool)
 	if a := ap.free.Get(); a != nil {
 		return a
 	}
-	return &cacheArrays{tags: ap.invalid}
+	return &cacheArrays{tags: ap.invalid, order: ap.order}
 }
 
-// alloc builds the per-way arrays of a cache with n ways in all,
-// replacing the shared all-invalid tags.
-func (a *cacheArrays) alloc(n int) {
-	a.tags, a.lru, a.refs = make([]mem.Addr, n), make([]int64, n), make([]int32, n)
+// alloc builds the arrays of a cache of geometry g, replacing the shared
+// never-filled ones. Every set's order starts as the identity
+// permutation.
+func (a *cacheArrays) alloc(g geometry) {
+	n := g.sets * g.ways
+	a.tags, a.refs = make([]mem.Addr, n), make([]int32, n)
+	a.order = make([]uint64, g.sets)
 	a.filled = make([]int32, 0, n/sparseResetDiv)
 	fillInvalid(a.tags)
+	id := uint64(0xfedcba9876543210) &^ (^uint64(0) << (4 * g.ways)) // ways-1 … 1 0
+	for s := range a.order {
+		a.order[s] = id
+	}
 }
 
 // fillInvalid resets a tag array to all-empty. The doubling copy runs at
@@ -156,8 +183,12 @@ func fillInvalid(tags []mem.Addr) {
 	}
 }
 
-// NewCache builds a cache from cfg.
+// NewCache builds a cache from cfg. It panics if cfg has more than 16
+// ways.
 func NewCache(cfg Config) *Cache {
+	if cfg.Ways > maxWays {
+		panic(fmt.Sprintf("cache: %s has %d ways, at most %d are supported", cfg.Name, cfg.Ways, maxWays))
+	}
 	sets := cfg.Size / (mem.LineSize * cfg.Ways)
 	if sets < 1 {
 		sets = 1
@@ -166,7 +197,7 @@ func NewCache(cfg Config) *Cache {
 	if sets&(sets-1) == 0 {
 		mask = sets - 1
 	}
-	a := getArrays(sets * cfg.Ways)
+	a := getArrays(geometry{sets, cfg.Ways})
 	return &Cache{cfg: cfg, sets: sets, setMask: mask, ways: cfg.Ways,
 		cacheArrays: *a, pooled: a}
 }
@@ -179,7 +210,7 @@ func (c *Cache) Release() {
 	}
 	c.reset()
 	*c.pooled = c.cacheArrays
-	if p, ok := arrPools.Load(c.sets * c.ways); ok {
+	if p, ok := arrPools.Load(geometry{c.sets, c.ways}); ok {
 		p.(*arrPool).free.Put(c.pooled)
 	}
 	c.pooled, c.cacheArrays = nil, cacheArrays{}
@@ -188,7 +219,7 @@ func (c *Cache) Release() {
 // reset invalidates every way: only the ways noted as filled, or the
 // whole tag array once the note list overflowed.
 func (c *Cache) reset() {
-	if c.lru == nil {
+	if c.refs == nil {
 		return // never filled: the tags are the shared all-invalid array
 	}
 	if len(c.filled) == cap(c.filled) {
@@ -201,17 +232,18 @@ func (c *Cache) reset() {
 	c.filled = c.filled[:0]
 }
 
-func (c *Cache) setBase(addr mem.Addr) int {
+// set returns the index of addr's set.
+func (c *Cache) set(addr mem.Addr) int {
 	idx := uint64(addr >> mem.LineShift)
 	if c.setMask >= 0 {
-		return (int(idx) & c.setMask) * c.ways
+		return int(idx) & c.setMask
 	}
-	return int(idx%uint64(c.sets)) * c.ways
+	return int(idx % uint64(c.sets))
 }
 
-// find returns the index of the way holding la's line, or -1.
-func (c *Cache) find(la mem.Addr) int {
-	base := c.setBase(la)
+// scan returns the index of the way holding la's line in the set whose
+// first way is base, or -1.
+func (c *Cache) scan(base int, la mem.Addr) int {
 	tags := c.tags[base : base+c.ways]
 	for i := range tags {
 		if tags[i] == la {
@@ -221,32 +253,64 @@ func (c *Cache) find(la mem.Addr) int {
 	return -1
 }
 
+// find returns the index of the way holding la's line, or -1.
+func (c *Cache) find(la mem.Addr) int { return c.scan(c.set(la)*c.ways, la) }
+
+// hit returns the index of the way holding la's line and makes it the
+// most recent of its set, or returns -1. A hit on the set's most recent
+// way leaves the order as it is, so it costs one tag compare.
+func (c *Cache) hit(la mem.Addr) int {
+	s := c.set(la)
+	base := s * c.ways
+	if w := base + int(c.order[s]&0xf); c.tags[w] == la {
+		return w
+	}
+	w := c.scan(base, la)
+	if w >= 0 {
+		c.touch(s, w-base)
+	}
+	return w
+}
+
+// Nibble constants for the SWAR search of a recency word.
+const (
+	nibbleOnes = 0x1111111111111111
+	nibbleHigh = 0x8888888888888888
+)
+
+// touch makes way i the most recent of set s: the ways ahead of it in
+// the recency word move back one nibble, the ways behind it stay. The
+// nibble holding i is the word's lowest zero nibble after XOR with i in
+// every nibble; the subtract-and-mask test marks it exactly, since it
+// can mark a spurious nibble only above a true zero.
+func (c *Cache) touch(s, i int) {
+	o := c.order[s]
+	x := o ^ uint64(i)*nibbleOnes
+	p := uint(bits.TrailingZeros64((x-nibbleOnes)&^x&nibbleHigh)) &^ 3 // 4 × i's position
+	keep := ^uint64(0) << p << 4                                       // the ways behind i
+	c.order[s] = o&keep | (o&^keep)<<4&^keep | uint64(i)
+}
+
 // insert places la's line, whose record is ref, and returns the victim's
 // address and ref; the address is invalidTag if no line was displaced.
+// The victim is the set's first invalid way by index, else its LRU way.
 func (c *Cache) insert(la mem.Addr, ref int32) (mem.Addr, int32) {
-	if c.lru == nil {
-		c.alloc(c.sets * c.ways)
+	if c.refs == nil {
+		c.alloc(geometry{c.sets, c.ways})
 	}
-	base := c.setBase(la)
+	s := c.set(la)
+	base := s * c.ways
 	tags := c.tags[base : base+c.ways]
-	lru := c.lru[base : base+c.ways]
-	vi := 0
-	for i := range tags {
-		if tags[i] == invalidTag {
-			vi = i
-			break
-		}
-		if lru[i] < lru[vi] {
-			vi = i
-		}
+	vi := c.scan(base, invalidTag) - base
+	if vi < 0 {
+		vi = int(c.order[s] >> (4 * (c.ways - 1)) & 0xf) // full set: the LRU way
 	}
+	c.touch(s, vi)
 	w := base + vi
 	va, vr := tags[vi], c.refs[w]
 	if va == invalidTag && len(c.filled) < cap(c.filled) {
 		c.filled = append(c.filled, int32(w))
 	}
-	c.tick++
-	lru[vi] = c.tick
 	tags[vi] = la
 	c.refs[w] = ref
 	return va, vr
@@ -360,10 +424,8 @@ func (h *Hierarchy) L3() *Cache { return h.l3 }
 func (h *Hierarchy) access(core int, addr mem.Addr, now sim.Cycle) (*line, sim.Cycle) {
 	l1 := h.l1[core]
 	la := addr.Line()
-	if w := l1.find(la); w >= 0 {
+	if w := l1.hit(la); w >= 0 {
 		l1.Hits++
-		l1.tick++
-		l1.lru[w] = l1.tick
 		return h.rec(l1.refs[w]), h.cfg.L1.Latency
 	}
 	return h.miss(core, la, now)
@@ -510,7 +572,8 @@ func (h *Hierarchy) ForceWriteBackAll(now sim.Cycle) int {
 
 // InvalidateAll drops every line — the volatile caches at a crash. It
 // resets only the filled tags and takes back every record at once; stale
-// stamps, refs and records are unreachable while the tags are invalid.
+// refs and records are unreachable while the tags are invalid, and each
+// set's recency word stays a permutation of its ways.
 func (h *Hierarchy) InvalidateAll() {
 	for i := range h.l1 {
 		h.l1[i].reset()

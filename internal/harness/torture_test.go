@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"silo/internal/audit"
+	"silo/internal/cache"
 	"silo/internal/fault"
 	"silo/internal/recovery"
 )
@@ -94,6 +96,46 @@ func TestTortureAcceptance(t *testing.T) {
 		t.Error("no campaign re-crashed during recovery")
 	}
 	t.Logf("torture summary:\n%s", res.Summary())
+}
+
+// A seeded §III-D bug — evictions no longer set flush-bits — must be
+// caught by fleet campaigns, not only by a hand-built unit machine. At
+// Table II's geometry, and at these sizes with Table II's 8/8/16 ways,
+// none of the first 300 such campaigns evicts a line whose entries are
+// still buffered, so the sweep runs on the small 2-way 512 B/1 KB/2 KB
+// hierarchy of the machine tests, where TPCC and RBtree campaigns do
+// (10 of these 100). Which dirty lines leave
+// mid-transaction is decided by each level's LRU victims, so this also
+// guards the replacement order. Without the switch every campaign must
+// pass.
+func TestFleetCatchesSkippedFlushBit(t *testing.T) {
+	cfg := TortureConfig{Seed: 5, Cores: 2, Txns: 200, Designs: []string{"Silo"},
+		Workloads: []string{"Array", "Hash", "Queue", "RBtree", "Btree", "TPCC", "YCSB", "Sweep320"}}
+	small := func(h *cache.HierarchyConfig) {
+		h.L1 = cache.Config{Name: "L1", Size: 512, Ways: 2, Latency: 4}
+		h.L2 = cache.Config{Name: "L2", Size: 1 << 10, Ways: 2, Latency: 12}
+		h.L3 = cache.Config{Name: "L3", Size: 2 << 10, Ways: 2, Latency: 28}
+	}
+	caught := 0
+	for i := 0; i < 100; i++ {
+		c := MakeCampaign(cfg, i)
+		c.Spec.CacheMod = small
+		if out := RunCampaignContained(c); out.Failed() {
+			t.Fatalf("campaign %d (%s) fails without the seeded bug: %v %v", i, c.Spec.Workload, out.Err, out.Mismatches)
+		}
+		c.Spec.SiloOpts.DebugSkipFlushBit = true
+		out := RunCampaignContained(c)
+		switch {
+		case out.Invariant == audit.InvFlushBit:
+			caught++
+		case out.Failed():
+			t.Fatalf("campaign %d (%s) with the seeded bug failed by %q, want %q: %v", i, c.Spec.Workload, out.Invariant, audit.InvFlushBit, out.Err)
+		}
+	}
+	if caught == 0 {
+		t.Fatal("no campaign caught the skipped flush-bit")
+	}
+	t.Logf("%d of 100 campaigns caught the skipped flush-bit", caught)
 }
 
 // TestRecoveryIdempotentAllDesigns crashes every design (including the
