@@ -92,10 +92,11 @@ func main() {
 		spec.Telemetry = telemetry.NewRecorder(sinks...)
 	}
 
-	res, err := harness.Run(spec)
+	m, res, err := harness.RunMachine(spec)
 	if err != nil {
 		fatal(err)
 	}
+	defer m.Release()
 	if ct != nil {
 		if err := ct.Close(); err != nil {
 			fatal(err)
@@ -129,17 +130,14 @@ func main() {
 	fmt.Printf("  LLC writebacks       %12d\n", res.Writebacks)
 
 	if spec.Telemetry != nil {
-		if snap := spec.Telemetry.Metrics().Snapshot(); len(snap) > 0 {
+		if snap := m.Metrics(); len(snap) > 0 {
 			fmt.Println("telemetry metrics:")
-			for _, m := range snap {
-				switch m.Kind {
-				case "histogram":
+			for _, v := range snap {
+				if v.Kind == "histogram" {
 					fmt.Printf("  %-24s n=%d p50=%.0f p99=%.0f max=%d mean=%.1f\n",
-						m.Name, m.Value, m.P50, m.P99, m.Max, m.Mean)
-				case "gauge":
-					fmt.Printf("  %-24s %d (max %d)\n", m.Name, m.Value, m.Max)
-				default:
-					fmt.Printf("  %-24s %d\n", m.Name, m.Value)
+						v.Name, v.Value, v.P50, v.P99, v.Max, v.Mean)
+				} else {
+					fmt.Printf("  %-24s %d\n", v.Name, v.Value)
 				}
 			}
 		}

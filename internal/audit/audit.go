@@ -64,7 +64,7 @@ func (v *Violation) Error() string {
 	return fmt.Sprintf("audit: invariant %s violated at cycle %d: %s", v.Invariant, v.Cycle, v.Message)
 }
 
-// trailSize is the default ring capacity; TrailSize overrides it.
+// trailSize is the event ring's capacity.
 const trailSize = 128
 
 // Auditor carries one simulated machine's invariant state. It is not
@@ -77,7 +77,6 @@ type Auditor struct {
 	ring []telemetry.Event
 	next int
 	full bool
-	size int
 
 	now    sim.Cycle // latest cycle observed on the event stream
 	checks int64
@@ -87,27 +86,10 @@ type Auditor struct {
 	crashCritical map[int]int64   // per-thread critical crash-flush bytes
 }
 
-// Option configures an Auditor at construction.
-type Option func(*Auditor)
-
-// TrailSize sets the event-ring capacity (minimum 1). Deep dives want
-// long trails; wide torture sweeps want short ones to bound memory.
-func TrailSize(n int) Option {
-	return func(a *Auditor) {
-		if n >= 1 {
-			a.size = n
-		}
-	}
-}
-
 // New returns an auditor; a disabled auditor turns every check into a
 // cheap no-op so call sites need no nil guards.
-func New(enabled bool, opts ...Option) *Auditor {
-	a := &Auditor{enabled: enabled, size: trailSize}
-	for _, o := range opts {
-		o(a)
-	}
-	return a
+func New(enabled bool) *Auditor {
+	return &Auditor{enabled: enabled}
 }
 
 // Enabled reports whether checks are live.
@@ -136,12 +118,12 @@ func (a *Auditor) Event(e telemetry.Event) {
 }
 
 func (a *Auditor) record(e telemetry.Event) {
-	if len(a.ring) < a.size {
+	if len(a.ring) < trailSize {
 		a.ring = append(a.ring, e)
 		return
 	}
 	a.ring[a.next] = e
-	a.next = (a.next + 1) % a.size
+	a.next = (a.next + 1) % trailSize
 	a.full = true
 }
 
@@ -164,7 +146,7 @@ func (a *Auditor) TrailEvents() []telemetry.Event {
 		copy(out, a.ring)
 		return out
 	}
-	out := make([]telemetry.Event, 0, a.size)
+	out := make([]telemetry.Event, 0, trailSize)
 	out = append(out, a.ring[a.next:]...)
 	out = append(out, a.ring[:a.next]...)
 	return out

@@ -69,25 +69,22 @@ func TestViolationCarriesTrailAndName(t *testing.T) {
 	}
 }
 
-func TestTrailSizeOption(t *testing.T) {
-	a := New(true, TrailSize(4))
-	for i := 0; i < 10; i++ {
+// Five events past a full ring, the trail holds exactly the last
+// trailSize events, oldest first.
+func TestTrailRingWrapsInOrder(t *testing.T) {
+	a := New(true)
+	const n = trailSize + 5
+	for i := 0; i < n; i++ {
 		a.Eventf("e%d", i)
 	}
 	tr := a.Trail()
-	if len(tr) != 4 {
-		t.Fatalf("trail holds %d events, want 4", len(tr))
+	if len(tr) != trailSize {
+		t.Fatalf("trail holds %d events, want %d", len(tr), trailSize)
 	}
-	if tr[0] != "e6" || tr[3] != "e9" {
-		t.Errorf("trail = %v", tr)
-	}
-	// Degenerate sizes fall back to the default.
-	b := New(true, TrailSize(0))
-	for i := 0; i < trailSize+5; i++ {
-		b.Eventf("x")
-	}
-	if len(b.Trail()) != trailSize {
-		t.Errorf("TrailSize(0) trail holds %d", len(b.Trail()))
+	for i, got := range tr {
+		if want := fmt.Sprintf("e%d", n-trailSize+i); got != want {
+			t.Fatalf("trail[%d] = %q, want %q", i, got, want)
+		}
 	}
 }
 

@@ -54,7 +54,7 @@ func (b *Base) Store(core int, addr mem.Addr, old, new mem.Word, now sim.Cycle) 
 	}
 	// Synchronous log persist: the store waits for the entry to traverse
 	// the on-chip path into the ADR domain, plus any WPQ backpressure.
-	t := now + b.env.PersistPath
+	t := now + logging.PersistPath
 	if accept := b.env.Region.Append(t, core, []logging.Image{im}); accept > t {
 		t = accept
 	}
@@ -63,7 +63,7 @@ func (b *Base) Store(core int, addr mem.Addr, old, new mem.Word, now sim.Cycle) 
 	// clwb the updated line after the log is durable: a second synchronous
 	// persist, strictly ordered behind the log.
 	if data, dirty := b.env.Cache.CleanLine(core, addr.Line()); dirty {
-		t += b.env.PersistPath
+		t += logging.PersistPath
 		if accept, _ := b.env.PM.Write(t, addr.Line(), data[:]); accept > t {
 			t = accept
 		}

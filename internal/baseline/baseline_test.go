@@ -27,7 +27,6 @@ func newEnv(cores int) (*logging.Env, *pm.Device) {
 		Cores:         cores,
 		LogBufEntries: logging.DefaultBufferEntries,
 		LogBufLatency: 8,
-		PersistPath:   60,
 	}
 	return env, dev
 }
@@ -40,8 +39,8 @@ func TestBaseStoreSynchronousPersists(t *testing.T) {
 	b.TxBegin(0, 0)
 	env.Cache.Store(0, 0x1000, 7, 0) // dirty the line
 	stall := b.Store(0, 0x1000, 0, 7, 10)
-	if stall < 2*env.PersistPath {
-		t.Errorf("store stall = %d, want >= %d (log + clwb persists)", stall, 2*env.PersistPath)
+	if stall < 2*logging.PersistPath {
+		t.Errorf("store stall = %d, want >= %d (log + clwb persists)", stall, 2*logging.PersistPath)
 	}
 	// Log record is a full undo+redo image.
 	recs := env.Region.Scan(0)
@@ -88,7 +87,7 @@ func TestFWBStoreForcesLog(t *testing.T) {
 	f := NewFWB(env).(*FWB)
 	f.TxBegin(0, 0)
 	stall := f.Store(0, 0x2000, 1, 2, 10)
-	if stall < env.PersistPath {
+	if stall < logging.PersistPath {
 		t.Errorf("store stall = %d, want >= persist path (log before data)", stall)
 	}
 	recs := env.Region.Scan(0)
@@ -174,8 +173,8 @@ func TestMorLogCommitStallScalesWithEntries(t *testing.T) {
 	}
 	stall := m.TxEnd(0, 100)
 	// One ADR-persist-buffer hop per staged entry (plus the commit record).
-	if stall < 5*(env.PersistPath/4) {
-		t.Errorf("commit stall = %d, want >= %d (per-entry drain)", stall, 5*(env.PersistPath/4))
+	if stall < 5*(logging.PersistPath/4) {
+		t.Errorf("commit stall = %d, want >= %d (per-entry drain)", stall, 5*(logging.PersistPath/4))
 	}
 }
 

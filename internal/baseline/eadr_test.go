@@ -33,7 +33,7 @@ func TestEADRSWNoPersistAtCommit(t *testing.T) {
 	e.TxBegin(0, 0)
 	e.Store(0, 0x1000, 1, 2, 10)
 	stall := e.TxEnd(0, 20)
-	if stall > 3*env.PersistPath/2 {
+	if stall > 3*logging.PersistPath/2 {
 		t.Errorf("commit stall = %d; eADR needs no flushes/fences", stall)
 	}
 	if dev.Stats().WPQWrites != 0 {

@@ -80,7 +80,7 @@ func (s *SWLog) Store(core int, addr mem.Addr, old, new mem.Word, now sim.Cycle)
 		Kind: logging.ImageUndoRedo, TID: uint8(core), TxID: s.txid[core],
 		Addr: addr.Word(), Data: old, Data2: new,
 	}
-	t := now + SWLogInsOverhead + s.env.PersistPath
+	t := now + SWLogInsOverhead + logging.PersistPath
 	if accept := s.env.Region.Append(t, core, []logging.Image{im}); accept > t {
 		t = accept
 	}
@@ -97,14 +97,14 @@ func (s *SWLog) TxEnd(core int, now sim.Cycle) sim.Cycle {
 	s.order = sortedAddrs(s.order, s.txSet[core])
 	for _, la := range s.order {
 		if data, dirty := s.env.Cache.CleanLine(core, la); dirty {
-			t += s.env.PersistPath
+			t += logging.PersistPath
 			if accept, _ := s.env.PM.Write(t, la, data[:]); accept > t {
 				t = accept
 			}
 		}
 		delete(s.txSet[core], la)
 	}
-	t += s.env.PersistPath
+	t += logging.PersistPath
 	if accept := s.env.Region.Append(t, core, []logging.Image{logging.CommitImage(uint8(core), s.txid[core])}); accept > t {
 		t = accept
 	}
@@ -187,7 +187,7 @@ func (u *UndoHW) TxEnd(core int, now sim.Cycle) sim.Cycle {
 	u.order = sortedAddrs(u.order, u.txSet[core])
 	for _, la := range u.order {
 		if data, dirty := u.env.Cache.CleanLine(core, la); dirty {
-			t += u.env.PersistPath
+			t += logging.PersistPath
 			if accept, _ := u.env.PM.Write(t, la, data[:]); accept > t {
 				t = accept
 			}
@@ -310,7 +310,7 @@ func (r *RedoHW) MCBuffered(la mem.Addr) ([mem.LineSize]byte, bool) {
 // through natural evictions, now permitted.
 func (r *RedoHW) TxEnd(core int, now sim.Cycle) sim.Cycle {
 	r.inTx[core] = false
-	t := now + r.env.PersistPath
+	t := now + logging.PersistPath
 	if r.lastAccept[core] > t {
 		t = r.lastAccept[core]
 	}

@@ -14,9 +14,9 @@ func TestSWLogStoreOnCriticalPath(t *testing.T) {
 	s := NewSWLog(env).(*SWLog)
 	s.TxBegin(0, 0)
 	stall := s.Store(0, 0x1000, 1, 2, 10)
-	if stall < SWLogInsOverhead+env.PersistPath {
+	if stall < SWLogInsOverhead+logging.PersistPath {
 		t.Errorf("store stall = %d, want >= %d (software clwb+sfence)",
-			stall, SWLogInsOverhead+env.PersistPath)
+			stall, SWLogInsOverhead+logging.PersistPath)
 	}
 	recs := env.Region.Scan(0)
 	if len(recs) != 1 || recs[0].Kind != logging.ImageUndoRedo {
@@ -33,8 +33,8 @@ func TestSWLogCommitFlushesWriteSet(t *testing.T) {
 	s.Store(0, 0x1000, 0, 7, 10)
 	s.Store(0, 0x1040, 0, 8, 11)
 	stall := s.TxEnd(0, 500)
-	if stall < 3*env.PersistPath { // 2 lines + commit record
-		t.Errorf("commit stall = %d, want >= %d", stall, 3*env.PersistPath)
+	if stall < 3*logging.PersistPath { // 2 lines + commit record
+		t.Errorf("commit stall = %d, want >= %d", stall, 3*logging.PersistPath)
 	}
 	if dev.PeekWord(0x1000) != 7 || dev.PeekWord(0x1040) != 8 {
 		t.Error("write set not flushed at commit")
@@ -67,7 +67,7 @@ func TestUndoHWCommitWaitsForData(t *testing.T) {
 	env.Cache.Store(0, 0x2000, 9, 0)
 	u.Store(0, 0x2000, 0, 9, 10)
 	stall := u.TxEnd(0, 100)
-	if stall < env.PersistPath {
+	if stall < logging.PersistPath {
 		t.Errorf("commit stall = %d; undo logging must persist data before commit", stall)
 	}
 	if dev.PeekWord(0x2000) != 9 {
@@ -107,7 +107,7 @@ func TestRedoHWCommitReleasesStaged(t *testing.T) {
 	line[0] = 2
 	r.CachelineEvicted(11, 0x3000, line)
 	stall := r.TxEnd(0, 100)
-	if stall < env.PersistPath {
+	if stall < logging.PersistPath {
 		t.Errorf("commit stall = %d; must wait for redo logs", stall)
 	}
 	if dev.Peek(0x3000, 1)[0] != 2 {

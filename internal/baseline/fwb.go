@@ -66,7 +66,7 @@ func (f *FWB) Store(core int, addr mem.Addr, old, new mem.Word, now sim.Cycle) s
 	// The log is forced to the ADR domain before the data may leave the
 	// caches: the store stalls for the on-chip persist path (and any WPQ
 	// backpressure), FWB's per-write ordering constraint.
-	t := now + f.env.PersistPath
+	t := now + logging.PersistPath
 	accept := f.env.Region.Append(t, core, []logging.Image{im})
 	if accept < t {
 		accept = t

@@ -92,7 +92,7 @@ func (m *MorLog) flushEntries(core int, now sim.Cycle, entries []logging.Entry, 
 			Addr: e.Addr, Data: e.Old, Data2: e.New,
 		}
 		if sync {
-			t += m.env.PersistPath / 4 // log buffer → ADR persist buffer
+			t += logging.PersistPath / 4 // log buffer → ADR persist buffer
 		}
 		m.env.Region.Append(t, core, []logging.Image{im})
 	}

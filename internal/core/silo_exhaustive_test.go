@@ -59,7 +59,6 @@ func TestSiloProtocolExhaustive(t *testing.T) {
 			Region:        logging.NewRegionWriter(dev, 1),
 			Cores:         1,
 			LogBufEntries: 2, // overflow reachable within the depth
-			PersistPath:   60,
 		}
 		s = New(env, Options{})
 

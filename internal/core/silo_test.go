@@ -29,7 +29,6 @@ func newEnv(cores int) (*logging.Env, *pm.Device) {
 		Cores:         cores,
 		LogBufEntries: logging.DefaultBufferEntries,
 		LogBufLatency: 8,
-		PersistPath:   60,
 	}
 	return env, dev
 }

@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
 
 	"silo/internal/stats"
 )
@@ -57,45 +55,34 @@ func Bench(cores, txnsPerCore int, seed int64) (BenchReport, error) {
 		}
 	}
 	rows := make([]BenchRow, len(keys))
-	errs := make([]error, len(keys))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i, k := range keys {
-		wg.Add(1)
-		go func(i int, k key) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			m, r, err := RunMachine(Spec{
-				Design: k.d, Workload: k.w, Cores: cores,
-				Txns: txnsPerCore * cores, Seed: seed,
-				DisableAudit: true,
-			})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			ch, th := m.CommitHist(), m.TxHist()
-			rows[i] = BenchRow{
-				Design:          k.d,
-				Workload:        k.w,
-				Throughput:      r.Throughput(),
-				WriteBytesPerTx: r.WriteBytesPerTx(),
-				MediaWrites:     r.MediaWrites,
-				Cycles:          r.Cycles,
-				Transactions:    r.Transactions,
-				CommitP50:       ch.Percentile(50),
-				CommitP99:       ch.Percentile(99),
-				TxP50:           th.Percentile(50),
-				TxP99:           th.Percentile(99),
-			}
-		}(i, k)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	err := parallel(len(keys), func(i int) error {
+		k := keys[i]
+		m, r, err := RunMachine(Spec{
+			Design: k.d, Workload: k.w, Cores: cores,
+			Txns: txnsPerCore * cores, Seed: seed,
+			DisableAudit: true,
+		})
 		if err != nil {
-			return BenchReport{}, err
+			return err
 		}
+		ch, th := m.CommitHist(), m.TxHist()
+		rows[i] = BenchRow{
+			Design:          k.d,
+			Workload:        k.w,
+			Throughput:      r.Throughput(),
+			WriteBytesPerTx: r.WriteBytesPerTx(),
+			MediaWrites:     r.MediaWrites,
+			Cycles:          r.Cycles,
+			Transactions:    r.Transactions,
+			CommitP50:       ch.Percentile(50),
+			CommitP99:       ch.Percentile(99),
+			TxP50:           th.Percentile(50),
+			TxP99:           th.Percentile(99),
+		}
+		return nil
+	})
+	if err != nil {
+		return BenchReport{}, err
 	}
 	return BenchReport{
 		Schema:      BenchSchema,

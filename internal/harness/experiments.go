@@ -8,6 +8,7 @@ import (
 	"silo/internal/cache"
 	"silo/internal/core"
 	"silo/internal/energy"
+	"silo/internal/fault"
 	"silo/internal/logging"
 	"silo/internal/pm"
 	"silo/internal/recovery"
@@ -39,30 +40,46 @@ func Grid(coresList []int, txnsPerCore int, seed int64) (map[GridKey]stats.Run, 
 		}
 	}
 	results := make([]stats.Run, len(keys))
-	errs := make([]error, len(keys))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i, k := range keys {
-		wg.Add(1)
-		go func(i int, k GridKey) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			results[i], errs[i] = Run(Spec{
-				Design: k.Design, Workload: k.Workload, Cores: k.Cores,
-				Txns: txnsPerCore * k.Cores, Seed: seed,
-			})
-		}(i, k)
+	err := parallel(len(keys), func(i int) (err error) {
+		k := keys[i]
+		results[i], err = Run(Spec{
+			Design: k.Design, Workload: k.Workload, Cores: k.Cores,
+			Txns: txnsPerCore * k.Cores, Seed: seed,
+		})
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
 	out := make(map[GridKey]stats.Run, len(keys))
 	for i, k := range keys {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
 		out[k] = results[i]
 	}
 	return out, nil
+}
+
+// parallel calls fn(i) for every i in [0, n), at most GOMAXPROCS at a
+// time, and returns the error of the lowest failing i (nil if none).
+func parallel(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			errs[i] = fn(i)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // gridTable renders one metric of the grid for one core count, normalized
@@ -355,7 +372,7 @@ func RecoverySweep(design, workloadName string, cores, txns int, seed int64, poi
 		"CrashAtOp", "Committed", "Records", "Redo", "Undo", "Discarded", "RecoveryUs", "Verified")
 	for _, at := range points {
 		m, _, err := RunMachine(Spec{Design: design, Workload: workloadName, Cores: cores,
-			Txns: txns, Seed: seed, CrashAtOp: at})
+			Txns: txns, Seed: seed, Fault: &fault.Plan{Trigger: fault.TriggerOp, AtOp: at}})
 		if err != nil {
 			return nil, err
 		}
@@ -405,12 +422,11 @@ func CrashScan(spec Spec, stride int64) (points int, failures []string, err erro
 	}
 	// Determine the run length first.
 	probe := spec
-	probe.CrashAtOp = 0
+	probe.Fault = nil
 	m0, _, err := RunMachine(probe)
 	if err != nil {
 		return 0, nil, err
 	}
-	m0.Device() // keep the linter honest about usage
 	totalOps := int64(0)
 	{
 		// Re-derive the op count by recording a trace-less run: use the
@@ -422,7 +438,7 @@ func CrashScan(spec Spec, stride int64) (points int, failures []string, err erro
 	}
 	for at := stride; at <= totalOps; at += stride {
 		s := spec
-		s.CrashAtOp = at
+		s.Fault = &fault.Plan{Trigger: fault.TriggerOp, AtOp: at}
 		m, _, err := RunMachine(s)
 		if err != nil {
 			return points, failures, err

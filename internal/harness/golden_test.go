@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"silo/internal/fault"
 	"silo/internal/telemetry"
 )
 
@@ -74,11 +75,15 @@ func shortSum(h hash.Hash) string { return hex.EncodeToString(h.Sum(nil))[:16] }
 func goldenRun(t *testing.T, design, wl string, cores, opsPerTx int, crashAt int64) goldenEntry {
 	t.Helper()
 	sink := &digestSink{h: sha256.New()}
-	r, err := Run(Spec{
+	spec := Spec{
 		Design: design, Workload: wl, Cores: cores, Txns: 96, Seed: 11,
-		OpsPerTx: opsPerTx, CrashAtOp: crashAt,
+		OpsPerTx:  opsPerTx,
 		Telemetry: telemetry.NewRecorder(sink),
-	})
+	}
+	if crashAt > 0 {
+		spec.Fault = &fault.Plan{Trigger: fault.TriggerOp, AtOp: crashAt}
+	}
+	r, err := Run(spec)
 	if err != nil {
 		t.Fatalf("%s/%s: %v", design, wl, err)
 	}

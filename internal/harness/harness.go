@@ -61,7 +61,6 @@ type Spec struct {
 	SiloOpts      core.Options // ablation switches for Silo
 	PMMod         func(*pm.Config)
 	CacheMod      func(*cache.HierarchyConfig) // cache-geometry knob (Table II explorer)
-	CrashAtOp     int64
 
 	// Recycle, when non-nil, sources the machine's heavy structures from
 	// the pool and returns them on Release — the fleet's cross-campaign
@@ -69,8 +68,8 @@ type Spec struct {
 	Recycle *machine.Recycler
 
 	// Fault, when non-nil, is the full crash schedule (trigger, flush
-	// energy budget, media faults); see internal/fault. Takes precedence
-	// over CrashAtOp.
+	// energy budget, media faults); see internal/fault. A crash at op n
+	// is &fault.Plan{Trigger: fault.TriggerOp, AtOp: n}.
 	Fault *fault.Plan
 
 	// Trace, when non-nil, records every operation of the run.
@@ -82,10 +81,6 @@ type Spec struct {
 
 	// DisableAudit turns off the runtime invariant layer (benchmarks).
 	DisableAudit bool
-
-	// AuditTrail overrides the auditor's event-ring capacity (0 keeps
-	// the default).
-	AuditTrail int
 
 	// Telemetry, when non-nil, receives typed probe events from every
 	// machine layer (see internal/telemetry): attach a ChromeTrace sink
@@ -162,19 +157,17 @@ func Build(spec Spec) (*machine.Machine, workload.Workload, error) {
 		spec.CacheMod(&cacheCfg)
 	}
 	m := machine.New(machine.Config{
-		Cores:     spec.Cores,
-		PM:        pmCfg,
-		Cache:     cacheCfg,
-		Design:    factory,
-		LogBuf:    spec.LogBufEntries,
-		LogLat:    spec.LogBufLatency,
-		CrashAtOp: spec.CrashAtOp,
-		Fault:     spec.Fault,
-		Trace:     spec.Trace,
+		Cores:  spec.Cores,
+		PM:     pmCfg,
+		Cache:  cacheCfg,
+		Design: factory,
+		LogBuf: spec.LogBufEntries,
+		LogLat: spec.LogBufLatency,
+		Fault:  spec.Fault,
+		Trace:  spec.Trace,
 
 		MaxCycles:    spec.MaxCycles,
 		DisableAudit: spec.DisableAudit,
-		AuditTrail:   spec.AuditTrail,
 		Telemetry:    spec.Telemetry,
 		Recycle:      spec.Recycle,
 	})

@@ -20,15 +20,15 @@ type Env struct {
 	// LogBufLatency is the log buffer access latency in cycles (Fig. 15
 	// sweeps 8–128; it is off the critical path in Silo).
 	LogBufLatency sim.Cycle
-
-	// PersistPath is the on-chip cost, in cycles, of synchronously
-	// pushing one item from the core down to the ADR persistence domain
-	// (the L1→L2→LLC→MC path a clwb-like flush traverses). Designs whose
-	// ordering constraints put persists on the critical path (Fig. 3)
-	// pay it per synchronous persist; Silo's log path bypasses the
-	// caches and never does.
-	PersistPath sim.Cycle
 }
+
+// PersistPath is the on-chip cost, in cycles, of synchronously pushing
+// one item from the core down to the ADR persistence domain (the
+// L1→L2→LLC→MC path a clwb-like flush traverses). Designs whose ordering
+// constraints put persists on the critical path (Fig. 3) pay it per
+// synchronous persist; Silo's log path bypasses the caches and never
+// does.
+const PersistPath sim.Cycle = 60
 
 // Design is a hardware atomic-durability scheme under test: Silo or one of
 // the paper's baselines. The machine calls the hooks with operations in

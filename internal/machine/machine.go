@@ -22,22 +22,16 @@ import (
 
 // Config assembles a machine.
 type Config struct {
-	Cores       int
-	PM          pm.Config
-	Cache       cache.HierarchyConfig
-	Design      logging.Factory
-	LogBuf      int       // per-core log buffer entries (0 → default 20)
-	LogLat      sim.Cycle // log buffer access latency (0 → 8)
-	MCReadL     sim.Cycle // fill latency when LAD's MC buffer hits (0 → 40)
-	PersistPath sim.Cycle // core→ADR-domain path for synchronous persists (0 → 60)
-
-	// CrashAtOp injects a crash when the op counter reaches this value
-	// (0 disables). Shorthand for a Fault plan with TriggerOp.
-	CrashAtOp int64
+	Cores  int
+	PM     pm.Config
+	Cache  cache.HierarchyConfig
+	Design logging.Factory
+	LogBuf int       // per-core log buffer entries (0 → default 20)
+	LogLat sim.Cycle // log buffer access latency (0 → 8)
 
 	// Fault, when non-nil, is the full crash schedule: trigger (op,
 	// cycle, commit window, overflow eviction), crash-flush energy
-	// budget, and media faults. Takes precedence over CrashAtOp.
+	// budget, and media faults.
 	Fault *fault.Plan
 
 	// Trace, when non-nil, records every executed operation.
@@ -51,10 +45,6 @@ type Config struct {
 	// DisableAudit turns off the runtime invariant layer (benchmarks;
 	// the auditor costs host wall-clock, never simulated cycles).
 	DisableAudit bool
-
-	// AuditTrail overrides the auditor's event-ring capacity (0 keeps
-	// the default; see audit.TrailSize).
-	AuditTrail int
 
 	// Telemetry, when non-nil, receives typed probe events from every
 	// layer of the machine (see internal/telemetry). The enabled audit
@@ -121,18 +111,11 @@ type Machine struct {
 	txBeganAt  []sim.Cycle     // per-core Tx_begin timestamps
 	commitHist stats.Histogram // commit-stall distribution
 	txHist     stats.Histogram // whole-transaction latency distribution
-
-	// commitMetrics holds the registry instruments every commit feeds,
-	// resolved on the first commit so a run that commits nothing
-	// registers none; zero until then.
-	commitMetrics commitMetrics
 }
 
-// commitMetrics is the per-commit slice of the telemetry registry.
-type commitMetrics struct {
-	stall, latency *stats.Histogram
-	commits        *telemetry.Counter
-}
+// mcReadLatency is the fill latency when a design's MC buffer (LAD)
+// holds the requested line.
+const mcReadLatency sim.Cycle = 40
 
 // New builds the machine. Call Engine() to obtain the sim engine.
 func New(cfg Config) *Machine {
@@ -144,12 +127,6 @@ func New(cfg Config) *Machine {
 	}
 	if cfg.LogLat == 0 {
 		cfg.LogLat = 8
-	}
-	if cfg.MCReadL == 0 {
-		cfg.MCReadL = 40
-	}
-	if cfg.PersistPath == 0 {
-		cfg.PersistPath = 60
 	}
 	dev := cfg.Device
 	ownsDev := dev == nil
@@ -177,7 +154,6 @@ func New(cfg Config) *Machine {
 		Cores:         cfg.Cores,
 		LogBufEntries: cfg.LogBuf,
 		LogBufLatency: cfg.LogLat,
-		PersistPath:   cfg.PersistPath,
 	}
 	m.design = cfg.Design(env)
 	if t, ok := m.design.(logging.Ticker); ok {
@@ -186,11 +162,7 @@ func New(cfg Config) *Machine {
 	if r, ok := m.design.(logging.MCReader); ok {
 		m.mcReader = r
 	}
-	var auditOpts []audit.Option
-	if cfg.AuditTrail > 0 {
-		auditOpts = append(auditOpts, audit.TrailSize(cfg.AuditTrail))
-	}
-	m.aud = audit.New(!cfg.DisableAudit, auditOpts...)
+	m.aud = audit.New(!cfg.DisableAudit)
 	if bd, ok := m.design.(audit.BufferedDesign); ok {
 		m.bufDesign = bd
 	}
@@ -212,9 +184,6 @@ func New(cfg Config) *Machine {
 		}
 	}
 	m.plan = cfg.Fault
-	if m.plan == nil && cfg.CrashAtOp > 0 {
-		m.plan = &fault.Plan{Trigger: fault.TriggerOp, AtOp: cfg.CrashAtOp}
-	}
 	if m.plan != nil && m.plan.Trigger == fault.TriggerOverflow {
 		m.region.OnAppend = func(tid, images int) {
 			m.regionAppends++
@@ -308,7 +277,7 @@ func (m *Machine) fill(la mem.Addr, now sim.Cycle, dst *[mem.LineSize]byte) sim.
 	if m.mcReader != nil {
 		if data, hit := m.mcReader.MCBuffered(la); hit {
 			*dst = data
-			return m.cfg.MCReadL
+			return mcReadLatency
 		}
 	}
 	return m.dev.ReadInto(now, la, dst[:])
@@ -396,19 +365,6 @@ func (m *Machine) Exec(core int, op sim.Op, now sim.Cycle) sim.Result {
 		// The probe precedes the audit checks so a violation there is
 		// stamped with this commit's cycle and sees it in the trail.
 		m.tel.TxCommit(core, now+extra, extra, m.pending[core].len(), txLat)
-		if reg := m.tel.Metrics(); reg != nil {
-			cm := &m.commitMetrics
-			if cm.commits == nil {
-				*cm = commitMetrics{
-					stall:   reg.Histogram("commit-stall-cycles"),
-					latency: reg.Histogram("tx-latency-cycles"),
-					commits: reg.Counter("commits"),
-				}
-			}
-			cm.stall.Observe(int64(extra))
-			cm.latency.Observe(int64(txLat))
-			cm.commits.Inc()
-		}
 		if m.aud.Enabled() {
 			if m.bufDesign != nil {
 				// Log-as-Data: when Tx_end returns, every word of the
@@ -597,6 +553,27 @@ func (m *Machine) CommitHist() *stats.Histogram { return &m.commitHist }
 
 // TxHist returns the distribution of whole-transaction latencies.
 func (m *Machine) TxHist() *stats.Histogram { return &m.txHist }
+
+// Metrics returns the machine's per-commit instruments as one name-sorted
+// snapshot: the commit-stall histogram, the commit counter and the
+// transaction-latency histogram. It is empty until the first commit.
+func (m *Machine) Metrics() []telemetry.MetricValue {
+	if m.commits == 0 {
+		return nil
+	}
+	hist := func(name string, h *stats.Histogram) telemetry.MetricValue {
+		return telemetry.MetricValue{
+			Name: name, Kind: "histogram",
+			Value: h.Count(), Max: h.Max(),
+			P50: float64(h.Percentile(50)), P99: float64(h.Percentile(99)), Mean: h.Mean(),
+		}
+	}
+	return []telemetry.MetricValue{
+		hist("commit-stall-cycles", &m.commitHist),
+		{Name: "commits", Kind: "counter", Value: m.commits},
+		hist("tx-latency-cycles", &m.txHist),
+	}
+}
 
 // CollectStats drains every component's counters into one run record.
 // It finalizes media accounting by draining the on-PM buffer.

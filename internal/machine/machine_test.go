@@ -7,6 +7,7 @@ import (
 	"silo/internal/baseline"
 	"silo/internal/cache"
 	"silo/internal/core"
+	"silo/internal/fault"
 	"silo/internal/logging"
 	"silo/internal/mem"
 	"silo/internal/pm"
@@ -96,11 +97,11 @@ func TestNonTxStoresExcludedFromVerification(t *testing.T) {
 
 func TestCrashAtOpStopsEngine(t *testing.T) {
 	m := New(Config{
-		Cores:     1,
-		PM:        pm.DefaultConfig(),
-		Cache:     cache.DefaultHierarchyConfig(),
-		Design:    core.Factory(core.Options{}),
-		CrashAtOp: 10,
+		Cores:  1,
+		PM:     pm.DefaultConfig(),
+		Cache:  cache.DefaultHierarchyConfig(),
+		Design: core.Factory(core.Options{}),
+		Fault:  &fault.Plan{Trigger: fault.TriggerOp, AtOp: 10},
 	})
 	eng := m.Engine(1)
 	executed := 0

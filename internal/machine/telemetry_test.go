@@ -8,6 +8,7 @@ import (
 	"silo/internal/mem"
 	"silo/internal/pm"
 	"silo/internal/sim"
+	"silo/internal/stats"
 	"silo/internal/telemetry"
 )
 
@@ -81,24 +82,17 @@ func BenchmarkExecStoreTelemetryOn(b *testing.B) {
 	}
 }
 
-// The per-commit registry instruments are resolved on the first commit:
-// a machine that has not committed registers none of them, and after
-// three commits each of the three has seen exactly three samples.
+// Metrics reads the machine's own per-commit instruments: nothing before
+// the first commit; after three commits the stall and latency histograms
+// and the commit counter each count three, and the histogram readings are
+// CommitHist's and TxHist's.
 func TestCommitMetricsResolvedOnFirstCommit(t *testing.T) {
-	rec := telemetry.NewRecorder(&nullSink{})
-	m := benchMachine(rec)
-	commitMetrics := map[string]string{
-		"commit-stall-cycles": "histogram",
-		"tx-latency-cycles":   "histogram",
-		"commits":             "counter",
-	}
+	m := benchMachine(telemetry.NewRecorder(&nullSink{}))
 	now := sim.Cycle(0)
 	m.Exec(0, sim.Op{Kind: sim.OpStore, Addr: 0x4000, Data: 1}, now)
 	m.Exec(0, sim.Op{Kind: sim.OpTxBegin}, now+10)
-	for _, v := range rec.Metrics().Snapshot() {
-		if _, ok := commitMetrics[v.Name]; ok {
-			t.Fatalf("%s registered before the first commit", v.Name)
-		}
+	if got := m.Metrics(); len(got) != 0 {
+		t.Fatalf("metrics before the first commit: %+v", got)
 	}
 	for i := 0; i < 3; i++ {
 		if i > 0 {
@@ -110,16 +104,24 @@ func TestCommitMetricsResolvedOnFirstCommit(t *testing.T) {
 		now += 10
 		now += m.Exec(0, sim.Op{Kind: sim.OpTxEnd}, now).Latency
 	}
-	seen := 0
-	for _, v := range rec.Metrics().Snapshot() {
-		if kind, ok := commitMetrics[v.Name]; ok {
-			seen++
-			if v.Kind != kind || v.Value != 3 {
-				t.Errorf("%s = %s %d, want %s 3", v.Name, v.Kind, v.Value, kind)
-			}
+	hist := func(name string, h *stats.Histogram) telemetry.MetricValue {
+		return telemetry.MetricValue{
+			Name: name, Kind: "histogram", Value: h.Count(), Max: h.Max(),
+			P50: float64(h.Percentile(50)), P99: float64(h.Percentile(99)), Mean: h.Mean(),
 		}
 	}
-	if seen != len(commitMetrics) {
-		t.Fatalf("snapshot holds %d of the %d commit instruments", seen, len(commitMetrics))
+	want := []telemetry.MetricValue{
+		hist("commit-stall-cycles", m.CommitHist()),
+		{Name: "commits", Kind: "counter", Value: 3},
+		hist("tx-latency-cycles", m.TxHist()),
+	}
+	got := m.Metrics()
+	if len(got) != len(want) {
+		t.Fatalf("metrics = %+v, want %+v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] || got[i].Value != 3 {
+			t.Errorf("metrics[%d] = %+v, want %+v with value 3", i, got[i], want[i])
+		}
 	}
 }

@@ -91,7 +91,6 @@ type Device struct {
 	media mediaTable
 	buf   *bufTable
 	wpq   []*sim.ServiceQueue
-	tick  int64 // LRU clock for the on-PM buffer
 	stats Stats
 
 	energy crashEnergy
@@ -210,7 +209,6 @@ func New(cfg Config) *Device {
 func (d *Device) Reset() {
 	d.media.reset()
 	d.buf.reset()
-	d.tick = 0
 	d.stats = Stats{}
 	d.energy = crashEnergy{}
 	d.tel = nil
@@ -383,8 +381,6 @@ func (d *Device) bufMerge(base mem.Addr, off int, data []byte) {
 	}
 	copy(bl.data[off:], data)
 	bl.markDirty(off, len(data))
-	d.tick++
-	bl.lru = d.tick
 	d.buf.touch(idx)
 	if inserted && d.buf.n > d.cfg.BufLines {
 		d.evictLRU(base)

@@ -155,7 +155,6 @@ func (t *mediaTable) memFootprint() int {
 // 8x the footprint and byte-at-a-time to scan).
 type bufLine struct {
 	base  mem.Addr
-	lru   int64
 	data  []byte
 	dirty []uint64
 }
@@ -188,8 +187,8 @@ func (l *bufLine) markDirty(off, n int) {
 // Slots are recycled through a freelist; their byte storage is allocated
 // once and reused, so steady-state buffer churn allocates nothing. Live
 // lines are threaded on an intrusive recency list (head = least recently
-// touched) so LRU eviction is O(1) instead of a pool scan; list order
-// equals ascending lru because every touch is a move-to-tail.
+// touched) so LRU eviction is O(1) instead of a pool scan: every touch
+// is a move-to-tail.
 type bufTable struct {
 	slots []int32 // pool index + 1; 0 = empty
 	mask  int

@@ -193,7 +193,6 @@ func TestFig10Scenario(t *testing.T) {
 		Region:        logging.NewRegionWriter(dev, 2),
 		Cores:         2,
 		LogBufEntries: logging.DefaultBufferEntries,
-		PersistPath:   60,
 	}
 	s := core.New(env, core.Options{})
 

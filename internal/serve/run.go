@@ -157,7 +157,7 @@ type Run struct {
 	err      string
 	started  time.Time
 	finished time.Time
-	metrics  []telemetry.MetricValue // final registry snapshot (terminal states)
+	metrics  []telemetry.MetricValue // final machine metrics (terminal sim runs)
 	sim      *stats.Run
 	recov    *RecoverySummary
 	clust    *ClusterSummary
@@ -244,8 +244,9 @@ func (r *Run) Info() Info {
 	}
 }
 
-// MetricsSnapshot returns the run's final registry snapshot (nil until a
-// terminal state).
+// MetricsSnapshot returns the run's final per-commit metrics: the
+// machine's instruments for a sim run that committed, nil until a
+// terminal state, before the first commit, and for cluster runs.
 func (r *Run) MetricsSnapshot() []telemetry.MetricValue {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -390,7 +391,7 @@ func (m *Manager) Start(p Params) (*Run, error) {
 			cl.RequestCrash(node)
 		}
 		m.add(run)
-		go m.driveCluster(run, cl, rec, &crashed)
+		go m.driveCluster(run, cl, &crashed)
 	default:
 		return nil, fmt.Errorf("unknown run kind %q (want sim or cluster)", p.Kind)
 	}
@@ -414,7 +415,7 @@ func (m *Manager) driveSim(run *Run, cr *harness.ControlledRun, rec *telemetry.R
 	res, err := cr.Execute()
 	run.sink.Flush()
 	if err != nil {
-		run.finish(StateFailed, err.Error(), rec.Metrics().Snapshot())
+		run.finish(StateFailed, err.Error(), cr.Machine().Metrics())
 		return
 	}
 	run.mu.Lock()
@@ -438,20 +439,20 @@ func (m *Manager) driveSim(run *Run, cr *harness.ControlledRun, rec *telemetry.R
 			Complete: rep.Complete,
 		}
 		run.mu.Unlock()
-		run.finish(StateRecovered, "", rec.Metrics().Snapshot())
+		run.finish(StateRecovered, "", cr.Machine().Metrics())
 		return
 	}
 	if wasStopped {
-		run.finish(StateStopped, "", rec.Metrics().Snapshot())
+		run.finish(StateStopped, "", cr.Machine().Metrics())
 		return
 	}
-	run.finish(StateDone, "", rec.Metrics().Snapshot())
+	run.finish(StateDone, "", cr.Machine().Metrics())
 }
 
 // driveCluster executes a cluster scenario; node crashes (scheduled or
 // injected) stream their detect/promote/resync phases as node-state and
 // recovery probe events.
-func (m *Manager) driveCluster(run *Run, cl *cluster.Cluster, rec *telemetry.Recorder, crashed *bool) {
+func (m *Manager) driveCluster(run *Run, cl *cluster.Cluster, crashed *bool) {
 	res := cl.Drive()
 	sum := &ClusterSummary{
 		Generated: res.Generated, Acked: res.Acked, Failed: res.Failed,
@@ -475,13 +476,13 @@ func (m *Manager) driveCluster(run *Run, cl *cluster.Cluster, rec *telemetry.Rec
 	run.mu.Unlock()
 	switch {
 	case res.Err != nil:
-		run.finish(StateFailed, res.Err.Error(), rec.Metrics().Snapshot())
+		run.finish(StateFailed, res.Err.Error(), nil)
 	case len(res.Divergences) > 0:
-		run.finish(StateFailed, fmt.Sprintf("%d divergence(s)", len(res.Divergences)), rec.Metrics().Snapshot())
+		run.finish(StateFailed, fmt.Sprintf("%d divergence(s)", len(res.Divergences)), nil)
 	case wasCrashed:
-		run.finish(StateRecovered, "", rec.Metrics().Snapshot())
+		run.finish(StateRecovered, "", nil)
 	default:
-		run.finish(StateDone, "", rec.Metrics().Snapshot())
+		run.finish(StateDone, "", nil)
 	}
 }
 

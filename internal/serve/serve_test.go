@@ -66,6 +66,35 @@ func postJSON(t *testing.T, url, body string) (*http.Response, map[string]any) {
 	return resp, m
 }
 
+// getMetrics returns the server's /metrics body.
+func getMetrics(t *testing.T, base string) string {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
+	}
+	return string(body)
+}
+
+// commitSeries returns run id's silo_commits sample from a /metrics body.
+func commitSeries(metrics string, id int) (int64, bool) {
+	prefix := fmt.Sprintf(`silo_commits{run="%d",`, id)
+	for _, line := range strings.Split(metrics, "\n") {
+		if rest, ok := strings.CutPrefix(line, prefix); ok {
+			var n int64
+			if _, err := fmt.Sscan(rest[strings.LastIndexByte(rest, ' ')+1:], &n); err == nil {
+				return n, true
+			}
+		}
+	}
+	return 0, false
+}
+
 func getJSON(t *testing.T, url string, v any) {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -199,6 +228,12 @@ func TestServeEndToEndSimCrashRecover(t *testing.T) {
 			t.Errorf("/metrics missing %q:\n%s", want, metrics)
 		}
 	}
+	// The commit series is the machine's commit count: the run record's.
+	var info Info
+	getJSON(t, fmt.Sprintf("%s/api/runs/%d", ts.URL, id), &info)
+	if n, ok := commitSeries(metrics, id); !ok || info.Sim == nil || n != info.Sim.Transactions {
+		t.Errorf("silo_commits for run %d = %d (found %v), run record %+v", id, n, ok, info.Sim)
+	}
 }
 
 // The pacer publishes the sink's pending batch before it sleeps: a
@@ -265,6 +300,11 @@ func TestServeClusterCrashFailover(t *testing.T) {
 	if len(cl.Divergences) != 0 {
 		t.Errorf("replica divergences: %v", cl.Divergences)
 	}
+	// Cluster nodes keep their own machines; the run exports no commit
+	// series.
+	if metrics := getMetrics(t, ts.URL); strings.Contains(metrics, "silo_commit") || strings.Contains(metrics, "silo_tx_latency") {
+		t.Errorf("cluster run rendered commit series:\n%s", metrics)
+	}
 }
 
 // TestServeRunToCompletion: an unpaced run finishes on its own and the
@@ -290,6 +330,9 @@ func TestServeRunToCompletion(t *testing.T) {
 	if info.Sim == nil || info.Sim.Transactions != 4000 {
 		t.Fatalf("sim summary = %+v, want 4000 tx", info.Sim)
 	}
+	if n, ok := commitSeries(getMetrics(t, ts.URL), id); !ok || n != info.Sim.Transactions {
+		t.Errorf("silo_commits for run %d = %d (found %v), want %d", id, n, ok, info.Sim.Transactions)
+	}
 	// Late subscriber still sees a done event immediately.
 	sseResp, err := http.Get(fmt.Sprintf("%s/api/runs/%d/events", ts.URL, id))
 	if err != nil {
@@ -306,6 +349,38 @@ func TestServeRunToCompletion(t *testing.T) {
 	})
 	if !sawDone {
 		t.Fatal("late subscriber never saw done")
+	}
+}
+
+// /metrics exports a run's snapshot by its state: a running run is
+// skipped even if it holds metrics, and a terminal run that never
+// committed renders no series without counting as active.
+func TestMetricsSkipsRunsByState(t *testing.T) {
+	s := NewServer()
+	add := func(state string, metrics []telemetry.MetricValue) {
+		r := &Run{kind: "sim", params: Params{Kind: "sim", Design: "Silo", Workload: "Btree"},
+			sink: telemetry.NewLiveSink(0), state: StateRunning}
+		s.mgr.add(r)
+		if state != StateRunning {
+			r.finish(state, "", metrics)
+		} else {
+			r.metrics = metrics
+		}
+	}
+	add(StateRunning, []telemetry.MetricValue{{Name: "commits", Kind: "counter", Value: 9}})
+	add(StateStopped, nil)
+	add(StateDone, []telemetry.MetricValue{{Name: "commits", Kind: "counter", Value: 5}})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	metrics := getMetrics(t, ts.URL)
+	if !strings.Contains(metrics, "silo_serve_runs_active 1\n") {
+		t.Errorf("want one active run:\n%s", metrics)
+	}
+	for id, want := range map[int]int64{1: -1, 2: -1, 3: 5} {
+		n, ok := commitSeries(metrics, id)
+		if (want < 0) == ok || (ok && n != want) {
+			t.Errorf("run %d: silo_commits %d (found %v), want %d (-1 = none):\n%s", id, n, ok, want, metrics)
+		}
 	}
 }
 

@@ -165,7 +165,7 @@ func (s *Server) handleStop(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics renders the Prometheus exposition: server-level series
-// plus the final registry snapshot of every terminal run, labeled by
+// plus the final per-commit metrics of every terminal run, labeled by
 // run id, kind, design and workload. Output is byte-stable for a given
 // set of finished runs (snapshots are name-sorted, runs id-sorted).
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -190,10 +190,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	)
 	snaps = append(snaps, telemetry.LabeledSnapshot{Metrics: server})
 	for _, r := range runs {
-		snap := r.MetricsSnapshot()
-		if snap == nil {
-			continue // still running; its registry is written by the engine
+		if !r.Terminal() {
+			continue // still running; its machine is written by the engine
 		}
+		snap := r.MetricsSnapshot()
 		info := r.Info()
 		labels := []telemetry.Label{
 			{Name: "run", Value: strconv.Itoa(info.ID)},

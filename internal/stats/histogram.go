@@ -6,7 +6,7 @@ import "math/bits"
 // observations v with 2^(i-1) <= v < 2^i (bucket 0 counts v == 0). It is
 // cheap enough to sit on the per-transaction commit path of a simulation.
 // All methods tolerate a nil receiver (reads return zero, Observe drops
-// the sample), so a disabled metrics registry can hand out nil histograms.
+// the sample), so an instrument left unset costs its holder no guard.
 type Histogram struct {
 	buckets [65]int64
 	count   int64

@@ -13,9 +13,20 @@ type Label struct {
 	Value string
 }
 
-// LabeledSnapshot pairs one registry snapshot with the labels that
+// MetricValue is one named reading in a metric snapshot.
+type MetricValue struct {
+	Name  string  `json:"name"`
+	Kind  string  `json:"kind"` // "counter", "gauge", "histogram"
+	Value int64   `json:"value"`
+	Max   int64   `json:"max,omitempty"`  // gauges: high-water; histograms: max sample
+	P50   float64 `json:"p50,omitempty"`  // histograms only
+	P99   float64 `json:"p99,omitempty"`  // histograms only
+	Mean  float64 `json:"mean,omitempty"` // histograms only
+}
+
+// LabeledSnapshot pairs one metric snapshot with the labels that
 // identify its origin (a run id, design, workload, ...). silo-serve's
-// /metrics endpoint exposes one per run plus the server's own registry.
+// /metrics endpoint exposes one per run plus the server's own series.
 type LabeledSnapshot struct {
 	Labels  []Label
 	Metrics []MetricValue
@@ -34,7 +45,7 @@ type promFamily struct {
 	samples []promSample
 }
 
-// promName sanitizes a registry metric name into the Prometheus metric
+// promName sanitizes a metric name into the Prometheus metric
 // name charset: runs of characters outside [a-zA-Z0-9_:] become '_'
 // ("commit-stall-cycles" → "commit_stall_cycles").
 func promName(s string) string {
@@ -81,7 +92,7 @@ func promFloat(f float64) string {
 	return strings.TrimRight(strings.TrimRight(fmt.Sprintf("%.6f", f), "0"), ".")
 }
 
-// WriteMetrics renders labeled registry snapshots in the Prometheus text
+// WriteMetrics renders labeled metric snapshots in the Prometheus text
 // exposition format (version 0.0.4). Every metric name is prefixed with
 // prefix (conventionally "silo_"); gauges additionally expose their
 // high-water mark as <name>_max, and histograms expand to _count, _max,

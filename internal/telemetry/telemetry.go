@@ -1,6 +1,6 @@
 // Package telemetry is the cycle-accurate observability layer of the
-// simulator: a typed, cycle-timestamped probe-event stream plus a metrics
-// registry (counters, gauges, histogram-backed latency recorders).
+// simulator: a typed, cycle-timestamped probe-event stream, its sinks,
+// and the Prometheus text exposition of metric snapshots.
 //
 // Every architectural layer — core transaction lifecycle, cache hierarchy,
 // memory controller, PM device, logging hardware, recovery — emits typed
@@ -210,18 +210,17 @@ type Sink interface {
 	Event(e Event)
 }
 
-// Recorder fans probe events out to its sinks and owns the metrics
-// registry. The nil *Recorder is the disabled state: every method is a
-// nil-check away from a return, so instrumented hot paths need no guards.
+// Recorder fans probe events out to its sinks. The nil *Recorder is the
+// disabled state: every method is a nil-check away from a return, so
+// instrumented hot paths need no guards.
 type Recorder struct {
 	sinks []Sink
-	reg   *Registry
 }
 
 // NewRecorder builds a recorder over the given sinks (nil sinks are
-// dropped) with a fresh metrics registry.
+// dropped).
 func NewRecorder(sinks ...Sink) *Recorder {
-	r := &Recorder{reg: NewRegistry()}
+	r := &Recorder{}
 	for _, s := range sinks {
 		if s != nil {
 			r.sinks = append(r.sinks, s)
@@ -240,7 +239,7 @@ func (r *Recorder) With(s Sink) *Recorder {
 	if r == nil {
 		return NewRecorder(s)
 	}
-	out := &Recorder{reg: r.reg, sinks: make([]Sink, 0, len(r.sinks)+1)}
+	out := &Recorder{sinks: make([]Sink, 0, len(r.sinks)+1)}
 	out.sinks = append(out.sinks, r.sinks...)
 	out.sinks = append(out.sinks, s)
 	return out
@@ -248,15 +247,6 @@ func (r *Recorder) With(s Sink) *Recorder {
 
 // Enabled reports whether any sink is attached.
 func (r *Recorder) Enabled() bool { return r != nil && len(r.sinks) > 0 }
-
-// Metrics returns the recorder's registry (nil for a nil recorder; the
-// registry's accessors are nil-safe and hand out inert instruments).
-func (r *Recorder) Metrics() *Registry {
-	if r == nil {
-		return nil
-	}
-	return r.reg
-}
 
 // Emit fans one event out to every sink.
 func (r *Recorder) Emit(e Event) {

@@ -16,9 +16,6 @@ func TestNilRecorderIsInertAndAllocFree(t *testing.T) {
 	if r.Enabled() {
 		t.Error("nil recorder reports enabled")
 	}
-	if r.Metrics() != nil {
-		t.Error("nil recorder has a registry")
-	}
 	allocs := testing.AllocsPerRun(100, func() {
 		r.TxBegin(0, 10, 1)
 		r.TxCommit(0, 20, 5, 3, 10)
@@ -26,9 +23,6 @@ func TestNilRecorderIsInertAndAllocFree(t *testing.T) {
 		r.LogBufOcc(0, 40, 7, 20)
 		r.LLCEvict(50, 0x1000)
 		r.PMBufWriteback(60, 0x2000, 64, 12, 8)
-		r.Metrics().Counter("x").Inc()
-		r.Metrics().Gauge("y").Set(9)
-		r.Metrics().Histogram("z").Observe(3)
 	})
 	if allocs != 0 {
 		t.Errorf("disabled probe path allocates %.1f per run, want 0", allocs)
@@ -46,54 +40,12 @@ func TestWithGraftsSinkOntoNilRecorder(t *testing.T) {
 	if len(sink.events) != 1 || sink.events[0].Kind != KTxBegin || sink.events[0].Core != 2 {
 		t.Fatalf("events = %+v", sink.events)
 	}
-	// With on a live recorder fans out to both sinks and keeps the registry.
+	// With on a live recorder fans out to both sinks.
 	sink2 := &ringSink{}
 	r2 := r.With(sink2)
-	if r2.Metrics() != r.Metrics() {
-		t.Error("With lost the registry")
-	}
 	r2.Crash(200, 3, 40)
 	if len(sink.events) != 2 || len(sink2.events) != 1 {
 		t.Errorf("fan-out: sink=%d sink2=%d", len(sink.events), len(sink2.events))
-	}
-}
-
-func TestRegistryInstruments(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("commits").Add(3)
-	reg.Counter("commits").Inc()
-	g := reg.Gauge("depth")
-	g.Set(5)
-	g.Set(2)
-	reg.Histogram("lat").Observe(100)
-	reg.Histogram("lat").Observe(10)
-
-	if v := reg.Counter("commits").Value(); v != 4 {
-		t.Errorf("counter = %d", v)
-	}
-	if g.Value() != 2 || g.Max() != 5 {
-		t.Errorf("gauge = %d max %d", g.Value(), g.Max())
-	}
-	snap := reg.Snapshot()
-	if len(snap) != 3 {
-		t.Fatalf("snapshot has %d entries: %+v", len(snap), snap)
-	}
-	var hist *MetricValue
-	for i := range snap {
-		if snap[i].Kind == "histogram" {
-			hist = &snap[i]
-		}
-	}
-	if hist == nil || hist.Value != 2 || hist.Max != 100 {
-		t.Errorf("histogram snapshot = %+v", hist)
-	}
-	// Nil registry lookups are inert.
-	var nilReg *Registry
-	nilReg.Counter("a").Inc()
-	nilReg.Gauge("b").Set(1)
-	nilReg.Histogram("c").Observe(1)
-	if nilReg.Snapshot() != nil {
-		t.Error("nil registry snapshot non-nil")
 	}
 }
 

@@ -26,6 +26,7 @@ import (
 
 	"silo/internal/core"
 	"silo/internal/energy"
+	"silo/internal/fault"
 	"silo/internal/harness"
 	"silo/internal/mem"
 	"silo/internal/recovery"
@@ -160,7 +161,7 @@ func (r CrashReport) Ok() bool { return len(r.Mismatches) == 0 }
 // any transaction ever wrote against the committed golden state.
 func RunWithCrash(cfg Config, crashAtOp int64) (CrashReport, error) {
 	spec := cfg.spec()
-	spec.CrashAtOp = crashAtOp
+	spec.Fault = &fault.Plan{Trigger: fault.TriggerOp, AtOp: crashAtOp}
 	m, _, err := harness.RunMachine(spec)
 	if err != nil {
 		return CrashReport{}, err
