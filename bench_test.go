@@ -183,8 +183,8 @@ func BenchmarkFig15BufferLatency(b *testing.B) {
 // BenchmarkEngineOverhead measures the simulator's own speed: host
 // nanoseconds per simulated memory operation (the number that bounds how
 // big an experiment is practical), driving the cooperative scheduler over
-// the B-tree insert stream (a hand-written OpStream) and over Array (a
-// program on the coroutine, its loads answered at issue).
+// the B-tree insert stream (a hand-written OpStream) and over Array (one
+// sim.NewStream unit per transaction, its loads answered at issue).
 func BenchmarkEngineOverhead(b *testing.B) {
 	for _, arm := range []struct{ name, workload string }{{"cooperative", "Btree"}, {"array", "Array"}} {
 		b.Run(arm.name, func(b *testing.B) {

@@ -71,7 +71,6 @@ func (c *ControlledRun) RequestStop() { c.stopReq.Store(true) }
 // server hosting many runs survives a violating one.
 func (c *ControlledRun) Execute() (run stats.Run, err error) {
 	eng := c.eng
-	defer eng.Finish()
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("harness: run aborted: %v", r)

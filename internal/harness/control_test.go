@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"strings"
 	"testing"
 
 	"silo/internal/recovery"
@@ -29,6 +30,19 @@ func TestControlledRunMatchesRunMachine(t *testing.T) {
 		if got != want {
 			t.Errorf("%s: controlled run diverged:\n got %+v\nwant %+v", design, got, want)
 		}
+	}
+}
+
+// An overflowing unit must come back from Execute as an error, so the
+// server hosting the run survives it.
+func TestControlledRunReportsUnitOverflow(t *testing.T) {
+	cr, err := NewControlledRun(overflowSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = cr.Execute()
+	if err == nil || !strings.Contains(err.Error(), "ops in one unit") {
+		t.Fatalf("Execute err = %v, want the unit overflow", err)
 	}
 }
 

@@ -93,6 +93,23 @@ func TestFleetReportsLoadMismatch(t *testing.T) {
 	}
 }
 
+// overflowSpec is a campaign whose every transaction issues more ops
+// than a unit stream admits (65 536): Array at 1<<16 swaps per
+// transaction, 4 ops each.
+var overflowSpec = Spec{Design: "Silo", Workload: "Array", Cores: 2, Txns: 2, Seed: 1, OpsPerTx: 1 << 16}
+
+// A unit that overflows the cap must become a failed campaign naming the
+// core and the op count, never a hang of the fleet worker.
+func TestFleetReportsUnitOverflow(t *testing.T) {
+	out := runContained(RunCampaign, Campaign{Spec: overflowSpec}, 30*time.Second)
+	if out.TimedOut || !out.Failed() || !out.Panicked {
+		t.Fatalf("overflow not reported as a failed campaign: err %v, panicked %v, timed out %v", out.Err, out.Panicked, out.TimedOut)
+	}
+	if !strings.Contains(out.Err.Error(), "core 0 issued 65537 ops in one unit") {
+		t.Errorf("err = %v, want the unit overflow of core 0", out.Err)
+	}
+}
+
 // Infra failures are retried with backoff; a campaign that recovers on a
 // later attempt counts as clean.
 func TestFleetRetriesInfraFlakes(t *testing.T) {

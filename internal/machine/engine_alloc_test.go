@@ -56,29 +56,27 @@ func BenchmarkEngineStep(b *testing.B) {
 	}
 }
 
-// The coroutine transport every program workload runs on must allocate
-// nothing in steady state either: a Silo program loading and storing
-// words inside transactions, driven through Engine.Step — op queueing,
-// loads answered at issue (from a queued store or Peek), the delivered-
-// value check, and the coroutine switch once per queue of ops.
-func TestProgramStreamZeroAlloc(t *testing.T) {
+// The unit stream every workload written against a Ctx runs on must
+// allocate nothing in steady state either: a never-ending stream of Silo
+// transactions loading and storing words, driven through Engine.Step —
+// op buffering, loads answered at issue (from a buffered store or Peek),
+// the delivered-value check, and the buffer reused across units.
+func TestUnitStreamZeroAlloc(t *testing.T) {
 	m := benchMachine(nil)
 	eng := m.Engine(1)
-	defer eng.Finish()
-	eng.Bind([]sim.OpStream{sim.NewProgramStream(0, sim.CoreRand(1, 0), func(ctx *sim.Ctx) {
-		for {
-			ctx.TxBegin()
-			for a := mem.Addr(0x4000); a < 0x4000+4*mem.LineSize; a += mem.LineSize {
-				ctx.Store(a, ctx.Load(a)+1)
-				ctx.Load(a)
-			}
-			ctx.TxEnd()
+	eng.Bind([]sim.OpStream{sim.NewStream(0, sim.CoreRand(1, 0), func(ctx *sim.Ctx) bool {
+		ctx.TxBegin()
+		for a := mem.Addr(0x4000); a < 0x4000+4*mem.LineSize; a += mem.LineSize {
+			ctx.Store(a, ctx.Load(a)+1)
+			ctx.Load(a)
 		}
+		ctx.TxEnd()
+		return true
 	})})
 	for i := 0; i < 1024; i++ {
 		eng.Step() // warm caches, log buffer, shadow tables
 	}
 	if allocs := testing.AllocsPerRun(1000, func() { eng.Step() }); allocs != 0 {
-		t.Fatalf("steady-state program stream allocates %v per op with telemetry disabled, want 0", allocs)
+		t.Fatalf("steady-state unit stream allocates %v per op with telemetry disabled, want 0", allocs)
 	}
 }

@@ -23,11 +23,15 @@ func newMachine(cores int, factory logging.Factory) *Machine {
 	})
 }
 
-// runPrograms drives one Program per core to completion on eng.
-func runPrograms(eng *sim.Engine, progs ...sim.Program) {
+// runPrograms drives one program per core to completion on eng, each
+// program the one unit of its core's stream.
+func runPrograms(eng *sim.Engine, progs ...func(ctx *sim.Ctx)) {
 	streams := make([]sim.OpStream, len(progs))
 	for i, p := range progs {
-		streams[i] = sim.NewProgramStream(i, sim.CoreRand(eng.Seed(), i), p)
+		streams[i] = sim.NewStream(i, sim.CoreRand(eng.Seed(), i), func(ctx *sim.Ctx) bool {
+			p(ctx)
+			return false
+		})
 	}
 	eng.RunStreams(streams)
 }
@@ -104,18 +108,17 @@ func TestCrashAtOpStopsEngine(t *testing.T) {
 		Fault:  &fault.Plan{Trigger: fault.TriggerOp, AtOp: 10},
 	})
 	eng := m.Engine(1)
-	executed := 0
-	runPrograms(eng, func(ctx *sim.Ctx) {
-		for i := 0; i < 1000; i++ {
-			ctx.Store(mem.Addr(0x100+i*8), mem.Word(i))
-			executed++
-		}
-	})
+	units := 0
+	eng.RunStreams([]sim.OpStream{sim.NewStream(0, sim.CoreRand(1, 0), func(ctx *sim.Ctx) bool {
+		ctx.Store(mem.Addr(0x100+units*8), mem.Word(units))
+		units++
+		return units < 1000
+	})})
 	if !eng.Crashed() {
 		t.Fatal("engine did not crash")
 	}
-	if executed >= 1000 {
-		t.Error("program ran to completion despite crash")
+	if units >= 1000 || eng.Ops(sim.OpStore) >= 10 {
+		t.Errorf("stream ran on after the crash at op 10: %d units called, %d stores executed", units, eng.Ops(sim.OpStore))
 	}
 	// Caches must be empty (volatile loss).
 	if _, dirty := m.Hierarchy().DirtyLine(0, 0x100); dirty {

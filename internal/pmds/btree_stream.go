@@ -9,12 +9,12 @@ import (
 
 // This file unrolls the BTree insert transaction loop into an explicit
 // state machine implementing sim.OpStream, so the hottest first-party
-// workload runs on the engine with no coroutine at all: each Next is a
-// handful of branches, each Deliver a field store. The machine mirrors
+// workload runs on the engine with no unit buffer or Ctx calls at all:
+// each Next is a handful of branches, each Deliver a field store. The machine mirrors
 // Insert/splitChild/insertNonFull operation for operation — every Load
 // and Store below corresponds to one Accessor call in btree.go, in the
 // same order, so the op sequence (and therefore every simulated result)
-// is bit-identical to running BTree.Insert on sim.NewProgramStream. Keep
+// is bit-identical to running BTree.Insert on sim.NewStream. Keep
 // the two in sync when changing either; the workload package's
 // TestStateMachinesMatchReferenceLoops drives them side by side.
 

@@ -13,17 +13,16 @@
 // lowest core index. The steady-state path performs zero channel
 // operations and zero heap allocations per op.
 //
-// A workload written as a plain Go function (a Program issuing operations
-// through a Ctx) becomes an OpStream through NewProgramStream, which runs
-// the function on a runtime coroutine (iter.Pull), answers its loads at
-// issue time (each core's data is private, so a load's value never
-// depends on timing) and suspends it once per maxRunAhead queued ops. A
-// workload whose op sequence needs no program frame may implement
+// A workload written as plain Go functions (units, typically one
+// transaction each, issuing operations through a Ctx) becomes an
+// OpStream through NewStream, which calls the next unit only once every
+// op of the previous one has executed, and answers its loads at issue
+// time (each core's data is private, so a load's value never depends on
+// timing). A workload whose op sequence needs no Go frame may implement
 // OpStream directly.
 package sim
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"sync/atomic"
@@ -87,20 +86,12 @@ type Result struct {
 // the word a load of addr by core must read if executed now, with no
 // side effects and no timing, from the golden state rather than the
 // timed machine: core's pending store to the word, else its last
-// committed or stored value, else the device. Program streams answer
-// loads with it at issue time and hold each executed load to it.
+// committed or stored value, else the device. Unit streams (NewStream)
+// answer loads with it at issue time and hold each executed load to it.
 type Executor interface {
 	Exec(core int, op Op, now Cycle) Result
 	Peek(core int, addr mem.Addr) mem.Word
 }
-
-// ErrCrashed is the panic value used to unwind core programs when the
-// engine injects a crash; NewProgramStream recovers it internally.
-var ErrCrashed = errors.New("sim: machine crashed")
-
-// Program is the body of one core's workload. It must issue all memory
-// traffic through ctx and return when its share of work is done.
-type Program func(ctx *Ctx)
 
 // OpStream is one core's workload as a pull-based operation stream — the
 // interface the cooperative engine drives directly.
@@ -116,46 +107,45 @@ type OpStream interface {
 	Deliver(Result)
 }
 
-// Ctx is the interface a Program uses to talk to the engine. It is bound
-// to one core and must only be used from that Program's control flow.
+// Ctx is the interface a unit (see NewStream) uses to talk to the
+// engine. It is bound to one core's stream and must only be used from
+// that stream's units.
 type Ctx struct {
-	core  int
-	issue func(Op) Result
+	s *unitStream
 	// Rand is a per-core deterministic random source (seed + core id).
 	Rand *rand.Rand
 }
 
 // CoreRand returns core i's deterministic random source for an engine
-// seed — the single definition program and native streams share, so
+// seed — the single definition unit and native streams share, so
 // both forms of a workload draw identical random sequences.
 func CoreRand(seed int64, core int) *rand.Rand {
 	return rand.New(rand.NewSource(seed + int64(core)*1_000_003))
 }
 
 // Core returns the core index this context is bound to.
-func (c *Ctx) Core() int { return c.core }
+func (c *Ctx) Core() int { return c.s.core }
 
 // Load reads the 8-byte word at addr (word-aligned).
 func (c *Ctx) Load(addr mem.Addr) mem.Word {
-	return c.issue(Op{Kind: OpLoad, Addr: addr.Word()}).Value
+	return c.s.issue(Op{Kind: OpLoad, Addr: addr.Word()})
 }
 
 // Store writes the 8-byte word at addr (word-aligned).
 func (c *Ctx) Store(addr mem.Addr, v mem.Word) {
-	c.issue(Op{Kind: OpStore, Addr: addr.Word(), Data: v})
+	c.s.issue(Op{Kind: OpStore, Addr: addr.Word(), Data: v})
 }
 
 // TxBegin starts a durable transaction on this core.
-func (c *Ctx) TxBegin() { c.issue(Op{Kind: OpTxBegin}) }
+func (c *Ctx) TxBegin() { c.s.issue(Op{Kind: OpTxBegin}) }
 
-// TxEnd commits the current transaction; it returns when the design's
-// commit protocol (ordering constraints included) has completed.
-func (c *Ctx) TxEnd() { c.issue(Op{Kind: OpTxEnd}) }
+// TxEnd commits the current transaction.
+func (c *Ctx) TxEnd() { c.s.issue(Op{Kind: OpTxEnd}) }
 
 // Compute advances this core's clock by n cycles of pure computation.
 func (c *Ctx) Compute(n Cycle) {
 	if n > 0 {
-		c.issue(Op{Kind: OpCompute, Cycles: n})
+		c.s.issue(Op{Kind: OpCompute, Cycles: n})
 	}
 }
 
@@ -198,7 +188,7 @@ type Engine struct {
 }
 
 // NewEngine creates an engine over exec with the given core count. Seed
-// drives the per-core random sources handed to programs.
+// drives the per-core random sources handed to workloads.
 func NewEngine(exec Executor, cores int, seed int64) *Engine {
 	if cores < 1 {
 		cores = 1
@@ -233,7 +223,7 @@ func (e *Engine) ScheduleCrash(c Cycle, inject func(now Cycle)) {
 }
 
 // SetWatchdog arms a sim-cycle budget: when any core's local clock
-// reaches c the engine crashes the machine and unwinds every program, so
+// reaches c the engine crashes the machine and ends every stream, so
 // a livelocked campaign (a commit protocol that never acks, a queue that
 // never drains) terminates deterministically instead of spinning its
 // host forever. Zero disables the watchdog.
@@ -268,7 +258,7 @@ func (e *Engine) CoreTime(i int) Cycle { return e.coreTime[i] }
 func (e *Engine) Ops(k OpKind) int64 { return e.opsByKind[k] }
 
 // Bind arms the cooperative scheduler with one stream per core, hands
-// each program stream the executor it answers loads from, and prefetches
+// each unit stream the executor it answers loads from, and prefetches
 // each stream's first operation. Streams run when Step is called; most
 // callers use RunStreams instead.
 func (e *Engine) Bind(streams []OpStream) {
@@ -279,8 +269,8 @@ func (e *Engine) Bind(streams []OpStream) {
 	e.ops = make([]Op, e.cores)
 	e.due = make([]Cycle, e.cores)
 	for i, s := range streams {
-		if cs, ok := s.(*coroStream); ok {
-			cs.exec = e.exec
+		if us, ok := s.(*unitStream); ok {
+			us.exec = e.exec
 		}
 		e.fetch(i)
 	}
@@ -375,32 +365,11 @@ func (e *Engine) crashNow(t Cycle) bool {
 	return true
 }
 
-// stopper is implemented by streams that need explicit teardown when the
-// engine unwinds without draining them (a panic escaping the executor,
-// e.g. an audit violation): program streams resume-and-release their
-// suspended frame.
-type stopper interface{ Stop() }
-
-// Finish tears down any still-suspended streams. External drivers of
-// Bind/Step (harness.ControlledRun) must call it when they stop stepping
-// before every stream is exhausted — normal exhaustion needs no teardown,
-// but an abnormal unwind (an audit-violation or load-mismatch panic, an
-// early stop) leaves program streams suspended. RunStreams calls it
-// internally.
-func (e *Engine) Finish() {
-	for i, s := range e.streams {
-		if st, ok := s.(stopper); ok && e.due[i] != retired {
-			st.Stop()
-		}
-	}
-}
-
 // RunStreams executes one OpStream per core to completion (or until a
 // crash) on the cooperative scheduler and returns the final simulated
 // time. It may be called once per Engine.
 func (e *Engine) RunStreams(streams []OpStream) Cycle {
 	e.Bind(streams)
-	defer e.Finish()
 	for e.Step() {
 	}
 	return e.Now()

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -39,11 +41,22 @@ func (e *recordingExec) Exec(core int, op Op, now Cycle) Result {
 
 func (e *recordingExec) Peek(core int, addr mem.Addr) mem.Word { return e.words[addr] }
 
-// runPrograms drives one Program per core to completion on the engine.
-func runPrograms(e *Engine, progs ...Program) Cycle {
+// program is a finite workload run as one unit of a unit stream.
+type program func(ctx *Ctx)
+
+// programStream returns core's stream running p as its one unit.
+func programStream(core int, rng *rand.Rand, p program) OpStream {
+	return NewStream(core, rng, func(ctx *Ctx) bool {
+		p(ctx)
+		return false
+	})
+}
+
+// runPrograms drives one program per core to completion on the engine.
+func runPrograms(e *Engine, progs ...program) Cycle {
 	streams := make([]OpStream, len(progs))
 	for i, p := range progs {
-		streams[i] = NewProgramStream(i, CoreRand(e.Seed(), i), p)
+		streams[i] = programStream(i, CoreRand(e.Seed(), i), p)
 	}
 	return e.RunStreams(streams)
 }
@@ -77,7 +90,7 @@ func TestEngineMinTimeInterleaving(t *testing.T) {
 	// ops in nondecreasing time order.
 	exec := &recordingExec{}
 	e := NewEngine(exec, 2, 1)
-	mk := func(n int, c Cycle) Program {
+	mk := func(n int, c Cycle) program {
 		return func(ctx *Ctx) {
 			for i := 0; i < n; i++ {
 				ctx.Compute(c)
@@ -107,7 +120,7 @@ func TestEngineDeterminism(t *testing.T) {
 	run := func() []execRecord {
 		exec := &recordingExec{lat: 3}
 		e := NewEngine(exec, 4, 99)
-		progs := make([]Program, 4)
+		progs := make([]program, 4)
 		for i := range progs {
 			progs[i] = func(ctx *Ctx) {
 				for k := 0; k < 50; k++ {
@@ -136,7 +149,7 @@ func TestEnginePerCoreRandIndependent(t *testing.T) {
 	exec := &recordingExec{}
 	e := NewEngine(exec, 2, 5)
 	got := make([][]int, 2)
-	var progs []Program
+	var progs []program
 	for i := 0; i < 2; i++ {
 		progs = append(progs, func(ctx *Ctx) {
 			for k := 0; k < 10; k++ {
@@ -173,31 +186,39 @@ func (c *crashAtExec) Exec(core int, op Op, now Cycle) Result {
 
 func (c *crashAtExec) Peek(int, mem.Addr) mem.Word { return 0 }
 
+// A crash must end every core's stream, also streams of units that
+// never end: no op after the crash reaches the executor, and no core
+// calls another unit.
 func TestEngineCrashUnwindsAllCores(t *testing.T) {
 	exec := &crashAtExec{at: 37}
 	e := NewEngine(exec, 4, 1)
 	exec.engine = e
-	finished := make([]bool, 4)
-	progs := make([]Program, 4)
-	for i := range progs {
-		progs[i] = func(ctx *Ctx) {
-			for k := 0; k < 1000; k++ {
+	units := make([]int, 4)
+	streams := make([]OpStream, 4)
+	for i := range streams {
+		streams[i] = NewStream(i, CoreRand(1, i), func(ctx *Ctx) bool {
+			units[ctx.Core()]++
+			for k := 0; k < 5; k++ {
 				ctx.Compute(1)
 			}
-			finished[ctx.Core()] = true
-		}
+			return true
+		})
 	}
-	runPrograms(e, progs...) // must terminate despite programs wanting 4000 ops
+	e.RunStreams(streams) // must terminate: the streams never end
 	if !e.Crashed() {
 		t.Fatal("engine not marked crashed")
 	}
-	for i, f := range finished {
-		if f {
-			t.Errorf("core %d finished normally despite crash", i)
+	if exec.n != 37 {
+		t.Errorf("ops after crash: executed %d, crash at 37", exec.n)
+	}
+	before := slices.Clone(units)
+	for i, s := range streams {
+		if _, ok := s.Next(); ok {
+			t.Errorf("core %d stream yields ops after the crash", i)
 		}
 	}
-	if exec.n > 40 {
-		t.Errorf("ops after crash: executed %d, crash at 37", exec.n)
+	if !slices.Equal(units, before) {
+		t.Errorf("units called after the crash: %v, then %v", before, units)
 	}
 }
 
@@ -212,7 +233,7 @@ func TestEngineNegativeLatencyDoesNotAdvance(t *testing.T) {
 	// An executor returning -1 (crash sentinel) must end the core's run
 	// without moving its clock, and no later op of the program may reach
 	// the executor — whether the crashing op is a load or a compute: the
-	// program has queued past either.
+	// program has buffered past either.
 	for _, kind := range []OpKind{OpCompute, OpLoad} {
 		exec := &negExec{}
 		e := NewEngine(exec, 1, 1)
@@ -252,14 +273,14 @@ func (x *negExec) Exec(core int, op Op, now Cycle) Result {
 	return Result{Latency: op.Cycles}
 }
 
-// A load is answered when it is issued — from the newest queued store to
+// A load is answered when it is issued — from the newest buffered store to
 // the same word, else from the executor's Peek — before the engine has
 // executed anything.
 func TestProgramLoadAnsweredAtIssue(t *testing.T) {
 	exec := &recordingExec{words: map[mem.Addr]mem.Word{128: 9}}
 	e := NewEngine(exec, 1, 1)
 	var got [3]mem.Word
-	e.Bind([]OpStream{NewProgramStream(0, CoreRand(1, 0), func(ctx *Ctx) {
+	e.Bind([]OpStream{programStream(0, CoreRand(1, 0), func(ctx *Ctx) {
 		ctx.TxBegin()
 		ctx.Store(64, 7)
 		got[0] = ctx.Load(64)
@@ -267,7 +288,7 @@ func TestProgramLoadAnsweredAtIssue(t *testing.T) {
 		ctx.Store(64, 8)
 		got[2] = ctx.Load(64)
 		ctx.TxEnd()
-	})}) // the prefetch runs the whole program: 7 ops < maxRunAhead
+	})}) // the prefetch runs the whole program, its one unit
 	if len(exec.ops) != 0 {
 		t.Fatalf("engine executed %d ops before the first Step", len(exec.ops))
 	}
@@ -359,7 +380,7 @@ func TestEngineScheduleCrash(t *testing.T) {
 	e := NewEngine(exec, 2, 1)
 	var fired []Cycle
 	e.ScheduleCrash(50, func(now Cycle) { fired = append(fired, now) })
-	progs := make([]Program, 2)
+	progs := make([]program, 2)
 	for i := range progs {
 		progs[i] = func(ctx *Ctx) {
 			for k := 0; k < 1000; k++ {

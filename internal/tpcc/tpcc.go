@@ -263,8 +263,9 @@ func (t *TPCC) stockLevel(acc pmds.Accessor, w *warehouse, rng *rand.Rand) {
 }
 
 // Stream implements workload.Workload: the five transaction profiles are
-// deeply data-dependent (directory walks, order-line scans), so the
-// transaction loop runs as a program on the engine's coroutine transport.
+// deeply data-dependent (directory walks, order-line scans), so each
+// transaction is written as Go code over a sim.Ctx, one unit of the
+// engine's unit stream.
 func (t *TPCC) Stream(core, txns int, rng *rand.Rand) sim.OpStream {
 	w := t.whs[core]
 	return t.TxLoop(core, txns, rng, func(ctx *sim.Ctx, _, _ int) {

@@ -70,11 +70,12 @@ func (w *BtreeWL) Setup(direct pmds.Accessor, heap *pmheap.Heap, cores int, rng 
 }
 
 // Stream implements Workload natively: the tree's insert state machine
-// (pmds.BTree.InsertStream) drives the engine with no coroutine at all.
-// Running BTree.Insert in a TxLoop instead — the form the machine must
-// match op for op — is ≈ 18 % slower on btree-silo (run_ms_p50) even
-// with loads answered at issue from the golden state (EXPERIMENTS
-// "Hand-written machines vs coroutine").
+// (pmds.BTree.InsertStream) drives the engine with no Ctx calls and no
+// golden peek per load. Running BTree.Insert in a TxLoop instead — the
+// form the machine must match op for op — is ≈ 22 % slower on
+// btree-silo (run_ms_p50), mostly in answering each load from the
+// golden state at issue (EXPERIMENTS "Hand-written machines vs
+// transaction loops").
 func (w *BtreeWL) Stream(core, txns int, rng *rand.Rand) sim.OpStream {
 	return w.trees[core].InsertStream(rng, txns, w.OpsPerTx(), w.keyRange)
 }

@@ -13,7 +13,8 @@ import (
 // SweepWL is the large-transaction workload behind Fig. 14: each
 // transaction writes a fixed number of distinct words, scattered across a
 // private region, so the write set can be set to 1–16× the log buffer
-// capacity and the overflow path is exercised deterministically.
+// capacity and the overflow path is exercised deterministically. The
+// write set is the words count alone: SetOpsPerTx does not apply to it.
 type SweepWL struct {
 	TxShape
 	words   int // distinct words written per transaction
@@ -52,17 +53,13 @@ func (w *SweepWL) Setup(direct pmds.Accessor, heap *pmheap.Heap, cores int, rng 
 // words, one per distinct cacheline, in a random permutation window.
 func (w *SweepWL) Stream(core, txns int, rng *rand.Rand) sim.OpStream {
 	base := w.regions[core]
-	return sim.NewProgramStream(core, rng, func(ctx *sim.Ctx) {
-		for i := 0; i < txns; i++ {
-			start := ctx.Rand.Intn(w.lines)
-			ctx.TxBegin()
-			for k := 0; k < w.words; k++ {
-				line := (start + k) % w.lines
-				wordIdx := ctx.Rand.Intn(mem.WordsPerLine)
-				addr := base + mem.Addr(line*mem.LineSize+wordIdx*mem.WordSize)
-				ctx.Store(addr, mem.Word(i*w.words+k)+1)
-			}
-			ctx.TxEnd()
+	return transactions(core, txns, rng, func(ctx *sim.Ctx, i int) {
+		start := ctx.Rand.Intn(w.lines)
+		for k := 0; k < w.words; k++ {
+			line := (start + k) % w.lines
+			wordIdx := ctx.Rand.Intn(mem.WordsPerLine)
+			addr := base + mem.Addr(line*mem.LineSize+wordIdx*mem.WordSize)
+			ctx.Store(addr, mem.Word(i*w.words+k)+1)
 		}
 	})
 }

@@ -28,10 +28,11 @@ import (
 // the write set of every transaction by repeating the workload's
 // operation — the mechanism behind the Fig. 14 large-transaction sweep.
 //
-// Workloads write Stream as a program over a sim.Ctx run by
-// sim.NewProgramStream, most through TxShape.TxLoop. Only Btree, whose
-// hand-written state machine measurably beats its loop, implements
-// sim.OpStream directly; it is tested op for op against the loop.
+// Workloads write Stream as a loop of transactions over a sim.Ctx, one
+// sim.NewStream unit per transaction, most through TxShape.TxLoop. Only
+// Btree, whose hand-written state machine measurably beats its loop,
+// implements sim.OpStream directly; it is tested op for op against the
+// loop.
 type Workload interface {
 	Name() string
 	Setup(direct pmds.Accessor, heap *pmheap.Heap, cores int, rng *rand.Rand)
@@ -54,17 +55,30 @@ func (s *TxShape) OpsPerTx() int {
 	return s.ops
 }
 
-// TxLoop returns the program stream of txns transactions, each of
-// OpsPerTx calls of op(ctx, i, j) — operation j of transaction i.
+// TxLoop returns the stream of txns transactions, each of OpsPerTx
+// calls of op(ctx, i, j) — operation j of transaction i.
 func (s *TxShape) TxLoop(core, txns int, rng *rand.Rand, op func(ctx *sim.Ctx, i, j int)) sim.OpStream {
-	return sim.NewProgramStream(core, rng, func(ctx *sim.Ctx) {
-		for i := 0; i < txns; i++ {
-			ctx.TxBegin()
-			for j := 0; j < s.OpsPerTx(); j++ {
-				op(ctx, i, j)
-			}
-			ctx.TxEnd()
+	return transactions(core, txns, rng, func(ctx *sim.Ctx, i int) {
+		for j := 0; j < s.OpsPerTx(); j++ {
+			op(ctx, i, j)
 		}
+	})
+}
+
+// transactions returns the unit stream (sim.NewStream) of txns
+// transactions, one per unit: transaction i is body(ctx, i) between a
+// TxBegin and a TxEnd.
+func transactions(core, txns int, rng *rand.Rand, body func(ctx *sim.Ctx, i int)) sim.OpStream {
+	i := 0
+	return sim.NewStream(core, rng, func(ctx *sim.Ctx) bool {
+		if i >= txns {
+			return false
+		}
+		ctx.TxBegin()
+		body(ctx, i)
+		ctx.TxEnd()
+		i++
+		return true
 	})
 }
 
