@@ -17,24 +17,25 @@
 // Sweep mode (resumable fleet; default):
 //
 //	silo-cluster -seed 1 -campaigns 1000 -out cluster.srs
-//	# ... SIGINT drains the fleet ...
+//	# ... SIGINT drains the fleet and prints the resume command ...
 //	silo-cluster -seed 1 -campaigns 1000 -out cluster.srs -resume cluster.srs
 //
 // The checkpoint is an SRS1 result store, the same as silo-torture's:
 // summarize it with silo-report -torture, export it as JSON lines with
-// silo-report -jsonl.
+// silo-report -jsonl. A sweep runs through harness.Sweep, the session
+// silo-torture and silo-explore share, so its SIGINT handling and exit
+// codes are theirs.
 //
 // Exit codes: 0 clean; 1 durability violated (shadow divergence);
-// 2 configuration error; 3 infra-only failures; 130 interrupted.
+// 2 configuration error, or the store failed to seal after a clean
+// sweep; 3 infra-only failures; 130 interrupted.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"silo/internal/buildinfo"
@@ -87,13 +88,22 @@ func main() {
 	if *scenario != "" {
 		os.Exit(scenarioMode(*scenario, *seed, *design, *nodes, *requests, *tenants, *readPct, *replicas, mode, *planStr, *telOut))
 	}
-	os.Exit(sweepMode(sweepFlags{
-		seed: *seed, campaigns: *campaigns, offset: *offset,
-		designs: splitCSV(*designs), nodes: *nodes, requests: *requests,
-		replicas: *replicas, mode: mode,
-		shrink: *shrink, audit: *audit, out: *out, resume: *resume,
-		wall: *wall, retries: *retries, parallel: *parallel,
-	}))
+	s := harness.StoreSweep("silo-cluster", cluster.SweepConfig(harness.TortureConfig{
+		Seed:         *seed,
+		Campaigns:    *campaigns,
+		Offset:       *offset,
+		Designs:      harness.SplitList(*designs),
+		Cores:        *nodes,
+		Txns:         *requests,
+		Shrink:       *shrink,
+		DisableAudit: !*audit,
+		Parallel:     *parallel,
+		WallBudget:   harness.FlagOff(*wall),
+		Retries:      harness.FlagOff(*retries),
+	}, *replicas, mode), *out, *resume)
+	s.Config.Stop = s.DrainOnInterrupt()
+	_, code := s.Run(os.Stdout, os.Stderr)
+	os.Exit(code)
 }
 
 // validateReplication checks the replication flags against the cluster
@@ -291,120 +301,4 @@ func printReport(name string, res cluster.Result) {
 	} else {
 		fmt.Println("cluster durability HELD (acked writes survived; uncommitted writes rolled back)")
 	}
-}
-
-type sweepFlags struct {
-	seed            int64
-	campaigns       int
-	offset          int
-	designs         []string
-	nodes, requests int
-	replicas        int
-	mode            cluster.ReplicationMode
-	shrink, audit   bool
-	out, resume     string
-	wall            time.Duration
-	retries         int
-	parallel        int
-}
-
-func sweepMode(f sweepFlags) int {
-	cfg := cluster.TortureConfig{
-		Seed:         f.seed,
-		Campaigns:    f.campaigns,
-		Offset:       f.offset,
-		Designs:      f.designs,
-		Nodes:        f.nodes,
-		Requests:     f.requests,
-		Replicas:     f.replicas,
-		Replication:  f.mode,
-		Shrink:       f.shrink,
-		DisableAudit: !f.audit,
-		Parallel:     f.parallel,
-	}
-	if f.wall == 0 {
-		cfg.WallBudget = -1
-	} else {
-		cfg.WallBudget = f.wall
-	}
-	if f.retries >= 0 {
-		cfg.Retries = f.retries
-	}
-	if cfg.Retries == 0 {
-		cfg.Retries = -1 // harness: <0 means no retries, 0 means default
-	}
-
-	if f.resume != "" {
-		// Load before the sink opens: the sink truncates the temp
-		// segment the resume records may live in.
-		recs, err := harness.LoadRecords(f.resume)
-		if err != nil {
-			return fatal(fmt.Errorf("reading %s: %w", f.resume, err))
-		}
-		cfg.Resume = recs
-		fmt.Fprintf(os.Stderr, "silo-cluster: resuming, %d campaigns already done\n", len(recs))
-	}
-	if f.out != "" {
-		sink, err := harness.OpenCheckpointSink(f.out)
-		if err != nil {
-			return fatal(err)
-		}
-		defer func() {
-			if err := sink.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "silo-cluster: sealing checkpoint:", err)
-			}
-		}()
-		if err := sink.Seed(cfg.Resume); err != nil {
-			return fatal(err)
-		}
-		cfg.Sink = sink
-		cfg.OnSinkError = func(err error) {
-			fmt.Fprintln(os.Stderr, "silo-cluster: writing record:", err)
-		}
-	}
-
-	// First SIGINT drains the fleet; a second one exits immediately.
-	stop := make(chan struct{})
-	cfg.Stop = stop
-	sigs := make(chan os.Signal, 2)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sigs
-		fmt.Fprintln(os.Stderr, "silo-cluster: draining (campaigns in flight will finish; interrupt again to abort)")
-		close(stop)
-		<-sigs
-		fmt.Fprintln(os.Stderr, "silo-cluster: aborted")
-		os.Exit(130)
-	}()
-
-	res, err := cluster.Torture(cfg)
-	if err != nil {
-		return fatal(err)
-	}
-	fmt.Print(res.Summary())
-	switch {
-	case !res.Ok():
-		return 1
-	case res.Interrupted:
-		fmt.Fprintf(os.Stderr, "silo-cluster: interrupted; resume with the same command plus -resume %s\n", f.out)
-		return 130
-	case len(res.Infra) > 0:
-		return 3
-	}
-	return 0
-}
-
-func fatal(err error) int {
-	fmt.Fprintln(os.Stderr, "silo-cluster:", err)
-	return 2
-}
-
-func splitCSV(s string) []string {
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
 }

@@ -22,18 +22,21 @@
 //	silo-report -merge grid-all.srs grid-0.srs grid-1.srs grid-2.srs grid-3.srs
 //	silo-report -pareto grid-all.srs
 //
+// The sweep runs through harness.Sweep, the session silo-torture and
+// silo-cluster share; with -report the frontier is collected from the
+// same record stream the shards get, resumed points included.
+//
 // Exit codes: 0 every point measured; 1 points failed to run;
-// 2 configuration error; 3 infra-only failures; 130 interrupted.
+// 2 configuration error, or a shard failed to seal after a clean
+// sweep; 3 infra-only failures; 130 interrupted (the first SIGINT
+// drains, seals the shards and prints the resume command).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strconv"
-	"strings"
-	"syscall"
 	"time"
 
 	"silo/internal/buildinfo"
@@ -69,8 +72,8 @@ func main() {
 	buildinfo.Handle("silo-explore", showVersion)
 
 	grid := explore.Grid{
-		Designs:   splitCSV(*designs),
-		Workloads: splitCSV(*workloads),
+		Designs:   harness.SplitList(*designs),
+		Workloads: harness.SplitList(*workloads),
 		Txns:      *txns,
 		Seed:      *seed,
 	}
@@ -87,7 +90,7 @@ func main() {
 	if grid.WPQ, err = intList(*wpq); err != nil {
 		fatalConfig(err)
 	}
-	for _, s := range splitCSV(*cacheStr) {
+	for _, s := range harness.SplitList(*cacheStr) {
 		g, err := explore.ParseCacheGeom(s)
 		if err != nil {
 			fatalConfig(err)
@@ -101,128 +104,89 @@ func main() {
 		fatalConfig(fmt.Errorf("silo-explore: -shards must be at least 1"))
 	}
 
-	cfg := harness.TortureConfig{
-		Seed:      *seed,
-		Campaigns: grid.Size(),
-		Parallel:  *parallel,
-		Make:      grid.Campaign,
-		Run:       grid.RunPoint,
-	}
-	if *wall == 0 {
-		cfg.WallBudget = -1
-	} else {
-		cfg.WallBudget = *wall
-	}
 	fmt.Fprintf(os.Stderr, "silo-explore: %d grid points (%d designs × %d workloads × %d knob combinations)\n",
 		grid.Size(), len(grid.Designs), len(grid.Workloads),
 		grid.Size()/(len(grid.Designs)*len(grid.Workloads)))
-
-	var sink *explore.ShardedSink
-	exit := func(code int) {
-		if sink != nil {
-			if err := sink.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "silo-explore: sealing shards:", err)
-				if code == 0 {
-					code = 2
-				}
-			}
-			sink = nil
-		}
-		prof.Stop()
-		os.Exit(code)
-	}
 	if err := prof.Start(); err != nil {
 		fatalConfig(err)
 	}
+	if *resume && *out == "" {
+		fatalConfig(fmt.Errorf("silo-explore: -resume needs -out"))
+	}
 
+	s := harness.Sweep{Name: "silo-explore", Config: harness.TortureConfig{
+		Seed:       *seed,
+		Campaigns:  grid.Size(),
+		Parallel:   *parallel,
+		Make:       grid.Campaign,
+		Run:        grid.RunPoint,
+		WallBudget: harness.FlagOff(*wall),
+	}}
 	if *resume {
-		if *out == "" {
-			fatalConfig(fmt.Errorf("silo-explore: -resume needs -out"))
+		s.Resume = func() (map[int]harness.Record, error) { return explore.LoadShards(*out, *shards) }
+	}
+	// With -report the sweep's record stream, resumed points included,
+	// also feeds the Pareto frontier.
+	var front *frontierSink
+	if *out != "" || *report {
+		s.Open = func() (harness.SweepStore, error) {
+			var store harness.SweepStore = noStore{}
+			if *out != "" {
+				sharded, err := explore.OpenShardedSink(*out, *shards)
+				if err != nil {
+					return nil, err
+				}
+				store = sharded
+			}
+			if *report {
+				front = &frontierSink{SweepStore: store}
+				return front, nil
+			}
+			return store, nil
 		}
-		// Must happen before the sinks open: store sinks truncate the
-		// temp segments the resume records may live in.
-		recs, err := explore.LoadShards(*out, *shards)
-		if err != nil {
-			fatalConfig(fmt.Errorf("loading shards of %s: %w", *out, err))
-		}
-		cfg.Resume = recs
-		fmt.Fprintf(os.Stderr, "silo-explore: resuming, %d points already measured\n", len(recs))
 	}
 	if *out != "" {
-		s, err := explore.OpenShardedSink(*out, *shards)
-		if err != nil {
-			fatalConfig(err)
-		}
-		sink = s
-		// Re-emit resumed records so every sealed shard is complete.
-		if err := sink.Seed(cfg.Resume); err != nil {
-			fatalConfig(err)
-		}
-		cfg.Sink = sink
-		cfg.OnSinkError = func(err error) {
-			fmt.Fprintln(os.Stderr, "silo-explore: writing record:", err)
-		}
+		s.ResumeArgs = []string{"-resume"}
 	}
-
-	// First SIGINT drains the fleet; a second aborts immediately.
-	stop := make(chan struct{})
-	cfg.Stop = stop
-	sigs := make(chan os.Signal, 2)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sigs
-		fmt.Fprintln(os.Stderr, "silo-explore: draining (points in flight will finish; interrupt again to abort)")
-		close(stop)
-		<-sigs
-		fmt.Fprintln(os.Stderr, "silo-explore: aborted")
-		os.Exit(130)
-	}()
-
-	var frontier []harness.Record
-	if *report {
-		cfg.OnRecord = func(r harness.Record) { frontier = append(frontier, r) }
+	s.Config.Stop = s.DrainOnInterrupt()
+	res, code := s.Run(os.Stdout, os.Stderr)
+	if front != nil && res.Campaigns > 0 && !res.Interrupted {
+		fmt.Print(explore.Report(front.recs))
 	}
-	res, err := harness.Torture(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "silo-explore:", err)
-		exit(2)
-	}
-	fmt.Print(res.Summary())
-	if *report && !res.Interrupted {
-		// Resumed points bypass OnRecord; fold them back in, in index
-		// order, so the frontier always covers the whole grid.
-		for i := 0; i < grid.Size(); i++ {
-			if r, ok := cfg.Resume[i]; ok {
-				frontier = append(frontier, r)
-			}
-		}
-		fmt.Print(explore.Report(frontier))
-	}
-	switch {
-	case !res.Ok():
-		exit(1)
-	case res.Interrupted:
-		fmt.Fprintf(os.Stderr, "silo-explore: interrupted; resume by re-running with -resume\n")
-		exit(130)
-	case len(res.Infra) > 0:
-		exit(3)
-	}
-	exit(0)
+	prof.Stop()
+	os.Exit(code)
 }
 
-func splitCSV(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
+// frontierSink keeps every record of the sweep for the Pareto report,
+// passing it on to the store behind it.
+type frontierSink struct {
+	harness.SweepStore
+	recs []harness.Record
 }
+
+func (f *frontierSink) Write(r harness.Record, enc []byte) error {
+	f.recs = append(f.recs, r)
+	return f.SweepStore.Write(r, enc)
+}
+
+func (f *frontierSink) Seed(recs map[int]harness.Record) error {
+	for _, r := range recs {
+		f.recs = append(f.recs, r)
+	}
+	return f.SweepStore.Seed(recs)
+}
+
+// noStore is the store of a sweep run without -out.
+type noStore struct{}
+
+func (noStore) Encode(harness.Record) ([]byte, error) { return nil, nil }
+func (noStore) Write(harness.Record, []byte) error    { return nil }
+func (noStore) Seed(map[int]harness.Record) error     { return nil }
+func (noStore) Close() error                          { return nil }
 
 func intList(s string) ([]int, error) {
 	var out []int
-	for _, p := range splitCSV(s) {
+	for _, p := range harness.SplitList(s) {
 		n, err := strconv.Atoi(p)
 		if err != nil {
 			return nil, fmt.Errorf("silo-explore: bad list value %q", p)

@@ -28,10 +28,14 @@
 //	silo-torture -designs Silo -workloads Hash -cores 2 -txns 48 \
 //	    -seed 12345 -plan "trigger=commit,at=3,budget=64,tear=1,recrash=5"
 //
-// Exit codes: 0 all campaigns verified clean; 1 atomic durability
-// violated (or an audit invariant fired); 2 configuration error;
-// 3 infra-only failures (watchdog kills, host flakes — no durability
-// verdict); 130 interrupted before completion.
+// Sweeps run through harness.Sweep, the session silo-cluster and
+// silo-explore share. Exit codes: 0 all campaigns verified clean;
+// 1 atomic durability violated (or an audit invariant fired);
+// 2 configuration error, or the store failed to seal after a clean
+// sweep; 3 infra-only failures (watchdog kills, host flakes — no
+// durability verdict); 130 interrupted before completion (the first
+// SIGINT drains, seals the store and prints the resume command; a
+// second aborts).
 package main
 
 import (
@@ -40,9 +44,7 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"silo/internal/buildinfo"
@@ -93,41 +95,22 @@ func main() {
 		}()
 		fmt.Fprintf(os.Stderr, "silo-torture: pprof at http://%s/debug/pprof/\n", *pprofAddr)
 	}
-	// exit seals the checkpoint sink and flushes the profiles before
-	// terminating: os.Exit skips deferred functions, so every exit path
-	// below must go through it. Sealing even on a drained interrupt
-	// means the store is always published valid; only a hard kill
-	// leaves the (recoverable) temp segment.
-	var sink *harness.CheckpointSink
-	exit := func(code int) {
-		if sink != nil {
-			if err := sink.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "silo-torture: sealing checkpoint:", err)
-				if code == 0 {
-					code = 2
-				}
-			}
-			sink = nil
-		}
-		prof.Stop()
-		os.Exit(code)
-	}
 	if err := prof.Start(); err != nil {
 		fatal(err)
 	}
 
-	if len(splitCSV(*designs)) == 0 {
+	if len(harness.SplitList(*designs)) == 0 {
 		*designs = strings.Join(harness.DesignNames(), ",")
 	}
-	if len(splitCSV(*workloads)) == 0 {
+	if len(harness.SplitList(*workloads)) == 0 {
 		*workloads = "Array,Hash,TPCC"
 	}
 	cfg := harness.TortureConfig{
 		Seed:          *seed,
 		Campaigns:     *campaigns,
 		Offset:        *offset,
-		Designs:       splitCSV(*designs),
-		Workloads:     splitCSV(*workloads),
+		Designs:       harness.SplitList(*designs),
+		Workloads:     harness.SplitList(*workloads),
 		Cores:         *cores,
 		Txns:          *txns,
 		AllowStrict:   *strict,
@@ -136,122 +119,20 @@ func main() {
 		Parallel:      *parallel,
 		DisableAudit:  !*audit,
 		TraceDir:      *traceDir,
+		WallBudget:    harness.FlagOff(*wall),
+		MaxCycles:     sim.Cycle(harness.FlagOff(*maxCycles)),
+		Retries:       harness.FlagOff(*retries),
 	}
-	if *wall == 0 {
-		cfg.WallBudget = -1
-	} else {
-		cfg.WallBudget = *wall
-	}
-	if *maxCycles == 0 {
-		cfg.MaxCycles = -1
-	} else {
-		cfg.MaxCycles = sim.Cycle(*maxCycles)
-	}
-	if *retries >= 0 {
-		cfg.Retries = *retries
-	}
-	if cfg.Retries == 0 {
-		cfg.Retries = -1 // harness: <0 means no retries, 0 means default
-	}
-
+	code := 0
 	if *planStr != "" {
-		exit(reproMode(cfg, *planStr, *seed))
+		code = reproMode(cfg, *planStr, *seed)
+	} else {
+		s := harness.StoreSweep("silo-torture", cfg, *out, *resume)
+		s.Config.Stop = s.DrainOnInterrupt()
+		_, code = s.Run(os.Stdout, os.Stderr)
 	}
-
-	if *resume != "" {
-		// Must happen before the sink opens: the sink truncates the
-		// temp segment the resume records may live in.
-		recs, err := harness.LoadRecords(*resume)
-		if err != nil {
-			fatal(fmt.Errorf("reading %s: %w", *resume, err))
-		}
-		cfg.Resume = recs
-		fmt.Fprintf(os.Stderr, "silo-torture: resuming, %d campaigns already done\n", len(recs))
-	}
-	if *out != "" {
-		s, err := harness.OpenCheckpointSink(*out)
-		if err != nil {
-			fatal(err)
-		}
-		sink = s
-		// Re-emit resumed records so the sealed store is complete.
-		if err := sink.Seed(cfg.Resume); err != nil {
-			fatal(err)
-		}
-		cfg.Sink = sink
-		cfg.OnSinkError = func(err error) {
-			fmt.Fprintln(os.Stderr, "silo-torture: writing record:", err)
-		}
-	}
-
-	// First SIGINT drains the fleet (in-flight campaigns finish, queued
-	// ones are skipped); a second one exits immediately.
-	stop := make(chan struct{})
-	cfg.Stop = stop
-	sigs := make(chan os.Signal, 2)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sigs
-		fmt.Fprintln(os.Stderr, "silo-torture: draining (campaigns in flight will finish; interrupt again to abort)")
-		close(stop)
-		<-sigs
-		fmt.Fprintln(os.Stderr, "silo-torture: aborted")
-		os.Exit(130)
-	}()
-
-	res, err := harness.Torture(cfg)
-	if err != nil {
-		fatal(err)
-	}
-	if sink != nil {
-		// Failing campaigns re-ran with telemetry (when -telemetry-dir
-		// is set); embed those traces into the store, compressed, next
-		// to their records.
-		for _, f := range res.Failures {
-			if f.TracePath == "" {
-				continue
-			}
-			blob, err := os.ReadFile(f.TracePath)
-			if err == nil {
-				err = sink.AttachTrace(f.Outcome.Campaign.Index, blob)
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "silo-torture: embedding trace:", err)
-			}
-		}
-	}
-	fmt.Print(res.Summary())
-	switch {
-	case !res.Ok():
-		exit(1)
-	case res.Interrupted:
-		resumeCmd := resumeCommand(*out)
-		fmt.Fprintf(os.Stderr, "silo-torture: interrupted; resume with:\n  %s\n", resumeCmd)
-		exit(130)
-	case len(res.Infra) > 0:
-		exit(3)
-	}
-	exit(0)
-}
-
-// resumeCommand renders the exact command that continues an interrupted
-// sweep: the original arguments plus -resume pointing at the stream.
-func resumeCommand(out string) string {
-	args := make([]string, 0, len(os.Args)+2)
-	args = append(args, os.Args...)
-	if out == "" {
-		return strings.Join(args, " ") + "   # re-run (no -out stream was kept)"
-	}
-	has := false
-	for _, a := range args[1:] {
-		if a == "-resume" || strings.HasPrefix(a, "-resume=") {
-			has = true
-		}
-	}
-	if !has {
-		args = append(args, "-resume", out)
-	}
-	return strings.Join(args, " ")
+	prof.Stop()
+	os.Exit(code)
 }
 
 func reproMode(cfg harness.TortureConfig, planStr string, seed int64) int {
@@ -309,14 +190,4 @@ func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "silo-torture:", err)
 	prof.Stop()
 	os.Exit(2)
-}
-
-func splitCSV(s string) []string {
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
 }

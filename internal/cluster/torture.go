@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"strconv"
 	"strings"
-	"time"
 
 	"silo/internal/fault"
 	"silo/internal/harness"
@@ -155,91 +154,21 @@ func RunCampaign(c harness.Campaign) harness.CampaignOutcome {
 	return out
 }
 
-// TortureConfig parameterizes a cluster campaign sweep. It is a thin
-// projection onto harness.TortureConfig: the fleet supplies panic
-// containment, watchdogs, seeded-backoff infra retries, checkpoint
-// store and resume, and shrinking; this package supplies the campaign
-// executor.
-type TortureConfig struct {
-	Seed      int64
-	Campaigns int
-	Offset    int
-	Designs   []string // default harness.DesignNames()
-	Nodes     int      // nodes per campaign (default 4)
-	Requests  int      // client requests per campaign (default 400)
-
-	// Replicas forces every campaign's replica-set size (0 = derive R
-	// from each campaign's seed, sync mode). Replication selects the
-	// mode when Replicas is forced.
-	Replicas    int
-	Replication ReplicationMode
-
-	AllowStrict   bool
-	AllowBitFlips bool
-	Shrink        bool
-	Parallel      int
-	DisableAudit  bool
-
-	WallBudget time.Duration
-	Retries    int
-	Backoff    time.Duration
-
-	Resume   map[int]harness.Record
-	OnRecord func(harness.Record)
-	// Sink/OnSinkError are the two-phase checkpoint sink (see
-	// harness.TortureConfig): encoding runs off the emit lock.
-	Sink        harness.RecordSink
-	OnSinkError func(error)
-	Stop        <-chan struct{}
-}
-
-// Torture runs the cluster campaign sweep on the hardened fleet.
-func Torture(cfg TortureConfig) (harness.TortureResult, error) {
-	h := harness.TortureConfig{
-		Seed:      cfg.Seed,
-		Campaigns: cfg.Campaigns,
-		Offset:    cfg.Offset,
-		Designs:   cfg.Designs,
-		// The workload name carries the forced replication config (or,
-		// bare, leaves R seed-derived) so records and repro lines stay
-		// self-describing; Scenario derives the rest from the seed.
-		Workloads:     []string{replWorkload(cfg.Replicas, cfg.Replication)},
-		Cores:         cfg.Nodes,
-		Txns:          cfg.Requests,
-		AllowStrict:   cfg.AllowStrict,
-		AllowBitFlips: cfg.AllowBitFlips,
-		Shrink:        cfg.Shrink,
-		Parallel:      cfg.Parallel,
-		DisableAudit:  cfg.DisableAudit,
-		WallBudget:    cfg.WallBudget,
-		Retries:       cfg.Retries,
-		Backoff:       cfg.Backoff,
-		Resume:        cfg.Resume,
-		OnRecord:      cfg.OnRecord,
-		Sink:          cfg.Sink,
-		OnSinkError:   cfg.OnSinkError,
-		Stop:          cfg.Stop,
-		Run:           RunCampaign,
+// SweepConfig adapts a fleet config for cluster campaigns: cfg.Cores
+// is the node count (default 4) and cfg.Txns the request count
+// (default 400). replicas forces every campaign's replica-set size
+// with mode; 0 derives R from each campaign's seed, sync only.
+func SweepConfig(cfg harness.TortureConfig, replicas int, mode ReplicationMode) harness.TortureConfig {
+	// The workload name carries the forced replication config so
+	// records and repro lines stay self-describing; Scenario derives
+	// the rest from the seed.
+	cfg.Workloads = []string{replWorkload(replicas, mode)}
+	cfg.Run = RunCampaign
+	if cfg.Cores <= 0 {
+		cfg.Cores = 4
 	}
-	if h.Cores <= 0 {
-		h.Cores = 4
+	if cfg.Txns <= 0 {
+		cfg.Txns = 400
 	}
-	if h.Txns <= 0 {
-		h.Txns = 400
-	}
-	if len(h.Designs) == 0 {
-		h.Designs = harness.DesignNames()
-	}
-	return harness.Torture(h)
-}
-
-// ReproArgs renders the silo-cluster flags that replay campaign idx of
-// a sweep alone. replicas 0 means the sweep left R seed-derived.
-func ReproArgs(seed int64, idx int, nodes, requests, replicas int, mode ReplicationMode) string {
-	s := fmt.Sprintf("go run ./cmd/silo-cluster -campaigns 1 -offset %d -seed %d -nodes %d -requests %d",
-		idx, seed, nodes, requests)
-	if replicas > 0 {
-		s += fmt.Sprintf(" -replicas %d -replication %s", replicas, mode)
-	}
-	return s
+	return cfg
 }

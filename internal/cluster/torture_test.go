@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"io"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -35,9 +36,9 @@ func TestScenarioDeterministic(t *testing.T) {
 // A small sweep on the hardened fleet: every campaign must verify clean
 // (zero divergences across both verdicts), with real crashes happening.
 func TestClusterTortureSweep(t *testing.T) {
-	res, err := Torture(TortureConfig{
-		Seed: 77, Campaigns: 12, Nodes: 3, Requests: 150, Parallel: 2,
-	})
+	res, err := harness.Torture(SweepConfig(harness.TortureConfig{
+		Seed: 77, Campaigns: 12, Cores: 3, Txns: 150, Parallel: 2,
+	}, 0, ReplSync))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,37 +56,47 @@ func TestClusterTortureSweep(t *testing.T) {
 	}
 }
 
-// sweepStore runs cfg into a sealed checkpoint store at path, seeded
-// with cfg.Resume first as silo-cluster does, and stops the sweep after
-// stopAfter fresh records when positive. It returns the result and the
-// store's record stream: its payloads, one per line, in append order.
-func sweepStore(t *testing.T, cfg TortureConfig, path string, stopAfter int) (harness.TortureResult, []byte) {
+// stopAfter passes records on to a store and closes stop once n were
+// written: a sweep interrupted after n records.
+type stopAfter struct {
+	harness.SweepStore
+	n    int
+	stop chan struct{}
+}
+
+func (s *stopAfter) Write(r harness.Record, enc []byte) error {
+	if s.n--; s.n == 0 {
+		close(s.stop)
+	}
+	return s.SweepStore.Write(r, enc)
+}
+
+// sweepStore runs cfg through the sweep session silo-cluster runs,
+// with its store at path: resuming from path first when resume is set,
+// and stopping after `after` fresh records when positive. It returns
+// the result and the store's record stream: its payloads, one per
+// line, in append order.
+func sweepStore(t *testing.T, cfg harness.TortureConfig, path string, resume bool, after int) (harness.TortureResult, []byte) {
 	t.Helper()
-	sink, err := harness.OpenCheckpointSink(path)
-	if err != nil {
-		t.Fatal(err)
+	from := ""
+	if resume {
+		from = path
 	}
-	if err := sink.Seed(cfg.Resume); err != nil {
-		t.Fatal(err)
-	}
-	cfg.Sink = sink
-	cfg.OnSinkError = func(err error) { t.Error("sink error:", err) }
-	if stopAfter > 0 {
+	s := harness.StoreSweep("silo-cluster", cfg, path, from)
+	want := 0
+	if after > 0 {
 		stop := make(chan struct{})
-		n := 0
-		cfg.Stop = stop
-		cfg.OnRecord = func(harness.Record) {
-			if n++; n == stopAfter {
-				close(stop)
-			}
+		s.Config.Stop = stop
+		s.Open = func() (harness.SweepStore, error) {
+			st, err := harness.OpenCheckpointSink(path)
+			return &stopAfter{SweepStore: st, n: after, stop: stop}, err
 		}
+		want = 130
 	}
-	res, err := Torture(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
+	var stderr bytes.Buffer
+	res, code := s.Run(io.Discard, &stderr)
+	if code != want || strings.Contains(stderr.String(), "writing record") {
+		t.Fatalf("sweep exit %d, want %d; stderr:\n%s", code, want, &stderr)
 	}
 	st, err := resultstore.Open(path)
 	if err != nil {
@@ -107,9 +118,9 @@ func sweepStore(t *testing.T, cfg TortureConfig, path string, stopAfter int) (ha
 // interruptAndResume stops a sweep after two records, resumes it from
 // its store into the same path, and returns the resumed result and the
 // final record stream.
-func interruptAndResume(t *testing.T, base TortureConfig, path string) (harness.TortureResult, []byte) {
+func interruptAndResume(t *testing.T, cfg harness.TortureConfig, path string) (harness.TortureResult, []byte) {
 	t.Helper()
-	part, _ := sweepStore(t, base, path, 2)
+	part, _ := sweepStore(t, cfg, path, false, 2)
 	if !part.Interrupted {
 		t.Fatal("stop did not interrupt the sweep")
 	}
@@ -120,9 +131,7 @@ func interruptAndResume(t *testing.T, base TortureConfig, path string) (harness.
 	if len(recs) != 2 {
 		t.Fatalf("partial store has %d records, want 2", len(recs))
 	}
-	cfg := base
-	cfg.Resume = recs
-	resumed, stream := sweepStore(t, cfg, path, 0)
+	resumed, stream := sweepStore(t, cfg, path, true, 0)
 	if resumed.Interrupted {
 		t.Fatal("resumed sweep still interrupted")
 	}
@@ -132,10 +141,10 @@ func interruptAndResume(t *testing.T, base TortureConfig, path string) (harness.
 // An interrupted cluster sweep resumed from its checkpoint store must
 // finish with the byte-identical record stream of an uninterrupted run.
 func TestClusterSweepResumeByteIdentical(t *testing.T) {
-	base := TortureConfig{Seed: 31, Campaigns: 6, Nodes: 3, Requests: 120, Parallel: 1}
+	base := SweepConfig(harness.TortureConfig{Seed: 31, Campaigns: 6, Cores: 3, Txns: 120, Parallel: 1}, 0, ReplSync)
 	dir := t.TempDir()
 
-	full, baseline := sweepStore(t, base, filepath.Join(dir, "baseline.srs"), 0)
+	full, baseline := sweepStore(t, base, filepath.Join(dir, "baseline.srs"), false, 0)
 	if !full.Ok() || len(full.Infra) != 0 {
 		t.Fatalf("baseline sweep unclean:\n%s", full.Summary())
 	}
@@ -153,14 +162,11 @@ func TestClusterSweepResumeByteIdentical(t *testing.T) {
 // and through an interrupt/resume cycle, and its summary must carry the
 // availability breakdown.
 func TestClusterReplicatedSweepByteIdentical(t *testing.T) {
-	base := TortureConfig{
-		Seed: 93, Campaigns: 6, Nodes: 4, Requests: 150, Parallel: 1,
-		Replicas: 3, Replication: ReplSync,
-	}
+	base := SweepConfig(harness.TortureConfig{Seed: 93, Campaigns: 6, Cores: 4, Txns: 150, Parallel: 1}, 3, ReplSync)
 	dir := t.TempDir()
 
-	resA, first := sweepStore(t, base, filepath.Join(dir, "first.srs"), 0)
-	resB, second := sweepStore(t, base, filepath.Join(dir, "second.srs"), 0)
+	resA, first := sweepStore(t, base, filepath.Join(dir, "first.srs"), false, 0)
+	resB, second := sweepStore(t, base, filepath.Join(dir, "second.srs"), false, 0)
 	if !resA.Ok() || len(resA.Infra) != 0 {
 		t.Fatalf("replicated sweep unclean:\n%s", resA.Summary())
 	}

@@ -36,13 +36,16 @@ type ControlledRun struct {
 	stopReq  atomic.Bool
 
 	// Tick, when non-nil, is called with the simulated clock every
-	// TickOps scheduling steps — silo-serve uses it to pace the
+	// tickOps scheduling steps — silo-serve uses it to pace the
 	// simulation near a wall-clock rate so the dashboard's charts move
 	// at human speed. Tick runs on the Execute goroutine; it must not
 	// touch simulated state.
-	Tick    func(now sim.Cycle)
-	TickOps int
+	Tick func(now sim.Cycle)
 }
+
+// tickOps is the scheduling-step cadence at which Execute polls the
+// crash and stop requests and calls Tick.
+const tickOps = 64
 
 // NewControlledRun builds the machine and workload streams for spec
 // through the same path as RunMachine, but leaves the engine unstarted.
@@ -51,7 +54,7 @@ func NewControlledRun(spec Spec) (*ControlledRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ControlledRun{spec: spec, mach: m, eng: m.Engine(spec.Seed), streams: streams, TickOps: 64}, nil
+	return &ControlledRun{spec: spec, mach: m, eng: m.Engine(spec.Seed), streams: streams}, nil
 }
 
 // Machine exposes the run's machine (telemetry recorder, device, region —
@@ -77,10 +80,6 @@ func (c *ControlledRun) Execute() (run stats.Run, err error) {
 		}
 	}()
 	eng.Bind(c.streams)
-	tickOps := c.TickOps
-	if tickOps < 1 {
-		tickOps = 64
-	}
 	for steps := 0; ; steps++ {
 		if steps%tickOps == 0 {
 			if c.crashReq.Swap(false) && !eng.Crashed() {

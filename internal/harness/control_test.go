@@ -176,12 +176,12 @@ func TestControlledRunCrashAndRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Request the crash from the tick hook a little way in, standing in
-	// for the serve manager's cross-goroutine RequestCrash.
+	// for the serve manager's cross-goroutine RequestCrash; it lands at
+	// the next tick, step 320.
 	ticks := 0
-	cr.TickOps = 16
 	cr.Tick = func(_ sim.Cycle) {
 		ticks++
-		if ticks == 20 {
+		if ticks == 5 {
 			cr.RequestCrash()
 		}
 	}

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"encoding/json"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -12,19 +11,14 @@ import (
 // checkpoint record stream, exactly as a CheckpointSink would emit it.
 func fleetStream(t *testing.T, cfg TortureConfig) (string, []string) {
 	t.Helper()
-	var stream []string
-	cfg.OnRecord = func(r Record) {
-		b, err := json.Marshal(r)
-		if err != nil {
-			t.Fatalf("marshal record %d: %v", r.Index, err)
-		}
-		stream = append(stream, string(b))
-	}
+	sink := &memSink{}
+	cfg.Sink = sink
+	cfg.OnSinkError = func(err error) { t.Error("sink error:", err) }
 	res, err := Torture(cfg)
 	if err != nil {
 		t.Fatalf("torture (parallel=%d): %v", cfg.Parallel, err)
 	}
-	return res.Summary(), stream
+	return res.Summary(), sink.encs
 }
 
 // The reorder window must make the sweep's observable output a pure

@@ -126,12 +126,8 @@ func TestFleetRetriesInfraFlakes(t *testing.T) {
 		return CampaignOutcome{Campaign: c}
 	})
 	cfg.Retries = 3
-	var recorded []Record
-	cfg.OnRecord = func(r Record) {
-		mu.Lock()
-		recorded = append(recorded, r)
-		mu.Unlock()
-	}
+	sink := &memSink{}
+	cfg.Sink = sink
 	res, err := Torture(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +138,7 @@ func TestFleetRetriesInfraFlakes(t *testing.T) {
 	if attempts[1] != 3 {
 		t.Errorf("campaign 1 ran %d times, want 3", attempts[1])
 	}
-	for _, r := range recorded {
+	for _, r := range sink.recs {
 		if r.Index == 1 && r.Attempts != 3 {
 			t.Errorf("record attempts = %d, want 3", r.Attempts)
 		}
@@ -249,28 +245,24 @@ func TestFleetResumeByteIdenticalAggregates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Run again streaming records, keep only the first 5 indices —
+	// Run again streaming records, and store only the first 5 indices —
 	// simulating a sweep interrupted partway through its checkpoint.
+	mem := &memSink{}
+	cfg := base
+	cfg.Sink = mem
+	if _, err := Torture(cfg); err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(t.TempDir(), "sweep.srs")
 	sink, err := OpenCheckpointSink(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	cfg := base
-	cfg.OnRecord = func(r Record) { // OnRecord calls are serialized
-		if r.Index >= 5 {
-			return
-		}
-		enc, err := sink.Encode(r)
-		if err == nil {
-			err = sink.Write(r, enc)
-		}
-		if err != nil {
-			t.Error(err)
-		}
+	prefix := map[int]Record{}
+	for _, r := range mem.recs[:5] {
+		prefix[r.Index] = r
 	}
-	if _, err := Torture(cfg); err != nil {
+	if err := sink.Seed(prefix); err != nil {
 		t.Fatal(err)
 	}
 	if err := sink.Close(); err != nil {
@@ -284,6 +276,7 @@ func TestFleetResumeByteIdenticalAggregates(t *testing.T) {
 	if len(recs) != 5 {
 		t.Fatalf("checkpoint holds %d records, want 5", len(recs))
 	}
+	var mu sync.Mutex
 	resumedRuns := 0
 	cfg = base
 	cfg.Resume = recs

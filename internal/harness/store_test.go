@@ -2,9 +2,11 @@ package harness
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -48,32 +50,23 @@ func storeSweepRun(c Campaign) CampaignOutcome {
 	return out
 }
 
-// sweepToPath runs the synthetic sweep with a CheckpointSink at path
-// and returns the fleet's emitted records in completion order.
-func sweepToPath(t *testing.T, path string, campaigns int) []Record {
+// sweepToPath runs the synthetic sweep with a CheckpointSink at path.
+func sweepToPath(t *testing.T, path string, campaigns int) {
 	t.Helper()
 	sink, err := OpenCheckpointSink(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	var recs []Record
 	cfg := fleetConfig(campaigns, storeSweepRun)
 	cfg.Retries = -1 // synthetic infra failures are deterministic; don't retry
 	cfg.Sink = sink
 	cfg.OnSinkError = func(err error) { t.Error("sink error:", err) }
-	cfg.OnRecord = func(r Record) {
-		mu.Lock()
-		recs = append(recs, r)
-		mu.Unlock()
-	}
 	if _, err := Torture(cfg); err != nil {
 		t.Fatal(err)
 	}
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return recs
 }
 
 // The legacy fixture in cmd/silo-report/testdata is what the JSONL
@@ -212,14 +205,8 @@ func TestStoreInterruptedWriterResume(t *testing.T) {
 		t.Fatalf("recovered %d records, want 7: %v", len(recovered), recovered)
 	}
 
-	// Resume: seed the recovered records, run the remaining campaigns.
-	sink2, err := OpenCheckpointSink(intPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sink2.Seed(recovered); err != nil {
-		t.Fatal(err)
-	}
+	// Resume into the same path, as the sweep commands do; the
+	// synthetic failures make the sweep exit 1.
 	reran := 0
 	cfg2 := fleetConfig(campaigns, func(c Campaign) CampaignOutcome {
 		mu.Lock()
@@ -228,14 +215,9 @@ func TestStoreInterruptedWriterResume(t *testing.T) {
 		return storeSweepRun(c)
 	})
 	cfg2.Retries = -1
-	cfg2.Resume = recovered
-	cfg2.Sink = sink2
-	cfg2.OnSinkError = func(err error) { t.Error("sink error:", err) }
-	if _, err := Torture(cfg2); err != nil {
-		t.Fatal(err)
-	}
-	if err := sink2.Close(); err != nil {
-		t.Fatal(err)
+	var stderr bytes.Buffer
+	if _, code := StoreSweep("sweep", cfg2, intPath, intPath).Run(io.Discard, &stderr); code != 1 {
+		t.Fatalf("resumed sweep exit %d, want 1; stderr:\n%s", code, &stderr)
 	}
 	if reran != campaigns-len(recovered) {
 		t.Errorf("resume re-ran %d campaigns, want %d", reran, campaigns-len(recovered))

@@ -87,14 +87,10 @@ type TortureConfig struct {
 	// uninterrupted sweep.
 	Resume map[int]Record
 
-	// OnRecord, when non-nil, receives every freshly completed
-	// campaign's record (checkpoint streaming). Calls are serialized.
-	OnRecord func(Record)
-
-	// Sink, when non-nil, is the two-phase checkpoint sink: Encode runs
-	// on the campaign's own goroutine — record construction and
-	// marshaling stay out of the fleet's emit lock — and only Write is
-	// serialized. Prefer it over OnRecord for file-backed streams.
+	// Sink, when non-nil, receives every freshly completed campaign's
+	// record, in campaign-index order. It is two-phase: Encode runs on
+	// the campaign's own goroutine — record construction and marshaling
+	// stay out of the fleet's emit lock — and only Write is serialized.
 	Sink RecordSink
 
 	// OnSinkError receives Sink Encode/Write failures (host-level I/O
@@ -631,17 +627,12 @@ func Torture(cfg TortureConfig) (TortureResult, error) {
 			return
 		}
 		if s.hasRec {
-			if cfg.OnRecord != nil {
-				cfg.OnRecord(s.rec)
+			err := s.encErr
+			if err == nil {
+				err = cfg.Sink.Write(s.rec, s.enc)
 			}
-			if cfg.Sink != nil {
-				err := s.encErr
-				if err == nil {
-					err = cfg.Sink.Write(s.rec, s.enc)
-				}
-				if err != nil && cfg.OnSinkError != nil {
-					cfg.OnSinkError(err)
-				}
+			if err != nil && cfg.OnSinkError != nil {
+				cfg.OnSinkError(err)
 			}
 		}
 		o := s.out
@@ -734,16 +725,14 @@ func Torture(cfg TortureConfig) (TortureResult, error) {
 		}
 		out.Infra = IsInfra(out.Err)
 		s := fleetSlot{out: out}
-		if cfg.OnRecord != nil || cfg.Sink != nil {
+		if cfg.Sink != nil {
 			// Record construction and sink encoding (JSON marshal,
 			// index-row building) run here, on the worker, concurrently
 			// across the fleet; the drain serializes only the actual write
 			// (see BenchmarkFleetEmit).
 			s.rec = OutcomeRecord(out)
 			s.hasRec = true
-			if cfg.Sink != nil {
-				s.enc, s.encErr = cfg.Sink.Encode(s.rec)
-			}
+			s.enc, s.encErr = cfg.Sink.Encode(s.rec)
 		}
 		deliver(seq, s)
 	}

@@ -2,7 +2,9 @@ package harness
 
 import (
 	"bytes"
+	"io"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -40,26 +42,31 @@ func TestRetryDelayDeterministic(t *testing.T) {
 	}
 }
 
-// sweepStore runs cfg at Parallel=1 into a sealed checkpoint store at
-// path, seeded with cfg.Resume first as the CLIs do.
-func sweepStore(t *testing.T, cfg TortureConfig, path string) TortureResult {
+// sweepStore runs cfg at Parallel=1 through a sweep session whose
+// store is at path, resuming from path first when resume is set and
+// stopping after `after` fresh records when positive.
+func sweepStore(t *testing.T, cfg TortureConfig, path string, resume bool, after int) TortureResult {
 	t.Helper()
-	sink, err := OpenCheckpointSink(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Seed(cfg.Resume); err != nil {
-		t.Fatal(err)
-	}
 	cfg.Parallel = 1
-	cfg.Sink = sink
-	cfg.OnSinkError = func(err error) { t.Error("sink error:", err) }
-	res, err := Torture(cfg)
-	if err != nil {
-		t.Fatal(err)
+	from := ""
+	if resume {
+		from = path
 	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
+	s := StoreSweep("sweep", cfg, path, from)
+	want := 0
+	if after > 0 {
+		stop := make(chan struct{})
+		s.Config.Stop = stop
+		s.Open = func() (SweepStore, error) {
+			st, err := OpenCheckpointSink(path)
+			return &stopAfter{SweepStore: st, n: after, stop: stop}, err
+		}
+		want = 130
+	}
+	var stderr bytes.Buffer
+	res, code := s.Run(io.Discard, &stderr)
+	if code != want || strings.Contains(stderr.String(), "writing record") {
+		t.Fatalf("sweep exit %d, want %d; stderr:\n%s", code, want, &stderr)
 	}
 	return res
 }
@@ -69,20 +76,10 @@ func sweepStore(t *testing.T, cfg TortureConfig, path string) TortureResult {
 // returns the final store's record stream.
 func interruptedSweep(t *testing.T, base TortureConfig, path string, after int) []byte {
 	t.Helper()
-	stop := make(chan struct{})
-	n := 0
-	cfg := base
-	cfg.Stop = stop
-	cfg.OnRecord = func(Record) {
-		if n++; n == after {
-			close(stop)
-		}
-	}
-	first := sweepStore(t, cfg, path)
+	first := sweepStore(t, base, path, false, after)
 	if !first.Interrupted || first.Skipped == 0 {
 		t.Fatalf("sweep was not interrupted: skipped=%d", first.Skipped)
 	}
-
 	recs, err := LoadRecords(path)
 	if err != nil {
 		t.Fatal(err)
@@ -90,9 +87,7 @@ func interruptedSweep(t *testing.T, base TortureConfig, path string, after int) 
 	if len(recs) != after {
 		t.Fatalf("partial store has %d records, want %d", len(recs), after)
 	}
-	cfg = base
-	cfg.Resume = recs
-	resumed := sweepStore(t, cfg, path)
+	resumed := sweepStore(t, base, path, true, 0)
 	if resumed.Interrupted || resumed.Skipped != 0 {
 		t.Fatalf("resumed sweep still interrupted: skipped=%d", resumed.Skipped)
 	}
@@ -107,7 +102,7 @@ func TestFleetInterruptedResumeByteIdenticalJSONL(t *testing.T) {
 	base := TortureConfig{Seed: 21, Campaigns: 6, Txns: 8}
 	dir := t.TempDir()
 
-	sweepStore(t, base, filepath.Join(dir, "baseline.srs"))
+	sweepStore(t, base, filepath.Join(dir, "baseline.srs"), false, 0)
 	baseline := storePayloads(t, filepath.Join(dir, "baseline.srs"))
 
 	a := interruptedSweep(t, base, filepath.Join(dir, "a.srs"), 3)
