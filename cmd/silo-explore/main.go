@@ -101,7 +101,7 @@ func main() {
 		fatalConfig(err)
 	}
 	if *shards < 1 {
-		fatalConfig(fmt.Errorf("silo-explore: -shards must be at least 1"))
+		fatalConfig(fmt.Errorf("-shards must be at least 1"))
 	}
 
 	fmt.Fprintf(os.Stderr, "silo-explore: %d grid points (%d designs × %d workloads × %d knob combinations)\n",
@@ -111,7 +111,7 @@ func main() {
 		fatalConfig(err)
 	}
 	if *resume && *out == "" {
-		fatalConfig(fmt.Errorf("silo-explore: -resume needs -out"))
+		fatalConfig(fmt.Errorf("-resume needs -out"))
 	}
 
 	s := harness.Sweep{Name: "silo-explore", Config: harness.TortureConfig{
@@ -189,7 +189,7 @@ func intList(s string) ([]int, error) {
 	for _, p := range harness.SplitList(s) {
 		n, err := strconv.Atoi(p)
 		if err != nil {
-			return nil, fmt.Errorf("silo-explore: bad list value %q", p)
+			return nil, fmt.Errorf("bad list value %q", p)
 		}
 		out = append(out, n)
 	}

@@ -23,7 +23,8 @@
 // campaigns' Chrome traces are also embedded into the store,
 // compressed, next to their records.
 //
-// Repro mode (replay one schedule, e.g. from a failure's repro line):
+// Repro mode (replay one schedule, e.g. from a failure's repro line;
+// a silo-cluster line, workload ClusterKV, replays a cluster campaign):
 //
 //	silo-torture -designs Silo -workloads Hash -cores 2 -txns 48 \
 //	    -seed 12345 -plan "trigger=commit,at=3,budget=64,tear=1,recrash=5"
@@ -48,6 +49,7 @@ import (
 	"time"
 
 	"silo/internal/buildinfo"
+	"silo/internal/cluster"
 	"silo/internal/fault"
 	"silo/internal/harness"
 	"silo/internal/profiling"
@@ -136,29 +138,17 @@ func main() {
 }
 
 func reproMode(cfg harness.TortureConfig, planStr string, seed int64) int {
-	plan, err := fault.ParsePlan(planStr)
+	out, err := replay(cfg, planStr, seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "silo-torture:", err)
 		return 2
 	}
-	if plan.Seed == 0 {
-		plan.Seed = seed
-	}
-	c := harness.Campaign{Spec: harness.Spec{
-		Design:       cfg.Designs[0],
-		Workload:     cfg.Workloads[0],
-		Cores:        cfg.Cores,
-		Txns:         cfg.Txns,
-		Seed:         seed,
-		DisableAudit: cfg.DisableAudit,
-	}, Plan: plan}
-	out := harness.RunCampaignContained(c)
-	fmt.Printf("campaign: %s on %s, plan %s\n", c.Spec.Design, c.Spec.Workload, plan.String())
+	fmt.Printf("campaign: %s on %s, plan %s\n", out.Design, out.Workload, out.Plan)
 	fmt.Printf("  crashed mid-run: %v, committed: %d\n", out.MidRun, out.Commits)
 	fmt.Printf("  recovery: %d tx, %d redo, %d undo, %d quarantined, %d torn, %d dropped, %d re-crashes\n",
 		out.Report.CommittedTx, out.Report.RedoApplied, out.Report.UndoApplied,
 		out.Report.Quarantined, out.Torn, out.Dropped, out.Restarts)
-	if out.Err != nil {
+	if out.Err != "" {
 		fmt.Fprintln(os.Stderr, "silo-torture:", out.Err)
 		if out.Invariant != "" {
 			fmt.Fprintf(os.Stderr, "  invariant: %s\n", out.Invariant)
@@ -166,7 +156,7 @@ func reproMode(cfg harness.TortureConfig, planStr string, seed int64) int {
 				fmt.Fprintf(os.Stderr, "  trail: %s\n", e)
 			}
 		}
-		if harness.IsInfra(out.Err) {
+		if out.Infra {
 			return 3
 		}
 		return 1
@@ -184,6 +174,47 @@ func reproMode(cfg harness.TortureConfig, planStr string, seed int64) int {
 		fmt.Println("   ", m)
 	}
 	return 1
+}
+
+// replay rebuilds the campaign a repro line names (the first design and
+// workload, the machine shape, the seed and the plan) and runs it as a
+// one-campaign sweep, so it is contained as a sweep campaign is (panics,
+// watchdogs, infra retries). A ClusterKV workload runs through the
+// cluster's runner. It returns the campaign's record.
+func replay(cfg harness.TortureConfig, planStr string, seed int64) (harness.Record, error) {
+	plan, err := fault.ParsePlan(planStr)
+	if err != nil {
+		return harness.Record{}, err
+	}
+	if plan.Seed == 0 {
+		plan.Seed = seed
+	}
+	c := harness.Campaign{Spec: harness.Spec{
+		Design:       cfg.Designs[0],
+		Workload:     cfg.Workloads[0],
+		Cores:        cfg.Cores,
+		Txns:         cfg.Txns,
+		Seed:         seed,
+		DisableAudit: cfg.DisableAudit,
+	}, Plan: plan}
+	cfg.Campaigns, cfg.Offset, cfg.Shrink, cfg.TraceDir = 1, 0, false, ""
+	cfg.Make = func(int) harness.Campaign { return c }
+	if strings.HasPrefix(c.Spec.Workload, "ClusterKV") {
+		cfg.Run = cluster.RunCampaign
+	}
+	var rec lastRecord
+	cfg.Sink = &rec
+	_, err = harness.Torture(cfg)
+	return rec.Record, err
+}
+
+// lastRecord is a RecordSink that keeps the last record written.
+type lastRecord struct{ harness.Record }
+
+func (*lastRecord) Encode(harness.Record) ([]byte, error) { return nil, nil }
+func (l *lastRecord) Write(r harness.Record, _ []byte) error {
+	l.Record = r
+	return nil
 }
 
 func fatal(err error) {

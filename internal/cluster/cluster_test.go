@@ -2,11 +2,13 @@ package cluster
 
 import (
 	"fmt"
+	"math/bits"
 	"testing"
 
 	"silo/internal/fault"
 	"silo/internal/pm"
 	"silo/internal/sim"
+	"silo/internal/telemetry"
 )
 
 func TestRingDeterministicAndTotal(t *testing.T) {
@@ -96,6 +98,59 @@ func TestClusterNodeCrashRecoversUnderLoad(t *testing.T) {
 				t.Fatal("nothing acked despite surviving nodes")
 			}
 		})
+	}
+}
+
+// logSnapshot is a telemetry sink that copies the recovering node's log
+// areas when the first recovery starts: after the crash flush, before
+// the replay.
+type logSnapshot struct {
+	c    *Cluster
+	logs []byte
+}
+
+func (s *logSnapshot) Event(e telemetry.Event) {
+	if e.Kind != telemetry.KNodeState || e.A != telemetry.NodeRecovering || s.logs != nil {
+		return
+	}
+	n := s.c.nodes[e.Core]
+	region := n.m.Region()
+	for t := 0; t < region.Threads(); t++ {
+		s.logs = append(s.logs, n.dev.Peek(region.AreaBase(t), int(region.Used(t)))...)
+	}
+}
+
+// TestClusterNodeCrashFlipsLogBitsOnce: a node crash planned with N log
+// bit flips leaves exactly N flipped bits in the node's log areas,
+// compared with the same scenario planned with none.
+func TestClusterNodeCrashFlipsLogBitsOnce(t *testing.T) {
+	const flips = 3
+	snapshot := func(bitFlips int) []byte {
+		cfg := crashConfig(7, "Silo")
+		cfg.Plan.Node.BitFlips = bitFlips
+		s := &logSnapshot{}
+		cfg.Telemetry = telemetry.NewRecorder(s)
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.c = c
+		c.Drive()
+		if len(s.logs) == 0 {
+			t.Fatal("no node recovery over a non-empty log observed")
+		}
+		return s.logs
+	}
+	clean, flipped := snapshot(0), snapshot(flips)
+	if len(clean) != len(flipped) {
+		t.Fatalf("log areas hold %d bytes with flips, %d without", len(flipped), len(clean))
+	}
+	diff := 0
+	for i := range clean {
+		diff += bits.OnesCount8(clean[i] ^ flipped[i])
+	}
+	if diff != flips {
+		t.Fatalf("node crash planned with %d log bit flips left %d flipped bits", flips, diff)
 	}
 }
 

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"math/rand"
 
 	"silo/internal/cache"
 	"silo/internal/fault"
@@ -252,9 +251,9 @@ func (c *Cluster) runStream(n *node, st *reqStream, now sim.Cycle, label int64) 
 const serviceStepBudget = 1 << 16
 
 // crashNode performs the power-failure teardown of node n at cluster
-// time now: battery flush (if the machine hasn't already crashed
-// itself), queue drain with connection resets, optional log-media bit
-// flips, recovery replay — re-crashed every RecrashEvery applied words
+// time now: battery flush and the plan's log-media bit flips (if the
+// machine hasn't already crashed itself), queue drain with connection
+// resets, recovery replay — re-crashed every RecrashEvery applied words
 // per the plan, with a doubling battery so it terminates — then both
 // correctness verdicts (machine golden shadow and cluster shadow), log
 // truncation, and scheduling of the reboot completion.
@@ -307,34 +306,16 @@ func (c *Cluster) crashNode(n *node, now sim.Cycle) {
 	c.res.Torn += region.CrashImagesTorn
 	c.res.Dropped += region.CrashImagesDropped
 
-	plan := c.machinePlan(n.id, n.incarn)
-	if plan != nil && plan.BitFlips > 0 {
-		rng := rand.New(rand.NewSource(plan.Seed ^ int64(n.incarn)))
-		fault.FlipLogBits(n.dev, region, rng, plan.BitFlips)
-	}
-
 	// Recovery replay. It runs synchronously here (host time) but is
 	// billed in simulated time below; probes are stamped at the replay
 	// start so Perfetto shows recovery progress inside the window.
 	recoverStart := now + c.cfg.RebootDelay
 	c.tel.NodeState(n.id, recoverStart, telemetry.NodeRecovering, n.crashes)
-	var rep recovery.Report
-	restarts := 0
-	if plan != nil && plan.RecrashEvery > 0 {
-		limit := plan.RecrashEvery
-		for {
-			rep = recovery.RecoverOpts(n.dev, region, recovery.Options{
-				MaxWrites: limit, Telemetry: c.tel, Now: recoverStart,
-			})
-			if rep.Complete {
-				break
-			}
-			restarts++
-			limit *= 2
-		}
-	} else {
-		rep = recovery.RecoverOpts(n.dev, region, recovery.Options{Telemetry: c.tel, Now: recoverStart})
+	every := 0
+	if plan := c.machinePlan(n.id, n.incarn); plan != nil {
+		every = plan.RecrashEvery
 	}
+	rep, restarts := recovery.RecoverRestarting(n.dev, region, every, recovery.Options{Telemetry: c.tel, Now: recoverStart})
 	c.res.RecoveryRestarts += restarts
 	c.res.Recovery.CommittedTx += rep.CommittedTx
 	c.res.Recovery.RedoApplied += rep.RedoApplied
@@ -346,7 +327,8 @@ func (c *Cluster) crashNode(n *node, now sim.Cycle) {
 
 	// Verdict 1: the machine's own golden committed shadow, word for
 	// word over everything any transaction wrote on this incarnation.
-	for _, bad := range harness.VerifyRecovery(n.m) {
+	mismatches, _ := harness.VerifyRecovery(n.m)
+	for _, bad := range mismatches {
 		c.shadow.diverge("node %d incarnation %d: %s", n.id, n.incarn, bad)
 	}
 	// Verdict 2: the cluster shadow over every committed key this node

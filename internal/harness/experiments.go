@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 
 	"silo/internal/cache"
@@ -11,7 +12,6 @@ import (
 	"silo/internal/fault"
 	"silo/internal/logging"
 	"silo/internal/pm"
-	"silo/internal/recovery"
 	"silo/internal/sim"
 	"silo/internal/stats"
 )
@@ -370,43 +370,29 @@ func RecoverySweep(design, workloadName string, cores, txns int, seed int64, poi
 	t := stats.NewTable(
 		fmt.Sprintf("Crash recovery sweep: %s on %s (%d cores)", design, workloadName, cores),
 		"CrashAtOp", "Committed", "Records", "Redo", "Undo", "Discarded", "RecoveryUs", "Verified")
+	pmCfg := pm.DefaultConfig()
 	for _, at := range points {
-		m, _, err := RunMachine(Spec{Design: design, Workload: workloadName, Cores: cores,
-			Txns: txns, Seed: seed, Fault: &fault.Plan{Trigger: fault.TriggerOp, AtOp: at}})
-		if err != nil {
-			return nil, err
+		out := RunCampaignContained(Campaign{
+			Spec: Spec{Design: design, Workload: workloadName, Cores: cores, Txns: txns, Seed: seed},
+			Plan: fault.Plan{Trigger: fault.TriggerOp, AtOp: at},
+		})
+		if out.Err != nil {
+			return nil, out.Err
 		}
-		if !m.Crashed() {
-			m.InjectCrash(m.Now())
-		}
-		rep := recovery.Recover(m.Device(), m.Region())
-		bad := 0
-		checked := 0
-		for _, a := range m.WrittenWords() {
-			want, ok := m.GoldenCommitted(a)
-			if !ok {
-				continue
-			}
-			checked++
-			if m.Device().PeekWord(a) != want {
-				bad++
-			}
-		}
-		verdict := fmt.Sprintf("%d/%d ok", checked-bad, checked)
+		rep := out.Report
 		// Recovery time estimate on the simulated machine: scan every
 		// record (PM read) + apply every replay/revoke (PM write), at the
 		// Table II latencies and 2 GHz.
-		pmCfg := m.Device().Config()
 		recCycles := int64(rep.TotalRecords)*int64(pmCfg.ReadLatency) +
 			int64(rep.RedoApplied+rep.UndoApplied)*int64(pmCfg.WriteLatency)
 		t.AddRow(fmt.Sprintf("%d", at),
-			fmt.Sprintf("%d", m.Commits()),
+			fmt.Sprintf("%d", out.Commits),
 			fmt.Sprintf("%d", rep.TotalRecords),
 			fmt.Sprintf("%d", rep.RedoApplied),
 			fmt.Sprintf("%d", rep.UndoApplied),
 			fmt.Sprintf("%d", rep.Discarded),
 			fmt.Sprintf("%.2f", float64(recCycles)/2000),
-			verdict)
+			fmt.Sprintf("%d/%d ok", out.Checked-len(out.Mismatches), out.Checked))
 	}
 	return t, nil
 }
@@ -415,12 +401,14 @@ func RecoverySweep(design, workloadName string, cores, txns int, seed int64, poi
 // index of a run (or every `stride`-th) and verifies atomic durability
 // after recovery each time. It returns the number of crash points tested
 // and descriptions of any violations — the strongest correctness sweep in
-// the repository, feasible because runs are deterministic.
+// the repository, feasible because runs are deterministic. It is a
+// torture sweep (campaign k crashes at op (k+1)·stride): an audit
+// violation is one failure line, and the list stops at the 21st.
 func CrashScan(spec Spec, stride int64) (points int, failures []string, err error) {
 	if stride < 1 {
 		stride = 1
 	}
-	// Determine the run length first.
+	// Determine the run length first, from the engine's op counters.
 	probe := spec
 	probe.Fault = nil
 	m0, _, err := RunMachine(probe)
@@ -428,42 +416,34 @@ func CrashScan(spec Spec, stride int64) (points int, failures []string, err erro
 		return 0, nil, err
 	}
 	totalOps := int64(0)
-	{
-		// Re-derive the op count by recording a trace-less run: use the
-		// machine's engine op counters.
-		e := m0.Engine(spec.Seed)
-		for _, k := range []sim.OpKind{sim.OpLoad, sim.OpStore, sim.OpTxBegin, sim.OpTxEnd, sim.OpCompute} {
-			totalOps += e.Ops(k)
+	e := m0.Engine(spec.Seed)
+	for _, k := range []sim.OpKind{sim.OpLoad, sim.OpStore, sim.OpTxBegin, sim.OpTxEnd, sim.OpCompute} {
+		totalOps += e.Ops(k)
+	}
+	m0.Release()
+	n := int(totalOps / stride)
+	if n == 0 {
+		return 0, nil, nil
+	}
+	res, err := Torture(TortureConfig{Campaigns: n, Make: func(k int) Campaign {
+		return Campaign{Index: k, Spec: spec, Plan: fault.Plan{Trigger: fault.TriggerOp, AtOp: int64(k+1) * stride}}
+	}})
+	if err != nil {
+		return 0, nil, err
+	}
+	fails := append(res.Failures, res.Infra...)
+	sort.Slice(fails, func(i, j int) bool { return fails[i].Outcome.Campaign.Index < fails[j].Outcome.Campaign.Index })
+	for _, f := range fails {
+		o := f.Outcome
+		first := fmt.Sprintf("error: %v", o.Err)
+		if o.Err == nil {
+			first = o.Mismatches[0]
+		}
+		if failures = append(failures, fmt.Sprintf("crash@%d: %s", o.Campaign.Plan.AtOp, first)); len(failures) > 20 {
+			return o.Campaign.Index + 1, failures, nil
 		}
 	}
-	for at := stride; at <= totalOps; at += stride {
-		s := spec
-		s.Fault = &fault.Plan{Trigger: fault.TriggerOp, AtOp: at}
-		m, _, err := RunMachine(s)
-		if err != nil {
-			return points, failures, err
-		}
-		if !m.Crashed() {
-			m.InjectCrash(m.Now())
-		}
-		recovery.Recover(m.Device(), m.Region())
-		points++
-		for _, a := range m.WrittenWords() {
-			want, ok := m.GoldenCommitted(a)
-			if !ok {
-				continue
-			}
-			if got := m.Device().PeekWord(a); got != want {
-				failures = append(failures,
-					fmt.Sprintf("crash@%d: %v = %#x want %#x", at, a, uint64(got), uint64(want)))
-				if len(failures) > 20 {
-					return points, failures, nil
-				}
-				break
-			}
-		}
-	}
-	return points, failures, nil
+	return n, failures, nil
 }
 
 // Hotspot reports the media wear distribution per design: endurance is

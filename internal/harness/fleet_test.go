@@ -388,7 +388,7 @@ func TestAuditorCatchesRedoBeforeCommitTuple(t *testing.T) {
 	}
 }
 
-// Shrink must return a reproducer that still fails, and every reduction
+// shrinkWith must return a reproducer that still fails, and every reduction
 // it kept must be individually safe: restoring any single reduced
 // dimension to its original value keeps the campaign failing.
 func TestShrinkMinimalFailingReproducer(t *testing.T) {
@@ -408,7 +408,7 @@ func TestShrinkMinimalFailingReproducer(t *testing.T) {
 	if !fails(orig) {
 		t.Fatal("chosen campaign does not fail; shrink test premise broken")
 	}
-	s := Shrink(orig)
+	s := shrinkWith(orig, fails)
 	if !fails(s) {
 		t.Fatalf("shrunk campaign no longer fails: %s", s.Repro())
 	}

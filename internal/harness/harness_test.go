@@ -8,6 +8,7 @@ import (
 
 	"bytes"
 
+	"silo/internal/audit"
 	"silo/internal/core"
 	"silo/internal/stats"
 	"silo/internal/trace"
@@ -356,6 +357,30 @@ func TestCrashScanStridedAllDesigns(t *testing.T) {
 				t.Fatalf("violations: %v", failures[:min(3, len(failures))])
 			}
 		})
+	}
+}
+
+// TestCrashScanContainsAuditViolations: a scan over a seeded §III-G
+// ordering bug reports each contained crash-flush-order violation as a
+// failure line instead of dying on the first one, and stops at the 21st
+// failing point, which is the last point it counts.
+func TestCrashScanContainsAuditViolations(t *testing.T) {
+	spec := Spec{Design: "Silo", Workload: "Hash", Cores: 2, Txns: 2000, Seed: 6,
+		SiloOpts: core.Options{DebugRedoBeforeCommit: true}}
+	points, failures, err := CrashScan(spec, 97)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(failures) != 21 {
+		t.Fatalf("%d failure lines over %d points, want the cap of 21", len(failures), points)
+	}
+	for _, f := range failures {
+		if !strings.HasPrefix(f, "crash@") || !strings.Contains(f, ": error: ") || !strings.Contains(f, audit.InvCrashOrder) {
+			t.Fatalf("failure line %q: want a contained %s violation", f, audit.InvCrashOrder)
+		}
+	}
+	if last := fmt.Sprintf("crash@%d: ", points*97); !strings.HasPrefix(failures[20], last) {
+		t.Errorf("last failure %q: want it at the last counted point (%s)", failures[20], last)
 	}
 }
 

@@ -203,6 +203,7 @@ type CampaignOutcome struct {
 	MidRun     bool  // the trigger fired before the workload finished
 	Commits    int64 // transactions committed before the crash
 	Restarts   int   // mid-recovery re-crashes survived
+	Checked    int   // transactional words verified against the golden shadow
 	Torn       int64 // crash-flush records torn by the energy budget
 	Dropped    int64 // crash-flush records dropped entirely
 
@@ -248,19 +249,19 @@ func IsInfra(err error) bool {
 
 // VerifyRecovery checks every word any transaction ever wrote against
 // the machine's golden committed shadow and returns the mismatches in
-// address order.
-func VerifyRecovery(m *machine.Machine) []string {
-	var bad []string
+// address order, plus the number of words it checked.
+func VerifyRecovery(m *machine.Machine) (bad []string, checked int) {
 	for _, a := range m.WrittenWords() {
 		want, ok := m.GoldenCommitted(a)
 		if !ok {
 			continue
 		}
-		if got, ok := recovery.VerifyWord(m.Device(), a, want); !ok {
+		checked++
+		if got := m.Device().PeekWord(a); got != want {
 			bad = append(bad, fmt.Sprintf("%v = %#x want %#x", a, uint64(got), uint64(want)))
 		}
 	}
-	return bad
+	return bad, checked
 }
 
 // RunCampaign executes one campaign end to end: run until the crash
@@ -295,31 +296,15 @@ func RunCampaign(c Campaign) CampaignOutcome {
 	out.Torn = m.Region().CrashImagesTorn
 	out.Dropped = m.Region().CrashImagesDropped
 
-	if plan.RecrashEvery > 0 {
-		// Crash recovery itself after every RecrashEvery applied words;
-		// each retry's battery lasts twice as long, so the loop
-		// terminates, and recovery never mutates the log, so restarting
-		// from scratch is legal.
-		limit := plan.RecrashEvery
-		for {
-			out.Report = recovery.RecoverOpts(m.Device(), m.Region(), recovery.Options{MaxWrites: limit})
-			if out.Report.Complete {
-				break
-			}
-			out.Restarts++
-			limit *= 2
-		}
-	} else {
-		out.Report = recovery.Recover(m.Device(), m.Region())
-	}
-	out.Mismatches = VerifyRecovery(m)
+	out.Report, out.Restarts = recovery.RecoverRestarting(m.Device(), m.Region(), plan.RecrashEvery, recovery.Options{})
+	out.Mismatches, out.Checked = VerifyRecovery(m)
 
 	// Idempotence: a second full pass over the same log must change
 	// nothing. The comparison is by mismatch *content*, not count — a
 	// second pass corrupting different words of equal count is just as
 	// broken — and first-pass mismatches are never dropped.
 	second := recovery.Recover(m.Device(), m.Region())
-	again := VerifyRecovery(m)
+	again, _ := VerifyRecovery(m)
 	out.Mismatches = append(out.Mismatches, audit.CompareRecoveryPasses(
 		out.Mismatches, again,
 		out.Report.TotalRecords, second.TotalRecords,
@@ -386,20 +371,9 @@ func stackTrail() []string {
 	return lines
 }
 
-// Shrink reduces a failing campaign to a minimal reproducer: bisect the
-// transaction count, drop to one core, then strip crash-schedule
-// features one at a time, keeping each reduction only if the campaign
-// still fails.
-func Shrink(c Campaign) Campaign {
-	return shrinkWith(c, func(tc Campaign) bool {
-		// Contained: a shrink trial that panics (audit violation) is a
-		// failing trial, not a dead process. Infra kills don't count as
-		// failing — keeping a reduction on a timeout would be wrong.
-		out := RunCampaignContained(tc)
-		return !IsInfra(out.Err) && out.Failed()
-	})
-}
-
+// shrinkWith reduces a failing campaign to a minimal reproducer: bisect
+// the transaction count, drop to one core, then strip crash-schedule
+// features one at a time, keeping each reduction only while fails holds.
 func shrinkWith(c Campaign, fails func(Campaign) bool) Campaign {
 	for c.Spec.Txns > 1 {
 		trial := c
@@ -792,6 +766,8 @@ func Torture(cfg TortureConfig) (TortureResult, error) {
 	res.Interrupted = res.Skipped > 0
 	if cfg.Shrink {
 		fails := func(tc Campaign) bool {
+			// A trial that panics fails; an infra kill does not (keeping
+			// a reduction on a timeout would be wrong).
 			out := runContained(run, tc, cfg.WallBudget)
 			return !IsInfra(out.Err) && out.Failed()
 		}

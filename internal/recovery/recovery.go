@@ -86,6 +86,21 @@ func RecoverOpts(dev *pm.Device, region *logging.RegionWriter, opt Options) Repo
 	return rep
 }
 
+// RecoverRestarting runs recovery to completion, crashing the pass after
+// every `every` applied words (<= 0: never). Each retry's battery lasts
+// twice as long, so the loop terminates, and recovery never mutates the
+// log, so restarting from scratch is legal. It returns the completed
+// pass's report and the number of re-crashes survived.
+func RecoverRestarting(dev *pm.Device, region *logging.RegionWriter, every int, opt Options) (Report, int) {
+	opt.MaxWrites = every
+	for restarts := 0; ; restarts++ {
+		if rep := RecoverOpts(dev, region, opt); rep.Complete {
+			return rep, restarts
+		}
+		opt.MaxWrites *= 2
+	}
+}
+
 // Resolved runs the recovery procedure *symbolically*: the writes a full
 // pass would apply, as a map, without touching the device. The audit
 // layer uses it at crash time to prove every committed word is
@@ -174,12 +189,4 @@ func walk(all []logging.ScanResult, rep *Report, apply func(mem.Addr, mem.Word) 
 			rep.UndoApplied++
 		}
 	}
-}
-
-// VerifyWord checks one word of the recovered data region against an
-// expected value. got is the durable value actually read; ok reports
-// whether it matches want.
-func VerifyWord(dev *pm.Device, addr mem.Addr, want mem.Word) (got mem.Word, ok bool) {
-	got = dev.PeekWord(addr)
-	return got, got == want
 }

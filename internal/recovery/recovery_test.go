@@ -164,17 +164,6 @@ func TestRecoverThreadsIndependent(t *testing.T) {
 	}
 }
 
-func TestVerifyWord(t *testing.T) {
-	dev, _ := newDev()
-	dev.PokeWord(0xB00, 7)
-	if got, ok := VerifyWord(dev, 0xB00, 7); !ok || got != 7 {
-		t.Errorf("verify rejected correct word (got=%d ok=%v)", got, ok)
-	}
-	if got, ok := VerifyWord(dev, 0xB00, 8); ok || got != 7 {
-		t.Error("verify accepted wrong word")
-	}
-}
-
 // TestFig10Scenario walks the paper's worked example (Fig. 10): thread 1
 // commits Tx1 and Tx3 (Tx3 still pending its in-place updates at the
 // crash); thread 2's Tx2 is in flight with one cacheline already evicted
@@ -367,21 +356,15 @@ func TestMidRecoveryCrashConverges(t *testing.T) {
 		t.Fatal("unbounded recovery reported incomplete")
 	}
 
+	// A bounded pass stops at its budget.
+	bDev, bRegion := build()
+	if rep := RecoverOpts(bDev, bRegion, Options{MaxWrites: 1}); rep.Complete || rep.AppliedWrites != 1 {
+		t.Fatalf("MaxWrites=1 pass: %+v, want incomplete after 1 word", rep)
+	}
+
 	// Crash-ridden: one applied word per attempt, doubling.
 	dev, region := build()
-	limit, restarts := 1, 0
-	var rep Report
-	for {
-		rep = RecoverOpts(dev, region, Options{MaxWrites: limit})
-		if rep.Complete {
-			break
-		}
-		if rep.AppliedWrites > limit {
-			t.Fatalf("pass applied %d words past its budget %d", rep.AppliedWrites, limit)
-		}
-		restarts++
-		limit *= 2
-	}
+	rep, restarts := RecoverRestarting(dev, region, 1, Options{})
 	if restarts == 0 {
 		t.Fatal("MaxWrites=1 never interrupted a 3-write recovery")
 	}

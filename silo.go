@@ -21,15 +21,12 @@
 package silo
 
 import (
-	"fmt"
 	"io"
 
 	"silo/internal/core"
 	"silo/internal/energy"
 	"silo/internal/fault"
 	"silo/internal/harness"
-	"silo/internal/mem"
-	"silo/internal/recovery"
 	"silo/internal/sim"
 	"silo/internal/stats"
 	"silo/internal/trace"
@@ -157,38 +154,24 @@ func (r CrashReport) Ok() bool { return len(r.Mismatches) == 0 }
 
 // RunWithCrash injects a power failure when the machine has executed
 // crashAtOp operations, performs the design's battery/ADR crash flush,
-// drops the volatile caches, runs log recovery, and verifies every word
-// any transaction ever wrote against the committed golden state.
+// drops the volatile caches, runs log recovery, verifies every word any
+// transaction ever wrote against the committed golden state, and checks
+// that a second recovery pass changes nothing. It runs as a torture
+// campaign, auditor on: an invariant violation is the returned error.
 func RunWithCrash(cfg Config, crashAtOp int64) (CrashReport, error) {
-	spec := cfg.spec()
-	spec.Fault = &fault.Plan{Trigger: fault.TriggerOp, AtOp: crashAtOp}
-	m, _, err := harness.RunMachine(spec)
-	if err != nil {
-		return CrashReport{}, err
+	out := harness.RunCampaignContained(harness.Campaign{
+		Spec: cfg.spec(),
+		Plan: fault.Plan{Trigger: fault.TriggerOp, AtOp: crashAtOp},
+	})
+	if out.Err != nil {
+		return CrashReport{}, out.Err
 	}
-	if !m.Crashed() {
-		// The workload finished before the crash point: power still goes
-		// out eventually. Crash at completion so the verification below
-		// always observes a post-power-failure machine.
-		m.InjectCrash(m.Now())
-	}
-	rep := recovery.Recover(m.Device(), m.Region())
-	out := CrashReport{
-		CommittedBeforeCrash: m.Commits(),
-		RecoveredTx:          rep.CommittedTx,
-		RedoApplied:          rep.RedoApplied,
-		UndoApplied:          rep.UndoApplied,
-	}
-	for _, addr := range m.WrittenWords() {
-		want, ok := m.GoldenCommitted(addr)
-		if !ok {
-			continue
-		}
-		out.WordsChecked++
-		if got := m.Device().PeekWord(addr); got != want {
-			out.Mismatches = append(out.Mismatches,
-				fmt.Sprintf("%s: got %#x want %#x", mem.Addr(addr), uint64(got), uint64(want)))
-		}
-	}
-	return out, nil
+	return CrashReport{
+		CommittedBeforeCrash: out.Commits,
+		RecoveredTx:          out.Report.CommittedTx,
+		RedoApplied:          out.Report.RedoApplied,
+		UndoApplied:          out.Report.UndoApplied,
+		WordsChecked:         out.Checked,
+		Mismatches:           out.Mismatches,
+	}, nil
 }
