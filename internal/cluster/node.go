@@ -315,7 +315,11 @@ func (c *Cluster) crashNode(n *node, now sim.Cycle) {
 	if plan := c.machinePlan(n.id, n.incarn); plan != nil {
 		every = plan.RecrashEvery
 	}
-	rep, restarts := recovery.RecoverRestarting(n.dev, region, every, recovery.Options{Telemetry: c.tel, Now: recoverStart})
+	log := n.m.CrashLog()
+	if log == nil {
+		log = recovery.Parse(region)
+	}
+	rep, restarts := recovery.RecoverRestarting(n.dev, log, every, recovery.Options{Telemetry: c.tel, Now: recoverStart})
 	c.res.RecoveryRestarts += restarts
 	c.res.Recovery.CommittedTx += rep.CommittedTx
 	c.res.Recovery.RedoApplied += rep.RedoApplied

@@ -8,12 +8,14 @@ import (
 	"fmt"
 	"hash"
 	"os"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 
 	"silo/internal/fault"
+	"silo/internal/recovery"
 	"silo/internal/telemetry"
 )
 
@@ -140,6 +142,38 @@ func TestGoldenDigests(t *testing.T) {
 					t.Errorf("behaviour drifted from %s in %d keys:\n  %s", goldenFile, len(drift), strings.Join(drift, "\n  "))
 				}
 			})
+		}
+	}
+}
+
+// TestCrashLogMatchesRecoveryParse: the log parse the crash audit keeps
+// (Machine.CrashLog) is what recovery would parse when it starts, for
+// every golden 2c-crash variant — nothing between the crash and
+// recovery (the stats drain included) changes what the scan reads.
+func TestCrashLogMatchesRecoveryParse(t *testing.T) {
+	for _, v := range goldenVariants {
+		if v.crashAt == 0 {
+			continue
+		}
+		for _, design := range DesignNames() {
+			for _, wl := range goldenWorkloads() {
+				spec := Spec{
+					Design: design, Workload: wl, Cores: v.cores, Txns: 96, Seed: 11,
+					OpsPerTx: v.opsPerTx,
+					Fault:    &fault.Plan{Trigger: fault.TriggerOp, AtOp: v.crashAt},
+				}
+				m, _, err := RunMachine(spec)
+				if err != nil {
+					t.Fatalf("%s/%s/%s: %v", design, wl, v.name, err)
+				}
+				if !m.Crashed() {
+					m.InjectCrash(m.Now())
+				}
+				if got, want := m.CrashLog(), recovery.Parse(m.Region()); got == nil || !reflect.DeepEqual(got, want) {
+					t.Errorf("%s/%s/%s: CrashLog differs from a parse at recovery start", design, wl, v.name)
+				}
+				m.Release()
+			}
 		}
 	}
 }

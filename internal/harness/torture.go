@@ -296,20 +296,35 @@ func RunCampaign(c Campaign) CampaignOutcome {
 	out.Torn = m.Region().CrashImagesTorn
 	out.Dropped = m.Region().CrashImagesDropped
 
-	out.Report, out.Restarts = recovery.RecoverRestarting(m.Device(), m.Region(), plan.RecrashEvery, recovery.Options{})
+	RecoverAndVerify(m, plan.RecrashEvery, recovery.Options{}, &out)
+	return out
+}
+
+// RecoverAndVerify is RunCampaign's post-crash half, run on a crashed
+// machine: recovery re-crashed after every `every` applied words until a
+// pass completes, the golden-shadow verification, a second full pass and
+// the re-verify that proves the completed recovery idempotent. Every pass
+// replays one parse of the crashed log: the crash audit's (CrashLog),
+// else one taken here. It sets out's Report, Restarts, Mismatches and
+// Checked; opt's Telemetry and Now stamp every pass's probes.
+func RecoverAndVerify(m *machine.Machine, every int, opt recovery.Options, out *CampaignOutcome) {
+	log := m.CrashLog()
+	if log == nil {
+		log = recovery.Parse(m.Region())
+	}
+	out.Report, out.Restarts = recovery.RecoverRestarting(m.Device(), log, every, opt)
 	out.Mismatches, out.Checked = VerifyRecovery(m)
 
 	// Idempotence: a second full pass over the same log must change
 	// nothing. The comparison is by mismatch *content*, not count — a
 	// second pass corrupting different words of equal count is just as
 	// broken — and first-pass mismatches are never dropped.
-	second := recovery.Recover(m.Device(), m.Region())
+	second := log.Apply(m.Device(), opt)
 	again, _ := VerifyRecovery(m)
 	out.Mismatches = append(out.Mismatches, audit.CompareRecoveryPasses(
 		out.Mismatches, again,
 		out.Report.TotalRecords, second.TotalRecords,
 		out.Report.Quarantined, second.Quarantined)...)
-	return out
 }
 
 // RunCampaignContained is RunCampaign behind the fleet's panic

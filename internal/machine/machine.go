@@ -99,6 +99,8 @@ type Machine struct {
 	crashPending  bool  // event trigger matched; crash at the next op
 	regionAppends int64 // run-time log appends observed (overflow trigger)
 
+	crashLog *recovery.Log // the crash audit's parse of the log region
+
 	opCount     int64
 	commits     int64
 	loads       int64
@@ -504,7 +506,8 @@ func (m *Machine) InjectCrash(now sim.Cycle) {
 	// under beyond-spec faults that may legally lose committed work
 	// (strict battery budgets, log media bit flips).
 	if auditing && (m.plan == nil || (!m.plan.StrictBudget && m.plan.BitFlips == 0)) {
-		resolved := recovery.Resolved(m.region)
+		m.crashLog = recovery.Parse(m.region)
+		resolved := m.crashLog.Resolved()
 		for _, a := range words {
 			want, ok := m.GoldenCommitted(a)
 			if !ok {
@@ -522,6 +525,12 @@ func (m *Machine) InjectCrash(now sim.Cycle) {
 		m.engine.Crash()
 	}
 }
+
+// CrashLog returns the parse of the crashed log region that InjectCrash's
+// reconstructibility audit made, for recovery to replay. It is nil when
+// that audit did not run: auditing off, or a plan with log bit flips or
+// a strict energy budget.
+func (m *Machine) CrashLog() *recovery.Log { return m.crashLog }
 
 // GoldenCommitted returns the expected durable value of addr after
 // recovery: the last committed value, or the pre-first-write baseline.

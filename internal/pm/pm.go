@@ -25,9 +25,11 @@
 package pm
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"silo/internal/mem"
 	"silo/internal/sim"
@@ -643,18 +645,21 @@ func (d *Device) Erase(addr mem.Addr, n int) {
 // DrainAll flushes every on-PM buffer line to the media in address
 // order, finalizing the media-write accounting at the end of a run.
 func (d *Device) DrainAll() {
-	for d.buf.n > 0 {
-		var next *bufLine
-		for i := range d.buf.pool {
-			if !d.buf.used[i] {
-				continue
-			}
-			if bl := &d.buf.pool[i]; next == nil || bl.base < next.base {
-				next = bl
-			}
-		}
-		d.flushBufLine(next)
+	t := d.buf
+	if t.n == 0 {
+		return
 	}
+	order := t.drain[:0]
+	for i, used := range t.used {
+		if used {
+			order = append(order, int32(i))
+		}
+	}
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(t.pool[a].base, t.pool[b].base) })
+	for _, i := range order {
+		d.flushBufLine(&t.pool[i])
+	}
+	t.drain = order
 }
 
 // PowerCycle prepares the device for a post-crash machine incarnation

@@ -199,6 +199,8 @@ type bufTable struct {
 
 	prev, next []int32 // recency list links by pool index; -1 = none
 	head, tail int32
+
+	drain []int32 // DrainAll's scratch: live pool indices in address order
 }
 
 func newBufTable(lines, lineSize int) *bufTable {

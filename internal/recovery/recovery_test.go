@@ -333,7 +333,7 @@ func TestTornRedoSuffixKeepsCommit(t *testing.T) {
 // TestMidRecoveryCrashConverges: recovery itself can lose power. A
 // bounded pass reports Complete=false; restarting from scratch with a
 // bigger battery converges to exactly the one-shot result, because
-// recovery never mutates the log.
+// every pass replays the whole log from the start.
 func TestMidRecoveryCrashConverges(t *testing.T) {
 	build := func() (*pm.Device, *logging.RegionWriter) {
 		dev, region := newDev()
@@ -358,13 +358,13 @@ func TestMidRecoveryCrashConverges(t *testing.T) {
 
 	// A bounded pass stops at its budget.
 	bDev, bRegion := build()
-	if rep := RecoverOpts(bDev, bRegion, Options{MaxWrites: 1}); rep.Complete || rep.AppliedWrites != 1 {
+	if rep := Parse(bRegion).Apply(bDev, Options{MaxWrites: 1}); rep.Complete || rep.AppliedWrites != 1 {
 		t.Fatalf("MaxWrites=1 pass: %+v, want incomplete after 1 word", rep)
 	}
 
 	// Crash-ridden: one applied word per attempt, doubling.
 	dev, region := build()
-	rep, restarts := RecoverRestarting(dev, region, 1, Options{})
+	rep, restarts := RecoverRestarting(dev, Parse(region), 1, Options{})
 	if restarts == 0 {
 		t.Fatal("MaxWrites=1 never interrupted a 3-write recovery")
 	}

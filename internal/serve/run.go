@@ -427,7 +427,7 @@ func (m *Manager) driveSim(run *Run, cr *harness.ControlledRun, rec *telemetry.R
 	if wasCrashed {
 		run.setState(StateCrashed)
 		mach := cr.Machine()
-		rep := recovery.RecoverOpts(mach.Device(), mach.Region(), recovery.Options{
+		rep := recovery.Parse(mach.Region()).Apply(mach.Device(), recovery.Options{
 			Telemetry: rec,
 			Now:       mach.Now(),
 		})
